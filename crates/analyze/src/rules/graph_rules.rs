@@ -45,7 +45,6 @@ pub const REQUIRED_ROOTS: &[&str] = &[
     "netstack-rx",
     "oatable-probe",
     "simnet-measured-window",
-    "smp-closed-loop",
     "signaling-call-path",
     "workload-dispatch",
 ];

@@ -581,7 +581,7 @@ pub mod sweep {
     /// Folds per-job recorders into one, in job-index order (the jobs ran
     /// on worker threads, but `run_indexed` returns them in index order,
     /// so the fold is deterministic for any thread count).
-    fn merge_recorders(
+    pub(crate) fn merge_recorders(
         recorders: impl Iterator<Item = Option<Box<obs::Recorder>>>,
     ) -> Option<Box<obs::Recorder>> {
         let mut merged: Option<Box<obs::Recorder>> = None;
@@ -1301,6 +1301,7 @@ pub mod figure9 {
     //! worker threads and reduces in deterministic index order, so the
     //! CSV is byte-identical for any `--threads` value.
 
+    use crate::sweep::merge_recorders;
     use crate::{f, RunOpts};
     use ldlp::{BatchPolicy, Discipline};
     use simnet::impair::ImpairCounters;
@@ -1428,18 +1429,8 @@ pub mod figure9 {
         sim.run(&arrivals);
         let out = sim.outcome(ImpairCounters::default());
         crate::perf::note_replay(&out.replay);
-        let rec = if observe {
-            let mut merged: Option<Box<obs::Recorder>> = None;
-            for (_, rec) in sim.take_recorders() {
-                match merged.as_mut() {
-                    None => merged = Some(rec),
-                    Some(m) => m.merge(&rec),
-                }
-            }
-            merged
-        } else {
-            None
-        };
+        // Empty when not observing: no sinks were attached.
+        let rec = merge_recorders(sim.take_recorders().into_iter().map(|(_, rec)| Some(rec)));
         (
             out.report,
             [
@@ -1519,15 +1510,7 @@ pub mod figure9 {
                 variants: per_variant,
             });
         }
-        let mut merged: Option<Box<obs::Recorder>> = None;
-        for job in &mut runs {
-            if let Some(rec) = job.2.take() {
-                match merged.as_mut() {
-                    None => merged = Some(rec),
-                    Some(m) => m.merge(&rec),
-                }
-            }
-        }
+        let merged = merge_recorders(runs.iter_mut().map(|job| job.2.take()));
         (points, merged)
     }
 
@@ -2515,6 +2498,7 @@ pub mod figure14 {
     //! threads and reduces in deterministic index order, so the CSV is
     //! byte-identical for any `--threads` value.
 
+    use crate::sweep::merge_recorders;
     use crate::{f, RunOpts};
     use ldlp::{BatchPolicy, Discipline};
     use simnet::impair::ImpairCounters;
@@ -2616,18 +2600,8 @@ pub mod figure14 {
                 variant.label
             );
         }
-        let rec = if observe {
-            let mut merged: Option<Box<obs::Recorder>> = None;
-            for (_, rec) in sim.take_recorders() {
-                match merged.as_mut() {
-                    None => merged = Some(rec),
-                    Some(m) => m.merge(&rec),
-                }
-            }
-            merged
-        } else {
-            None
-        };
+        // Empty when not observing: no sinks were attached.
+        let rec = merge_recorders(sim.take_recorders().into_iter().map(|(_, rec)| Some(rec)));
         (out.report, out.classes, rec)
     }
 
@@ -2689,15 +2663,7 @@ pub mod figure14 {
                 classes,
             });
         }
-        let mut merged: Option<Box<obs::Recorder>> = None;
-        for job in &mut runs {
-            if let Some(rec) = job.2.take() {
-                match merged.as_mut() {
-                    None => merged = Some(rec),
-                    Some(m) => m.merge(&rec),
-                }
-            }
-        }
+        let merged = merge_recorders(runs.iter_mut().map(|job| job.2.take()));
         (points, merged)
     }
 

@@ -32,7 +32,6 @@
 //!   serial path.
 
 pub mod closed;
-pub mod handoff;
 pub mod impair;
 pub mod par;
 pub mod sim;
@@ -43,7 +42,6 @@ pub use closed::{
     AckKind, Class, ClientSend, ClosedConfig, ClosedPopulation, ClosedStats, RetransmitTimer,
     RetryPolicy,
 };
-pub use handoff::Handoff;
 pub use impair::{
     reorder_deliveries, GilbertElliott, ImpairConfig, ImpairCounters, ImpairedArrival,
     ImpairedSource,

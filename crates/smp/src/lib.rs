@@ -14,11 +14,12 @@
 //! * [`steer`] — deterministic flow synthesis and the three dispatch
 //!   policies: RSS-style 5-tuple hashing, first-seen round-robin, and
 //!   LDLP-aware layer affinity (software pipelining across cores).
-//! * [`sim`] — the deterministic event loop: per-core engines over a
-//!   [`cachesim::SharedL2`] coherence fabric, bounded
-//!   structure-of-arrays descriptor rings between pipeline stages
-//!   (`ring`), and a cross-core conservation law asserted on every
-//!   run.
+//! * [`sim`] — the deterministic event loop, one scheduler fed by an
+//!   open-loop arrival schedule or a closed-loop client population:
+//!   per-core engines over a [`cachesim::SharedL2`] coherence fabric,
+//!   bounded structure-of-arrays descriptor rings between pipeline
+//!   stages (`ring`), and a cross-core conservation law asserted on
+//!   every run.
 //!
 //! The headline experiment is `figure9` in `crates/bench`: arrival rate
 //! × core count × dispatch policy, Conventional vs. LDLP, reporting

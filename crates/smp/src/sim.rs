@@ -37,21 +37,23 @@
 //! and the waited cycles are charged to the core and surfaced as
 //! `bp_stall` observability spans.
 //!
-//! Besides the open-loop [`SmpSim::run`], the simulator can drive a
-//! closed-loop client population ([`SmpSim::run_closed`]): completions
-//! are fed back as acknowledgements, retransmit timers fire against the
-//! server's actual response times, and completions whose client already
-//! gave up (or was acknowledged by another copy) land in the
-//! `abandoned` conservation bucket — work the machine did for nobody.
+//! One scheduler (`SmpSim::drive`) serves two arrival sources. The
+//! open-loop [`SmpSim::run`] walks a precomputed arrival schedule; the
+//! closed-loop [`SmpSim::run_closed`] pulls transmissions from a
+//! retrying client population and feeds completions back as
+//! acknowledgements, so retransmit timers fire against the server's
+//! actual response times, and completions whose client already gave up
+//! (or was acknowledged by another copy) land in the `abandoned`
+//! conservation bucket — work the machine did for nobody.
 //!
 //! Timekeeping mirrors [`simnet::sim`]: one global cycle clock; each
 //! core's machine counter only advances while that core processes, and
 //! `offset = start − machine_cycles_at_batch_start` converts
 //! per-completion machine times to global times. The scheduler always
 //! runs the core with the earliest possible batch start (ties broken by
-//! lowest core index), and admissions happen strictly in arrival order
-//! before any batch that would start later — fully deterministic,
-//! thread-free simulation.
+//! lowest core index), and the source's events are delivered strictly in
+//! time order before any batch that would start later — fully
+//! deterministic, thread-free simulation.
 //!
 //! Accounting extends the single-core conservation law across cores:
 //! `offered == Σ completed + Σ rejected + Σ drops + Σ shed +
@@ -288,8 +290,10 @@ pub struct SmpOutcome {
     /// Arrivals refused admission, by traffic class (same caveat).
     pub drops_by_class: [u64; Class::COUNT],
     /// Per-workload-class reports, indexed by [`FlowArrival::wclass`],
-    /// populated for open-loop runs when any [`SmpConfig::wclass`]
-    /// profile is set (empty otherwise, and for closed-loop runs).
+    /// populated when any [`SmpConfig::wclass`] profile is set (empty
+    /// otherwise). Closed-loop sends carry no tag and ride class 0:
+    /// its `completed` and latencies are the useful acknowledgements,
+    /// and stale completions (`report.abandoned`) appear in no class.
     pub classes: Vec<ClassReport>,
 }
 
@@ -364,6 +368,57 @@ struct CoreState {
     completions: Vec<Completion>,
 }
 
+/// Appends to one of the run loop's reused buffers.
+fn push_warm<T>(buf: &mut Vec<T>, item: T) {
+    // analyze::allow(alloc-path, reason = "batch columns and per-run sample/routing buffers keep their capacity across batches and runs and grow by at most one entry per message: a warm simulator replaying a load it has seen allocates nothing (tests/alloc.rs)")
+    buf.push(item);
+}
+
+impl CoreState {
+    /// Adds one message to the batch being formed, with the per-message
+    /// cost it has accumulated upstream.
+    fn stage(&mut self, d: Desc) {
+        push_warm(&mut self.batch, d.msg);
+        push_warm(&mut self.b_arr, d.arr);
+        push_warm(&mut self.b_flow, d.flow_id);
+        push_warm(&mut self.b_wclass, d.wclass);
+        push_warm(&mut self.b_imiss, d.imiss);
+        push_warm(&mut self.b_dmiss, d.dmiss);
+    }
+}
+
+/// Where a run's traffic comes from. The scheduler (`SmpSim::drive`)
+/// knows a source only through `SmpSim::step`: "deliver your next event
+/// if it is due by the frontier".
+enum Source<'a> {
+    /// Open loop: a precomputed arrival schedule and a cursor into it.
+    Open(&'a [FlowArrival], usize),
+    Closed(ClosedSource<'a>),
+}
+
+/// Closed loop: a retrying client population whose think/timer events
+/// emit transmissions and whose requests are acknowledged by the run's
+/// own completions (`SmpSim::ready_acks`).
+struct ClosedSource<'a> {
+    pop: &'a mut ClosedPopulation,
+    /// Per-class shares for [`AdmissionPolicy::WeightedFair`].
+    weights: [u32; Class::COUNT],
+    /// Transmissions emitted but not yet admitted, in time order.
+    pending: VecDeque<ClientSend>,
+    /// `poll_sends` scratch, empty between calls.
+    sends: Vec<ClientSend>,
+}
+
+impl ClosedSource<'_> {
+    /// Fires every client event up to `t_s` and queues the
+    /// transmissions the channel delivers.
+    fn fire(&mut self, t_s: f64) {
+        self.pop.poll_sends(t_s, &mut self.sends);
+        // analyze::allow(alloc-path, reason = "holds only what the events just fired emitted, a few transmissions per client at most, and drains as the frontier passes them; capacity is kept for the whole run")
+        self.pending.extend(self.sends.drain(..));
+    }
+}
+
 /// The reusable multi-core simulator. Build once, [`SmpSim::run`] per
 /// arrival stream, read the [`SmpSim::outcome`]. The run loop itself is
 /// allocation-free in steady state (pinned by `tests/alloc.rs`); the
@@ -388,10 +443,6 @@ pub struct SmpSim {
     handoff_msgs: u64,
     batches: u64,
     msg_seq: u64,
-    /// Whether the current run is closed-loop: final-stage completions
-    /// are buffered in `ready_acks` for the driver to classify against
-    /// the client population instead of being counted immediately.
-    closed: bool,
     /// Stale completions — the machine finished work whose client had
     /// already been acknowledged or had given up.
     abandoned: u64,
@@ -509,7 +560,6 @@ impl SmpSim {
             handoff_msgs: 0,
             batches: 0,
             msg_seq: 0,
-            closed: false,
             abandoned: 0,
             ready_acks: BinaryHeap::new(),
             closed_meta: Vec::new(),
@@ -586,78 +636,189 @@ impl SmpSim {
     /// directory, and flow-steering state stay warm across runs (like
     /// real silicon across seconds). Asserts the multi-core
     /// conservation law before returning.
-    // analyze::hot_path(smp-event-loop)
     pub fn run(&mut self, arrivals: &[FlowArrival]) {
+        self.drive(Source::Open(arrivals, 0));
+    }
+
+    /// Runs a closed-loop client population to drain: transmissions are
+    /// pulled from `pop` up to the causality frontier (the earliest
+    /// possible next batch start), completions are fed back as
+    /// acknowledgements in finish order, and completions whose client
+    /// already gave up or was already acknowledged count as `abandoned`
+    /// — machine work done for nobody, the metastability signal
+    /// `figure13` sweeps. `weights` are the per-class shares used when
+    /// the admission policy is [`AdmissionPolicy::WeightedFair`]
+    /// (ignored otherwise).
+    ///
+    /// Causal exactness: batches run in non-decreasing start order, so
+    /// every acknowledgement that could cancel a client timer at time t
+    /// is delivered before any event at t fires, and client events
+    /// before an acknowledgement's finish time fire before the
+    /// acknowledgement lands.
+    pub fn run_closed(&mut self, pop: &mut ClosedPopulation, weights: [u32; Class::COUNT]) {
+        self.drive(Source::Closed(ClosedSource {
+            pop,
+            weights,
+            pending: VecDeque::new(),
+            sends: Vec::new(),
+        }));
+    }
+
+    /// The scheduler: deliver everything the source has due at or
+    /// before the earliest startable batch (inclusive: a batch forming
+    /// at t sees everything that happened by t, as in the single-core
+    /// loop), run that batch, and repeat until neither the source nor
+    /// any core has anything left.
+    // analyze::hot_path(smp-event-loop)
+    fn drive(&mut self, mut src: Source<'_>) {
         self.reset_run();
-        self.offered = arrivals.len() as u64;
-
-        let mut next_arrival = 0usize;
+        let feedback = matches!(src, Source::Closed(_));
         'event: loop {
+            // `step` keeps `best` current across the admissions it
+            // makes; when it cannot, rescan every core.
             let mut best = self.scan_best();
-
-            // Admissions happen in arrival order before any batch that
-            // would start later (inclusive: a batch forming at t sees
-            // everything that arrived by t, as in the single-core loop).
-            // Each admission touches exactly one core's entry queue, so
-            // `best` is maintained incrementally — lexicographic
-            // (start, core) minimum, matching the scan above — instead
-            // of rescanning every core per arrival. The one case where
-            // an admission can move a core's candidate *later* (the
-            // policy evicted queued work, or the entry queue shadowed a
-            // non-empty inbox) falls back to the full rescan.
-            while next_arrival < arrivals.len() {
-                let a = arrivals[next_arrival];
-                let t = (a.time_s * self.cycles_per_s).round() as u64;
-                if best.is_some_and(|(s, _)| t > s) {
-                    break;
-                }
-                let (c, moved_later) = self.admit(&a, t);
-                next_arrival += 1;
-                if moved_later {
+            while let Some(rescan) = self.step(&mut src, &mut best) {
+                if rescan {
                     continue 'event;
                 }
-                if !self.blocked_downstream(c) && self.cores[c].held.is_empty() {
-                    if let Some(ready) = self.next_ready(c) {
-                        let start = ready.max(self.cores[c].busy_until);
-                        if best.is_none_or(|(s, bc)| start < s || (start == s && c < bc)) {
-                            best = Some((start, c));
-                        }
-                    }
-                }
             }
-
+            debug_assert_eq!(best, self.scan_best(), "incremental best diverged from a full scan");
             let Some((start, c)) = best else {
-                // No runnable core and no arrivals left: drained.
+                // No startable core and nothing left in the source.
                 break;
             };
-            self.run_batch(c, start);
+            self.run_batch(c, start, feedback);
             self.flush_held(c, start);
         }
-
         self.assert_conservation();
     }
 
-    /// The earliest startable batch across cores — the strict `<`
-    /// breaks ties toward the lowest core index. Cores stalled on a
-    /// refused hand-off (non-empty held buffer) cannot start work.
-    fn scan_best(&self) -> Option<(u64, usize)> {
-        let mut best: Option<(u64, usize)> = None;
-        for c in 0..self.cores.len() {
-            if !self.cores[c].held.is_empty() {
-                continue;
+    /// Delivers `src`'s next event if it happens at or before the start
+    /// of the `best` batch, keeping `best` current; `None` when nothing
+    /// is due by then. `Some(true)` asks for a full rescan (see
+    /// [`SmpSim::admit`]); client-side events change no core's queues
+    /// and never do.
+    fn step(&mut self, src: &mut Source<'_>, best: &mut Option<(u64, usize)>) -> Option<bool> {
+        let frontier = best.map_or(u64::MAX, |(s, _)| s);
+        match src {
+            Source::Open(arrivals, next) => {
+                let a = arrivals.get(*next)?;
+                let t = self.to_cycles(a.time_s);
+                if t > frontier {
+                    return None;
+                }
+                *next += 1;
+                // Open-loop arrivals are class-blind: they ride as
+                // `Class::Rpc` and carry no weights.
+                let pkt = EntryPkt {
+                    arr: t,
+                    bytes: a.bytes,
+                    corrupted: a.corrupted,
+                    flow_id: a.flow_id,
+                    req: 0,
+                    class: Class::Rpc,
+                    wclass: a.wclass,
+                };
+                Some(self.admit(&a.key, pkt, None, best))
             }
-            let Some(ready) = self.next_ready(c) else {
-                continue;
-            };
-            if self.blocked_downstream(c) {
-                continue;
-            }
-            let start = ready.max(self.cores[c].busy_until);
-            if best.is_none_or(|(s, _)| start < s) {
-                best = Some((start, c));
+            Source::Closed(cs) => {
+                let ev_s = cs.pop.next_event_time();
+                let ev = ev_s.map(|t| self.to_cycles(t));
+                let send = cs.pending.front().map(|s| self.to_cycles(s.time_s));
+                let ack = self.ready_acks.peek().map(|Reverse(a)| a.0);
+                let t = [ev, send, ack].into_iter().flatten().min().filter(|&t| t <= frontier)?;
+                // Ties go to events, then sends, then acknowledgements:
+                // a timer due exactly when its acknowledgement lands
+                // still fires, matching `signaling::recovery`.
+                if ev == Some(t) {
+                    cs.fire(ev_s?);
+                } else if send == Some(t) {
+                    let s = cs.pending.pop_front()?;
+                    let key = FlowKey::synth(s.client, self.cfg.placement_seed);
+                    let pkt = EntryPkt {
+                        arr: t,
+                        bytes: s.bytes,
+                        corrupted: s.corrupted,
+                        flow_id: s.client,
+                        req: s.req,
+                        class: s.class,
+                        wclass: 0,
+                    };
+                    return Some(self.admit(&key, pkt, Some(&cs.weights), best));
+                } else {
+                    let Reverse((finish, id, c)) = self.ready_acks.pop()?;
+                    let finish_s = finish as f64 / self.cycles_per_s;
+                    // Boundary stragglers (cycle rounding) fire before
+                    // the acknowledgement lands.
+                    cs.fire(finish_s);
+                    let (client, req) =
+                        self.closed_meta.get(id as usize).copied().unwrap_or((u32::MAX, 0));
+                    match cs.pop.ack(client, req, finish_s) {
+                        AckKind::Useful { latency_us } => Self::complete(
+                            &mut self.cores[c],
+                            &mut self.latencies_us,
+                            &mut self.wsamples,
+                            0,
+                            latency_us,
+                        ),
+                        AckKind::Stale => self.abandoned += 1,
+                    }
+                }
+                Some(false)
             }
         }
-        best
+    }
+
+    /// Books one useful completion that finished on `core`.
+    fn complete(
+        core: &mut CoreState,
+        latencies_us: &mut Vec<f64>,
+        wsamples: &mut [ClassSamples],
+        wi: usize,
+        lat_us: f64,
+    ) {
+        core.rep.completed += 1;
+        if let Some(ws) = wsamples.get_mut(wi) {
+            ws.completed += 1;
+            push_warm(&mut ws.latencies_us, lat_us);
+        }
+        push_warm(latencies_us, lat_us);
+        if let Some(ids) = core.obs {
+            if let Some(rec) = core.engine.sink_mut().on_mut() {
+                rec.record_value(ids.latency, lat_us as u64);
+                if let Some(wid) = ids.wlat[wi] {
+                    rec.record_value(wid, lat_us as u64);
+                }
+            }
+        }
+    }
+
+    /// Core `c`'s earliest possible batch start, if it can start one:
+    /// a core stalled on a refused hand-off (non-empty held buffer)
+    /// cannot, nor can one whose downstream ring is full — except under
+    /// StallProducer, where the producer runs and stalls at push time.
+    fn candidate(&self, c: usize) -> Option<u64> {
+        let core = &self.cores[c];
+        if !core.held.is_empty() {
+            return None;
+        }
+        let ready = match core.entry.front() {
+            Some(pkt) => pkt.arr,
+            // analyze::allow(charge-coverage, reason = "head/tail occupancy reads model core-local ring registers; slot data movement is charged at push/pop via SharedL2 read/write")
+            None => core.inbox.next_ready()?,
+        };
+        let gated = self.pipeline
+            && c + 1 < self.stages
+            && self.cfg.flow_control == HandoffFlowControl::SizeToFree
+            // analyze::allow(charge-coverage, reason = "head/tail occupancy reads model core-local ring registers; slot data movement is charged at push/pop via SharedL2 read/write")
+            && self.cores[c + 1].inbox.free() == 0;
+        (!gated).then(|| ready.max(core.busy_until))
+    }
+
+    /// The earliest startable batch across cores, ties broken toward
+    /// the lowest core index.
+    fn scan_best(&self) -> Option<(u64, usize)> {
+        (0..self.cores.len()).filter_map(|c| Some((self.candidate(c)?, c))).min()
     }
 
     /// Assembles the run's [`SmpOutcome`]. Allocates — call it outside
@@ -734,7 +895,6 @@ impl SmpSim {
         self.handoff_msgs = 0;
         self.batches = 0;
         self.msg_seq = 0;
-        self.closed = false;
         self.abandoned = 0;
         self.ready_acks.clear();
         self.closed_meta.clear();
@@ -759,74 +919,101 @@ impl SmpSim {
         }
     }
 
-    fn next_ready(&self, c: usize) -> Option<u64> {
-        let core = &self.cores[c];
-        match core.entry.front() {
-            Some(pkt) => Some(pkt.arr),
-            // analyze::allow(charge-coverage, reason = "head/tail occupancy reads model core-local ring registers; slot data movement is charged at push/pop via SharedL2 read/write")
-            None => core.inbox.next_ready(),
-        }
-    }
-
-    fn blocked_downstream(&self, c: usize) -> bool {
-        // Under StallProducer a full downstream ring never gates batch
-        // *start* — the producer runs, then stalls on the refused push.
-        self.pipeline
-            && c + 1 < self.stages
-            && self.cfg.flow_control == HandoffFlowControl::SizeToFree
-            // analyze::allow(charge-coverage, reason = "head/tail occupancy reads model core-local ring registers; slot data movement is charged at push/pop via SharedL2 read/write")
-            && self.cores[c + 1].inbox.free() == 0
-    }
-
-    /// Steers one arrival into its entry queue. Returns the core index
-    /// and whether the core's next-ready time may have moved *later*
-    /// (front-of-queue eviction, or a previously-empty entry queue now
-    /// shadowing a non-empty inbox) — the run loop's incremental `best`
-    /// tracking is only sound when candidates move earlier.
-    fn admit(&mut self, a: &FlowArrival, t: u64) -> (usize, bool) {
-        let c = self.steer.core_for(&a.key);
+    /// Steers one packet to its core and offers it to that core's entry
+    /// queue under the configured admission policy. `weights` are the
+    /// per-class shares of [`AdmissionPolicy::WeightedFair`]; a
+    /// class-blind caller passes `None` and gets that policy's
+    /// tail-drop degrade from [`AdmissionPolicy::admit`].
+    ///
+    /// An admission touches one core's entry queue, so `best` is
+    /// updated in place instead of rescanning every core — sound only
+    /// while candidates move earlier. Returns `true`, leaving `best`
+    /// stale, when the core's candidate may have moved *later*: queued
+    /// work was evicted, or a previously empty entry queue now shadows
+    /// a non-empty inbox.
+    fn admit(
+        &mut self,
+        key: &FlowKey,
+        pkt: EntryPkt,
+        weights: Option<&[u32; Class::COUNT]>,
+        best: &mut Option<(u64, usize)>,
+    ) -> bool {
+        let c = self.steer.core_for(key);
         let core = &mut self.cores[c];
         let was_empty = core.entry.is_empty();
+        self.offered += 1;
         // Per-workload-class books (no-ops when untracked: `wsamples`
         // is empty and `get_mut` always misses).
-        let wi = usize::from(a.wclass) & (MAX_WCLASS - 1);
+        let wi = usize::from(pkt.wclass) & (MAX_WCLASS - 1);
         if let Some(ws) = self.wsamples.get_mut(wi) {
             ws.offered += 1;
         }
-        let (evict, admit) = self.cfg.admission.admit(core.entry.len(), self.entry_cap);
-        for _ in 0..evict {
-            if let Some(victim) = core.entry.pop_front() {
-                let vi = victim.class.index();
-                core.class_counts[vi] = core.class_counts[vi].saturating_sub(1);
-                self.shed_by_class[vi] += 1;
-                let vw = usize::from(victim.wclass) & (MAX_WCLASS - 1);
-                if let Some(ws) = self.wsamples.get_mut(vw) {
-                    ws.shed += 1;
+        let ci = pkt.class.index();
+        let (evicted, admit) = match weights {
+            Some(w) if self.cfg.admission == AdmissionPolicy::WeightedFair => {
+                // The donor is the *oldest* queued packet of the most
+                // over-share class; the survivors keep their FIFO order.
+                let (donor, admit) = weighted_fair_admit(&core.class_counts, w, self.entry_cap, ci);
+                let pos = donor.and_then(|d| core.entry.iter().position(|p| p.class.index() == d));
+                if let Some(pos) = pos {
+                    Self::shed(core, pos, &mut self.shed_by_class, &mut self.wsamples);
                 }
+                (donor.is_some(), admit)
             }
-            core.rep.shed += 1;
-        }
+            _ => {
+                // Class-blind policies evict from the queue head.
+                let (evict, admit) = self.cfg.admission.admit(core.entry.len(), self.entry_cap);
+                for _ in 0..evict {
+                    Self::shed(core, 0, &mut self.shed_by_class, &mut self.wsamples);
+                }
+                (evict > 0, admit)
+            }
+        };
         if admit {
-            core.class_counts[Class::Rpc.index()] += 1;
-            // analyze::allow(alloc-path, reason = "pending queue is bounded by the arrival schedule; capacity is warm after the first batch")
-            core.entry.push_back(EntryPkt {
-                arr: t,
-                bytes: a.bytes,
-                corrupted: a.corrupted,
-                flow_id: a.flow_id,
-                req: 0,
-                class: Class::Rpc,
-                wclass: a.wclass,
-            });
+            core.class_counts[ci] += 1;
+            // analyze::allow(alloc-path, reason = "entry queue is reserved at construction for entry_cap packets and admission never lets it exceed that")
+            core.entry.push_back(pkt);
         } else {
             core.rep.drops += 1;
-            self.drops_by_class[Class::Rpc.index()] += 1;
+            self.drops_by_class[ci] += 1;
             if let Some(ws) = self.wsamples.get_mut(wi) {
                 ws.drops += 1;
             }
         }
         // analyze::allow(charge-coverage, reason = "head/tail occupancy reads model core-local ring registers; slot data movement is charged at push/pop via SharedL2 read/write")
-        (c, evict > 0 || (was_empty && !core.inbox.is_empty()))
+        let later = evicted || (was_empty && !core.inbox.is_empty());
+        if !later {
+            if let Some(start) = self.candidate(c) {
+                if best.is_none_or(|b| (start, c) < b) {
+                    *best = Some((start, c));
+                }
+            }
+        }
+        later
+    }
+
+    /// Sheds the queued packet at position `pos` of `core`'s entry
+    /// queue, charging the loss to the victim's own classes.
+    fn shed(
+        core: &mut CoreState,
+        pos: usize,
+        shed_by_class: &mut [u64; Class::COUNT],
+        wsamples: &mut [ClassSamples],
+    ) {
+        // Typed so `crates/analyze` resolves `remove` to the std deque
+        // rather than to every workspace method of that name.
+        let queue: &mut VecDeque<EntryPkt> = &mut core.entry;
+        let Some(victim) = queue.remove(pos) else {
+            return;
+        };
+        let vi = victim.class.index();
+        core.class_counts[vi] = core.class_counts[vi].saturating_sub(1);
+        shed_by_class[vi] += 1;
+        core.rep.shed += 1;
+        let vw = usize::from(victim.wclass) & (MAX_WCLASS - 1);
+        if let Some(ws) = wsamples.get_mut(vw) {
+            ws.shed += 1;
+        }
     }
 
     /// Shared-table slot for `flow_id`: `slots` entries of `slot_bytes`
@@ -844,7 +1031,10 @@ impl SmpSim {
         Region::new(ring + (seq % cap) * DESC_BYTES, DESC_BYTES)
     }
 
-    fn run_batch(&mut self, c: usize, start: u64) {
+    /// Runs core `c`'s next batch at global cycle `start`. `feedback`
+    /// (closed loop) parks clean final completions in `ready_acks` for
+    /// the client population to classify instead of counting them now.
+    fn run_batch(&mut self, c: usize, start: u64, feedback: bool) {
         let has_down = self.pipeline && c + 1 < self.stages;
         let is_final = !has_down;
         let owns_bottom = !self.pipeline || c == 0;
@@ -905,18 +1095,7 @@ impl SmpSim {
                 let Some(d) = core.inbox.pop(start) else {
                     break;
                 };
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.batch.push(d.msg);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_arr.push(d.arr);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_flow.push(d.flow_id);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_wclass.push(d.wclass);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_imiss.push(d.imiss);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_dmiss.push(d.dmiss);
+                core.stage(d);
                 let slot = Self::desc_region(handoff_cap, c, popped0 + k);
                 self.shared.read(c as u8, slot, core.engine.machine_mut());
             }
@@ -931,24 +1110,19 @@ impl SmpSim {
                 msg.arrival_cycles = pkt.arr;
                 msg.corrupted = pkt.corrupted;
                 self.msg_seq += 1;
-                if self.closed {
+                if feedback {
                     // Route the eventual completion back to the client:
                     // `closed_meta[msg.id]` is `(client, req)`.
-                    // analyze::allow(alloc-path, reason = "one entry per admitted message; capacity grows once per run")
-                    self.closed_meta.push((pkt.flow_id, pkt.req));
+                    push_warm(&mut self.closed_meta, (pkt.flow_id, pkt.req));
                 }
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.batch.push(msg);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_arr.push(pkt.arr);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_flow.push(pkt.flow_id);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_wclass.push(pkt.wclass);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_imiss.push(0);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                core.b_dmiss.push(0);
+                core.stage(Desc {
+                    msg,
+                    arr: pkt.arr,
+                    flow_id: pkt.flow_id,
+                    wclass: pkt.wclass,
+                    imiss: 0,
+                    dmiss: 0,
+                });
             }
         }
 
@@ -1078,71 +1252,36 @@ impl SmpSim {
             let arr = core.b_arr[k];
             let im = core.b_imiss[k] + comp.imisses;
             let dm = core.b_dmiss[k] + comp.dmisses;
-            let finish = (comp.done_cycles - core.m0) + offset;
             let wi = usize::from(core.b_wclass[k]) & (MAX_WCLASS - 1);
-            if comp.rejected {
-                core.rep.rejected += 1;
+            if comp.rejected || is_final {
+                // The message leaves the machine here. Whatever becomes
+                // of it, the work is spent: miss samples and the span
+                // clock advance now.
+                let finish = (comp.done_cycles - core.m0) + offset;
+                self.last_finish = self.last_finish.max(finish);
+                push_warm(&mut self.imisses, im);
+                push_warm(&mut self.dmisses, dm);
                 if let Some(ws) = self.wsamples.get_mut(wi) {
-                    ws.rejected += 1;
+                    ws.rejected += u64::from(comp.rejected);
                     ws.imiss_sum += im;
                     ws.dmiss_sum += dm;
                 }
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                self.imisses.push(im);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                self.dmisses.push(dm);
-                self.last_finish = self.last_finish.max(finish);
                 if let Some(ids) = core.obs {
                     if let Some(rec) = core.engine.sink_mut().on_mut() {
                         rec.record_value(ids.imiss, im);
                         rec.record_value(ids.dmiss, dm);
                     }
                 }
-            } else if is_final && self.closed {
-                // Useful-vs-stale classification happens when the driver
-                // feeds this completion back to the population; the
-                // machine work is spent either way, so the miss samples
-                // and span clock advance now, latency/goodput later.
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                self.imisses.push(im);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                self.dmisses.push(dm);
-                self.last_finish = self.last_finish.max(finish);
-                // analyze::allow(alloc-path, reason = "ack buffer is bounded by in-flight completions; capacity is warm in steady state")
-                self.ready_acks.push(Reverse((finish, core.batch[k].id, c)));
-                if let Some(ids) = core.obs {
-                    if let Some(rec) = core.engine.sink_mut().on_mut() {
-                        rec.record_value(ids.imiss, im);
-                        rec.record_value(ids.dmiss, dm);
-                    }
-                }
-            } else if is_final {
-                core.rep.completed += 1;
-                let lat_cycles = finish.saturating_sub(arr);
-                let lat_us = lat_cycles as f64 / self.clock_mhz;
-                if let Some(ws) = self.wsamples.get_mut(wi) {
-                    ws.completed += 1;
-                    ws.imiss_sum += im;
-                    ws.dmiss_sum += dm;
-                    // analyze::allow(alloc-path, reason = "per-class latency samples are bounded by completions; capacity is warm in steady state")
-                    ws.latencies_us.push(lat_us);
-                }
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                self.latencies_us.push(lat_us);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                self.imisses.push(im);
-                // analyze::allow(alloc-path, reason = "per-core SoA batch/report buffers are reused across batches; capacity is warm in steady state")
-                self.dmisses.push(dm);
-                self.last_finish = self.last_finish.max(finish);
-                if let Some(ids) = core.obs {
-                    if let Some(rec) = core.engine.sink_mut().on_mut() {
-                        rec.record_value(ids.latency, lat_us as u64);
-                        rec.record_value(ids.imiss, im);
-                        rec.record_value(ids.dmiss, dm);
-                        if let Some(wid) = ids.wlat[wi] {
-                            rec.record_value(wid, lat_us as u64);
-                        }
-                    }
+                if comp.rejected {
+                    core.rep.rejected += 1;
+                } else if feedback {
+                    // Useful or stale is the client's call, made when
+                    // the acknowledgement is delivered.
+                    // analyze::allow(alloc-path, reason = "holds completions between their batch and the frontier reaching their finish cycle: at most one per message in the machine, which the entry queues and rings bound")
+                    self.ready_acks.push(Reverse((finish, core.batch[k].id, c)));
+                } else {
+                    let lat_us = finish.saturating_sub(arr) as f64 / self.clock_mhz;
+                    Self::complete(core, &mut self.latencies_us, &mut self.wsamples, wi, lat_us);
                 }
             } else if let Some(down) = down.as_deref_mut() {
                 let (fl, wc) = (core.b_flow[k], core.b_wclass[k]);
@@ -1262,184 +1401,14 @@ impl SmpSim {
         );
     }
 
-    /// Runs a closed-loop client population to drain: transmissions are
-    /// pulled from `pop` up to the causality frontier (the earliest
-    /// possible next batch start), completions are fed back as
-    /// acknowledgements in finish order, and completions whose client
-    /// already gave up or was already acknowledged count as `abandoned`
-    /// — machine work done for nobody, the metastability signal
-    /// `figure13` sweeps. `weights` are the per-class shares used when
-    /// the admission policy is [`AdmissionPolicy::WeightedFair`]
-    /// (ignored otherwise).
-    ///
-    /// Causal exactness: batches run in non-decreasing start order, so
-    /// every acknowledgement that could cancel a client timer at time t
-    /// is delivered before any event at t fires, and client events
-    /// before an acknowledgement's finish time fire before the
-    /// acknowledgement lands (`poll_sends` up to the frontier first).
-    // analyze::hot_path(smp-closed-loop, rules = "panic-path, charge-coverage")
-    pub fn run_closed(&mut self, pop: &mut ClosedPopulation, weights: [u32; Class::COUNT]) {
-        self.reset_run();
-        self.closed = true;
-
-        let mut sends: Vec<ClientSend> = Vec::new();
-        let mut pending: VecDeque<ClientSend> = VecDeque::new();
-
-        loop {
-            // Client-side fixpoint: fire every think/timer event,
-            // deliver every acknowledgement, and admit every pending
-            // transmission that happens at or before the earliest
-            // possible next batch start. Events win finish-time ties
-            // against acknowledgements (a timer due exactly when the
-            // ack lands still fires), matching `signaling::recovery`.
-            loop {
-                let frontier = self.scan_best().map_or(u64::MAX, |(s, _)| s);
-                let next_ev = pop.next_event_time();
-                let next_ev_cyc = next_ev.map(|t| self.to_cycles(t));
-                let next_send = pending.front().map(|s| self.to_cycles(s.time_s));
-                let next_ack = self.ready_acks.peek().map(|Reverse(a)| a.0);
-
-                let ev_le = |a: Option<u64>, b: Option<u64>| match (a, b) {
-                    (Some(x), Some(y)) => x <= y,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if ev_le(next_ev_cyc, next_send) && ev_le(next_ev_cyc, next_ack) {
-                    let (Some(t_s), Some(t)) = (next_ev, next_ev_cyc) else {
-                        break; // nothing pending anywhere
-                    };
-                    if t > frontier {
-                        break;
-                    }
-                    sends.clear();
-                    pop.poll_sends(t_s, &mut sends);
-                    pending.extend(sends.drain(..));
-                } else if ev_le(next_send, next_ack) {
-                    let Some(t) = next_send else { break };
-                    if t > frontier {
-                        break;
-                    }
-                    let Some(s) = pending.pop_front() else { break };
-                    self.offered += 1;
-                    self.admit_closed(&s, t, weights);
-                } else {
-                    let Some(t) = next_ack else { break };
-                    if t > frontier {
-                        break;
-                    }
-                    let Some(Reverse((finish, id, core_idx))) = self.ready_acks.pop() else {
-                        break;
-                    };
-                    let finish_s = finish as f64 / self.cycles_per_s;
-                    // Any boundary straggler events (cycle rounding)
-                    // fire before the acknowledgement lands.
-                    sends.clear();
-                    pop.poll_sends(finish_s, &mut sends);
-                    pending.extend(sends.drain(..));
-                    let (client, req) =
-                        self.closed_meta.get(id as usize).copied().unwrap_or((u32::MAX, 0));
-                    match pop.ack(client, req, finish_s) {
-                        AckKind::Useful { latency_us } => {
-                            if let Some(core) = self.cores.get_mut(core_idx) {
-                                core.rep.completed += 1;
-                                if let Some(ids) = core.obs {
-                                    if let Some(rec) = core.engine.sink_mut().on_mut() {
-                                        rec.record_value(ids.latency, latency_us as u64);
-                                    }
-                                }
-                            }
-                            // analyze::allow(alloc-path, reason = "latency samples are bounded by useful completions; capacity is warm in steady state")
-                            self.latencies_us.push(latency_us);
-                        }
-                        AckKind::Stale => self.abandoned += 1,
-                    }
-                }
-            }
-
-            let Some((start, c)) = self.scan_best() else {
-                // The fixpoint ran with an unbounded frontier and found
-                // nothing: no events, no sends, no acks, no startable
-                // core — the run has drained.
-                break;
-            };
-            self.run_batch(c, start);
-            self.flush_held(c, start);
-        }
-
-        self.assert_conservation();
-    }
-
     fn to_cycles(&self, t_s: f64) -> u64 {
         (t_s * self.cycles_per_s).round() as u64
-    }
-
-    /// Steers and admits one closed-loop transmission, maintaining
-    /// per-class occupancy for weighted-fair admission and per-class
-    /// shed/drop accounting for every policy.
-    fn admit_closed(&mut self, s: &ClientSend, t: u64, weights: [u32; Class::COUNT]) {
-        let key = FlowKey::synth(s.client, self.cfg.placement_seed);
-        let c = self.steer.core_for(&key);
-        let Some(core) = self.cores.get_mut(c) else {
-            return;
-        };
-        let ci = s.class.index();
-        let wfq = self.cfg.admission == AdmissionPolicy::WeightedFair;
-        let (evict_class, admit) = if wfq {
-            weighted_fair_admit(&core.class_counts, &weights, self.entry_cap, ci)
-        } else {
-            // Class-blind policies evict from the queue head; encode
-            // that as "evict whatever class is at the front".
-            let (evict, admit) = self.cfg.admission.admit(core.entry.len(), self.entry_cap);
-            debug_assert!(evict <= core.entry.len());
-            for _ in 0..evict {
-                if let Some(victim) = core.entry.pop_front() {
-                    let vi = victim.class.index();
-                    core.class_counts[vi] = core.class_counts[vi].saturating_sub(1);
-                    self.shed_by_class[vi] += 1;
-                    core.rep.shed += 1;
-                }
-            }
-            (None, admit)
-        };
-        if let Some(d) = evict_class {
-            // Weighted-fair donor: shed the *oldest* queued packet of
-            // the most over-share class. Rotate it to the front, pop
-            // it, rotate back — FIFO order of the survivors holds.
-            if let Some(pos) = core.entry.iter().position(|p| p.class.index() == d) {
-                core.entry.rotate_left(pos);
-                if let Some(victim) = core.entry.pop_front() {
-                    let vi = victim.class.index();
-                    core.class_counts[vi] = core.class_counts[vi].saturating_sub(1);
-                    self.shed_by_class[vi] += 1;
-                    core.rep.shed += 1;
-                }
-                core.entry.rotate_right(pos.min(core.entry.len()));
-            }
-        }
-        if admit {
-            core.class_counts[ci] += 1;
-            // analyze::allow(alloc-path, reason = "pending queue is bounded by the arrival schedule; capacity is warm after the first batch")
-            core.entry.push_back(EntryPkt {
-                arr: t,
-                bytes: s.bytes,
-                corrupted: s.corrupted,
-                flow_id: s.client,
-                req: s.req,
-                class: s.class,
-                wclass: 0,
-            });
-        } else {
-            core.rep.drops += 1;
-            self.drops_by_class[ci] += 1;
-        }
     }
 }
 
 /// One-shot convenience: build, run, report.
 pub fn run_smp(cfg: &SmpConfig, arrivals: &[FlowArrival]) -> SmpOutcome {
-    let mut sim = SmpSim::new(cfg);
-    sim.run(arrivals);
-    sim.outcome(ImpairCounters::default())
+    run_smp_impaired(cfg, arrivals, ImpairCounters::default())
 }
 
 /// [`run_smp`] for a stream that went through an impairment channel;
@@ -1904,14 +1873,50 @@ mod tests {
             Discipline::Ldlp(BatchPolicy::DCacheFit),
         );
         let arr = arrivals(2000.0, 0.2, 16, 8);
-        let mut sim = SmpSim::new(&c);
-        sim.run(&arr);
-        let first = sim.outcome(ImpairCounters::default());
-        sim.run(&arr);
-        let second = sim.outcome(ImpairCounters::default());
+        // open → closed → open on one simulator: each run's books must
+        // hold what its own source produced, nothing parked by the
+        // previous mode.
+        let sequence = || {
+            let mut sim = SmpSim::new(&c);
+            sim.run(&arr);
+            let first = sim.outcome(ImpairCounters::default());
+            let mut pop = closed_pop(60, 5e-4, 0.1, 17);
+            sim.run_closed(&mut pop, [4, 1, 2]);
+            let closed = sim.outcome(pop.channel_counters());
+            assert_eq!(closed.report.offered, pop.stats().offered);
+            assert_eq!(closed.report.completed, pop.stats().useful);
+            sim.run(&arr);
+            [first, closed, sim.outcome(ImpairCounters::default())]
+        };
+        let [first, closed, second] = sequence();
+        for (a, b) in [&first, &closed, &second].into_iter().zip(&sequence()) {
+            assert_eq!(a.report, b.report);
+            assert_eq!(a.per_core, b.per_core);
+        }
+        assert!(closed.report.conservation_holds());
+        assert_eq!(first.report.offered, arr.len() as u64);
+        assert_eq!(second.report.offered, arr.len() as u64);
+        assert_eq!(second.report.abandoned, 0, "open-loop runs abandon nothing");
         assert_eq!(first.report.completed, second.report.completed);
         assert!(second.report.conservation_holds());
         // Warm caches can only help: the second pass is no slower.
         assert!(second.report.mean_latency_us <= first.report.mean_latency_us * 1.01);
+    }
+
+    #[test]
+    fn open_loop_weighted_fair_degrades_to_tail_drop() {
+        // Open-loop arrivals carry no class weights, so weighted-fair
+        // admission has nothing to be fair between.
+        let mut c = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
+        c.buffer_cap = 16;
+        let arr = arrivals(60_000.0, 0.2, 16, 7);
+        let tail = run_smp(&c, &arr);
+        c.admission = AdmissionPolicy::WeightedFair;
+        let wfq = run_smp(&c, &arr);
+        assert!(tail.report.drops > 0, "overload must drop");
+        assert_eq!(wfq.report, tail.report);
+        assert_eq!(wfq.per_core, tail.per_core);
+        assert_eq!(wfq.shed_by_class, tail.shed_by_class);
+        assert_eq!(wfq.drops_by_class, tail.drops_by_class);
     }
 }

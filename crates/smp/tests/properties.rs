@@ -33,6 +33,15 @@ fn policies() -> [DispatchPolicy; 3] {
     ]
 }
 
+fn admissions() -> [AdmissionPolicy; 4] {
+    [
+        AdmissionPolicy::TailDrop,
+        AdmissionPolicy::HeadDrop,
+        AdmissionPolicy::ShedOldest { down_to: 4 },
+        AdmissionPolicy::WeightedFair,
+    ]
+}
+
 proptest! {
     /// Same flow → same core, no matter the policy, the order flows
     /// first appear, or how often each is asked about.
@@ -121,7 +130,9 @@ proptest! {
     /// The cross-core conservation law under an impairment channel:
     /// duplicated deliveries are fresh offered messages, corrupted ones
     /// are rejected at the verify stage, and nothing vanishes in a
-    /// hand-off queue — for every dispatch policy and discipline.
+    /// hand-off queue — for every dispatch policy, discipline,
+    /// admission policy (weighted-fair degrades to tail drop for
+    /// class-blind arrivals) and hand-off flow-control mode.
     #[test]
     fn conservation_holds_across_cores_under_impairments(
         cores in 1usize..9,
@@ -131,6 +142,8 @@ proptest! {
         seed in 1u64..64,
         ldlp in any::<bool>(),
         policy_idx in 0usize..3,
+        admission_idx in 0usize..4,
+        stall in any::<bool>(),
     ) {
         let duration_s = 0.02;
         let arrivals = PoissonSource::new(rate as f64, 552, seed).take_until(duration_s);
@@ -152,6 +165,15 @@ proptest! {
         let cfg = SmpConfig {
             duration_s,
             placement_seed: seed,
+            admission: admissions()[admission_idx],
+            // Small enough that the burstier draws overflow it.
+            buffer_cap: 32,
+            handoff_cap: 4,
+            flow_control: if stall {
+                HandoffFlowControl::StallProducer
+            } else {
+                HandoffFlowControl::SizeToFree
+            },
             ..SmpConfig::new(cores, policies()[policy_idx], discipline)
         };
         let out = run_smp_impaired(&cfg, &tagged, counters);
@@ -217,16 +239,10 @@ proptest! {
         } else {
             Discipline::Conventional
         };
-        let admissions = [
-            AdmissionPolicy::TailDrop,
-            AdmissionPolicy::HeadDrop,
-            AdmissionPolicy::ShedOldest { down_to: 4 },
-            AdmissionPolicy::WeightedFair,
-        ];
         let cfg = SmpConfig {
             duration_s,
             placement_seed: seed,
-            admission: admissions[admission_idx],
+            admission: admissions()[admission_idx],
             buffer_cap: 64,
             handoff_cap: 4,
             flow_control: if stall {
