@@ -219,28 +219,15 @@ impl Cache {
 
     /// Touches every line overlapping `[addr, addr + size)`; returns the
     /// number of misses incurred.
+    #[inline]
     pub fn access_range(&mut self, addr: Addr, size: u64, kind: AccessKind) -> u64 {
         if size == 0 {
             return 0;
         }
         let first = addr >> self.line_shift;
         let last = (addr + size - 1) >> self.line_shift;
-        // Direct-mapped sweep: one flat compare-and-store per line, with
-        // the per-line counter updates folded into two bulk adds.
         if self.ways == 1 && self.pow2_sets {
-            let mask = self.set_mask;
-            let mut misses = 0u64;
-            for line in first..=last {
-                // analyze::allow(panic-free-library, reason = "mask keeps the index < num_sets == tags.len()")
-                let slot = &mut self.tags[(line & mask) as usize];
-                if *slot != line {
-                    *slot = line;
-                    misses += 1;
-                }
-            }
-            let total = last - first + 1;
-            self.record_bulk(total - misses, misses, kind);
-            return misses;
+            return self.sweep_direct_mapped(first, last - first + 1, kind);
         }
         let mut misses = 0;
         for line in first..=last {
@@ -248,6 +235,34 @@ impl Cache {
                 misses += 1;
             }
         }
+        misses
+    }
+
+    /// Direct-mapped sweep of `total` consecutive lines from `first`.
+    /// Consecutive lines occupy consecutive slots, so the range is a run
+    /// to the end of the tag array and then the wrapped remainder (more
+    /// laps only when it exceeds the cache); each run is one
+    /// compare-count-store pass over a slice, and the per-line counter
+    /// updates fold into one bulk add.
+    #[inline]
+    fn sweep_direct_mapped(&mut self, first: u64, total: u64, kind: AccessKind) -> u64 {
+        let slots = self.tags.len();
+        let mut misses = 0u64;
+        let mut line = first;
+        let mut left = total;
+        while left > 0 {
+            let start = (line & self.set_mask) as usize;
+            let run = left.min((slots - start) as u64);
+            let tags = self.tags.get_mut(start..start + run as usize).unwrap_or_default();
+            debug_assert_eq!(tags.len() as u64, run, "the mask keeps start < tags.len()");
+            for (slot, line) in tags.iter_mut().zip(line..) {
+                misses += u64::from(*slot != line);
+                *slot = line;
+            }
+            line += run;
+            left -= run;
+        }
+        self.record_bulk(total - misses, misses, kind);
         misses
     }
 
@@ -415,10 +430,19 @@ mod tests {
     #[test]
     fn access_range_matches_per_line_walk() {
         // The bulk direct-mapped sweep must agree with access_line calls
-        // on both the return value and every counter.
+        // on the return value, every counter and the tag array — also
+        // when the range wraps the array or laps it more than once.
         let mut bulk = dm_8k();
         let mut walk = dm_8k();
-        for (base, size) in [(10u64, 100u64), (0, 8192), (4096, 8192), (100, 1)] {
+        for (base, size) in [
+            (10u64, 100u64),
+            (0, 8192),
+            (4096, 8192),
+            (100, 1),
+            (8000, 600),
+            (8191, 2),
+            (5000, 3 * 8192 + 7),
+        ] {
             let m = bulk.access_range(base, size, AccessKind::Write);
             let first = base >> 5;
             let last = (base + size - 1) >> 5;
@@ -430,6 +454,7 @@ mod tests {
             }
             assert_eq!(m, w);
             assert_eq!(bulk.stats(), walk.stats());
+            assert_eq!(bulk.export_tags(), walk.export_tags());
         }
     }
 

@@ -190,6 +190,41 @@ impl MachineStats {
     }
 }
 
+/// Which reference stream a memoized sweep belongs to: the I-cache + ITLB
+/// + code memo, or the D-cache + DTLB + data memo.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Code,
+    Data,
+}
+
+/// One sweep the replay memo can answer: what to walk on a memo miss.
+#[derive(Debug, Clone, Copy)]
+enum Sweep<'a> {
+    /// A registered code footprint (line numbers).
+    Code(&'a [u64]),
+    /// A data region read or written.
+    Data(Region, AccessKind),
+}
+
+impl Sweep<'_> {
+    #[inline]
+    fn side(self) -> Side {
+        match self {
+            Sweep::Code(_) => Side::Code,
+            Sweep::Data(..) => Side::Data,
+        }
+    }
+
+    #[inline]
+    fn kind(self) -> AccessKind {
+        match self {
+            Sweep::Code(_) => AccessKind::InstrFetch,
+            Sweep::Data(_, kind) => kind,
+        }
+    }
+}
+
 /// Largest data region (in lines) the replay memo will key; anything
 /// bigger is walked directly. Keeps the packed region key unambiguous.
 const MAX_REGION_LINES: u64 = 1 << 18;
@@ -303,82 +338,110 @@ impl Machine {
         self.data_memo = on;
     }
 
-    /// Whether sweeps on this configuration touch only the private
-    /// split L1s (+ their TLBs), making per-sweep replay exact.
-    #[inline]
-    fn memo_eligible(&self) -> bool {
-        self.replay_enabled && self.dcache.is_some() && self.l2.is_none()
-    }
-
     fn note_bypass_reason(&mut self, reason: &'static str) {
         if self.bypass_reason.is_none() {
             self.bypass_reason = Some(reason);
         }
     }
 
+    /// The cache, TLB and replay memo on one side of the machine. (The
+    /// data side of a unified configuration is the one cache; its memo
+    /// never holds a live state, because such machines are ineligible.)
+    #[inline]
+    fn side_mut(&mut self, side: Side) -> (&mut Cache, Option<&mut Tlb>, &mut Option<ReplayCache>) {
+        match side {
+            Side::Code => (&mut self.icache, self.itlb.as_mut(), &mut self.replay),
+            Side::Data => (
+                self.dcache.as_mut().unwrap_or(&mut self.icache),
+                self.dtlb.as_mut(),
+                &mut self.dreplay,
+            ),
+        }
+    }
+
     /// Materializes `replay`'s live state token (if any) back into the
-    /// I-cache tag array and ITLB so non-memoized accesses see current
-    /// contents. No-op when the arrays are already authoritative.
-    fn materialize_istate(&mut self, replay: &mut ReplayCache) {
+    /// tag array and TLB it was interned from, so non-memoized accesses
+    /// see current contents. No-op when the arrays are already
+    /// authoritative.
+    fn materialize(cache: &mut Cache, tlb: Option<&mut Tlb>, replay: &mut ReplayCache) {
         let Some(t) = replay.cur.take() else { return };
         let key = replay.state(t);
-        let cache_words = self.cfg.icache.num_lines() as usize;
-        let (tags, tlb_words) = key.split_at(cache_words.min(key.len()));
-        self.icache.import_tags(tags);
-        if let Some(tlb) = &mut self.itlb {
-            tlb.import_entries(tlb_words);
-        }
-    }
-
-    /// Materializes `dreplay`'s live state token (if any) back into the
-    /// D-cache tag array and DTLB.
-    fn materialize_dstate(&mut self, dreplay: &mut ReplayCache) {
-        let Some(t) = dreplay.cur.take() else { return };
-        let Some(d) = &mut self.dcache else { return };
-        let key = dreplay.state(t);
-        let cache_words = (d.config().num_lines() as usize).min(key.len());
+        let cache_words = (cache.config().num_lines() as usize).min(key.len());
         let (tags, tlb_words) = key.split_at(cache_words);
-        d.import_tags(tags);
-        if let Some(tlb) = &mut self.dtlb {
+        cache.import_tags(tags);
+        if let Some(tlb) = tlb {
             tlb.import_entries(tlb_words);
         }
     }
 
-    /// [`Machine::materialize_istate`] on the owned code memo.
+    /// [`Machine::materialize`] on one side's own memo, when it has one.
+    fn sync_side(&mut self, side: Side) {
+        let (cache, tlb, replay) = self.side_mut(side);
+        if let Some(replay) = replay {
+            Self::materialize(cache, tlb, replay);
+        }
+    }
+
+    /// Makes the I-cache and ITLB arrays authoritative.
     fn sync_replay(&mut self) {
-        if let Some(mut r) = self.replay.take() {
-            self.materialize_istate(&mut r);
-            self.replay = Some(r);
-        }
+        self.sync_side(Side::Code);
     }
 
-    /// [`Machine::materialize_dstate`] on the owned data memo.
+    /// Makes the D-cache and DTLB arrays authoritative.
     fn sync_dreplay(&mut self) {
-        if let Some(mut r) = self.dreplay.take() {
-            self.materialize_dstate(&mut r);
-            self.dreplay = Some(r);
-        }
+        self.sync_side(Side::Data);
     }
 
-    /// Assembles the current I-side combined key (I-cache tags ++ ITLB
+    /// Assembles one side's current combined key (cache tags ++ TLB
     /// entries) into `key_buf`.
-    fn build_ikey(&mut self) {
-        self.key_buf.clear();
-        self.key_buf.extend_from_slice(self.icache.export_tags());
-        if let Some(tlb) = &self.itlb {
-            tlb.export_entries(&mut self.key_buf);
+    fn build_key(&mut self, side: Side) {
+        let mut key = std::mem::take(&mut self.key_buf);
+        key.clear();
+        let (cache, tlb, _) = self.side_mut(side);
+        key.extend_from_slice(cache.export_tags());
+        if let Some(tlb) = tlb {
+            tlb.export_entries(&mut key);
         }
+        self.key_buf = key;
     }
 
-    /// Assembles the current D-side combined key (D-cache tags ++ DTLB
-    /// entries) into `key_buf`.
-    fn build_dkey(&mut self) {
-        self.key_buf.clear();
-        if let Some(d) = &self.dcache {
-            self.key_buf.extend_from_slice(d.export_tags());
+    /// One side's cache and TLB counters, for diffing around a walk.
+    fn side_counters(&mut self, side: Side) -> (CacheStats, TlbStats) {
+        let (cache, tlb, _) = self.side_mut(side);
+        (*cache.stats(), tlb.map(|t| *t.stats()).unwrap_or_default())
+    }
+
+    /// Charges a replayed transition exactly as the walk it was recorded
+    /// from did: cache and TLB counters, stall cycles, return value.
+    #[inline]
+    fn apply_transition(&mut self, side: Side, kind: AccessKind, tr: Transition) -> u64 {
+        let (cache, tlb, _) = self.side_mut(side);
+        cache.record_bulk(tr.hits, tr.misses, kind);
+        if let Some(tlb) = tlb {
+            tlb.record_bulk(tr.tlb_hits, tr.tlb_misses);
         }
-        if let Some(tlb) = &self.dtlb {
-            tlb.export_entries(&mut self.key_buf);
+        self.stall_cycles += tr.stall;
+        tr.ret
+    }
+
+    /// Counts one sweep that could not use the memo, remembers why, and
+    /// simulates it directly.
+    fn bypass_sweep(&mut self, sweep: Sweep<'_>, reason: &'static str) -> u64 {
+        self.note_bypass_reason(reason);
+        let side = sweep.side();
+        let (cache, tlb, replay) = self.side_mut(side);
+        let replay = replay.get_or_insert_default();
+        replay.stats_mut().bypasses += 1;
+        Self::materialize(cache, tlb, replay);
+        self.walk(sweep)
+    }
+
+    /// `sweep` through the full (non-memoized) path. Callers must have
+    /// materialized any live memo state first.
+    fn walk(&mut self, sweep: Sweep<'_>) -> u64 {
+        match sweep {
+            Sweep::Code(lines) => self.fetch_lines_walk(lines),
+            Sweep::Data(region, kind) => self.data_sweep_walk(region, kind),
         }
     }
 
@@ -388,78 +451,85 @@ impl Machine {
     /// sweeps cost one table lookup. `fid` must identify this exact
     /// `lines` sequence for the lifetime of the machine; a conflicting
     /// registration falls back to the per-line walk. Returns the misses.
+    #[inline]
     pub fn fetch_code_footprint(&mut self, fid: u32, lines: &[u64]) -> u64 {
         if lines.is_empty() {
             return 0;
         }
-        if !self.memo_eligible() {
-            if let Some(why) = self.replay_ineligibility() {
-                self.note_bypass_reason(why);
-            }
-            self.replay.get_or_insert_default().stats_mut().bypasses += 1;
-            self.sync_replay();
-            return self.fetch_lines_walk(lines);
+        let sweep = Sweep::Code(lines);
+        if let Some(why) = self.replay_ineligibility() {
+            return self.bypass_sweep(sweep, why);
         }
-        // Move the memo out of its Option for the duration of the sweep so
-        // the borrow checker lets it ride alongside cache/TLB mutation.
-        let mut replay = self.replay.take().unwrap_or_default();
-        let ret = self.fetch_footprint_memo(&mut replay, fid, lines);
-        self.replay = Some(replay);
+        let replay = self.replay.get_or_insert_default();
+        if !replay.check_footprint(fid, lines) {
+            return self.bypass_sweep(sweep, "footprint-collision");
+        }
+        self.memo_sweep(fid, sweep)
+    }
+
+    /// The memoized body of [`Machine::fetch_code_footprint`] and
+    /// [`Machine::data_sweep`]. A known `(live state, fid)` transition is
+    /// answered through a borrow of the memo where it sits; anything else
+    /// goes to [`Machine::memo_sweep_record`].
+    #[inline]
+    fn memo_sweep(&mut self, fid: u32, sweep: Sweep<'_>) -> u64 {
+        let side = sweep.side();
+        if let (_, _, Some(replay)) = self.side_mut(side) {
+            if let Some(tr) = replay.cur.and_then(|cur| replay.follow(cur, fid)) {
+                return self.apply_transition(side, sweep.kind(), tr);
+            }
+        }
+        self.memo_sweep_record(fid, sweep)
+    }
+
+    /// A sweep out of an unknown live state or along an unrecorded
+    /// transition: intern the state if need be, replay the transition
+    /// when that makes it known, otherwise walk once while diffing every
+    /// counter and record the outcome. The walk needs the whole machine,
+    /// so the memo rides outside its `Option` for the duration.
+    fn memo_sweep_record(&mut self, fid: u32, sweep: Sweep<'_>) -> u64 {
+        let side = sweep.side();
+        let mut replay = self.side_mut(side).2.take().unwrap_or_default();
+        let ret = self.memo_sweep_taken(&mut replay, fid, sweep);
+        *self.side_mut(side).2 = Some(replay);
         ret
     }
 
-    /// The memoized body of [`Machine::fetch_code_footprint`]: replay the
-    /// recorded `(state, footprint)` transition when known, otherwise walk
-    /// once while diffing every counter and record the outcome.
-    fn fetch_footprint_memo(&mut self, replay: &mut ReplayCache, fid: u32, lines: &[u64]) -> u64 {
-        if !replay.check_footprint(fid, lines) {
-            replay.stats_mut().bypasses += 1;
-            self.note_bypass_reason("footprint-collision");
-            self.materialize_istate(replay);
-            return self.fetch_lines_walk(lines);
-        }
+    /// [`Machine::memo_sweep_record`] with the memo in hand.
+    fn memo_sweep_taken(&mut self, replay: &mut ReplayCache, fid: u32, sweep: Sweep<'_>) -> u64 {
+        let side = sweep.side();
         let cur = match replay.cur {
             Some(t) => t,
             None => {
-                if replay.saturated() {
-                    // Table full and the live state is already in the
-                    // arrays: don't even try to re-intern per sweep.
+                // Table full and the live state is already in the
+                // arrays: don't even try to re-intern per sweep.
+                let interned = if replay.saturated() {
+                    None
+                } else {
+                    self.build_key(side);
+                    replay.intern(&self.key_buf)
+                };
+                let Some(t) = interned else {
                     replay.stats_mut().bypasses += 1;
                     self.note_bypass_reason("state-table-full");
-                    return self.fetch_lines_walk(lines);
-                }
-                self.build_ikey();
-                match replay.intern(&self.key_buf) {
-                    Some(t) => t,
-                    None => {
-                        replay.stats_mut().bypasses += 1;
-                        self.note_bypass_reason("state-table-full");
-                        return self.fetch_lines_walk(lines);
-                    }
-                }
+                    return self.walk(sweep);
+                };
+                t
             }
         };
-        if let Some(tr) = replay.lookup(cur, fid) {
-            replay.stats_mut().hits += 1;
-            replay.cur = Some(tr.next);
-            self.icache.record_bulk(tr.hits, tr.misses, AccessKind::InstrFetch);
-            if let Some(tlb) = &mut self.itlb {
-                tlb.record_bulk(tr.tlb_hits, tr.tlb_misses);
-            }
-            self.stall_cycles += tr.stall;
-            return tr.ret;
+        if let Some(tr) = replay.follow(cur, fid) {
+            return self.apply_transition(side, sweep.kind(), tr);
         }
         // Memo miss: make the arrays reflect `cur` (no-op when it was just
         // interned from them), walk for real while diffing the counters,
         // record the outcome.
         replay.stats_mut().misses += 1;
-        self.materialize_istate(replay);
-        let c0 = *self.icache.stats();
-        let t0 = self.itlb.as_ref().map(|t| *t.stats()).unwrap_or_default();
+        let (cache, tlb, _) = self.side_mut(side);
+        Self::materialize(cache, tlb, replay);
+        let (c0, t0) = self.side_counters(side);
         let s0 = self.stall_cycles;
-        let ret = self.fetch_lines_walk(lines);
-        let c1 = *self.icache.stats();
-        let t1 = self.itlb.as_ref().map(|t| *t.stats()).unwrap_or_default();
+        let ret = self.walk(sweep);
+        let (c1, t1) = self.side_counters(side);
         let tr = Transition {
             ret,
             hits: c1.hits - c0.hits,
@@ -469,7 +539,7 @@ impl Machine {
             stall: self.stall_cycles - s0,
             next: 0,
         };
-        self.build_ikey();
+        self.build_key(side);
         if let Some(next) = replay.intern(&self.key_buf) {
             // analyze::allow(alloc-path, reason = "replay-memo warm-up insert; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
             replay.insert(cur, fid, Transition { next, ..tr });
@@ -518,6 +588,7 @@ impl Machine {
     }
 
     /// Charges `n` cycles of instruction execution.
+    #[inline]
     pub fn execute(&mut self, n: CycleCount) {
         self.instr_cycles += n;
     }
@@ -617,12 +688,14 @@ impl Machine {
 
     /// Loads every line of `region` through the D-cache (or unified cache),
     /// charging the read-miss penalty per miss. Returns the misses.
+    #[inline]
     pub fn read_data(&mut self, region: Region) -> u64 {
         self.data_sweep(region, AccessKind::Read)
     }
 
     /// Stores to every line of `region` (write-allocate), charging the
     /// write-miss penalty per miss. Returns the misses.
+    #[inline]
     pub fn write_data(&mut self, region: Region) -> u64 {
         self.data_sweep(region, AccessKind::Write)
     }
@@ -655,45 +728,36 @@ impl Machine {
         })
     }
 
-    /// One data sweep over `region`, memoized on eligible configurations
-    /// exactly like [`Machine::fetch_code_footprint`]: the region's line
-    /// range + kind is the footprint, the D-cache ++ DTLB state is the
-    /// key, and the recorded transition replays the walk's full
-    /// accounting (cache stats, TLB refills, stall cycles).
+    /// One data sweep over `region`. With the data memo on it is
+    /// memoized exactly like [`Machine::fetch_code_footprint`]: the
+    /// region's line range + kind is the footprint, the D-cache ++ DTLB
+    /// state is the key, and the recorded transition replays the walk's
+    /// full accounting (cache stats, TLB refills, stall cycles).
+    #[inline]
     fn data_sweep(&mut self, region: Region, kind: AccessKind) -> u64 {
         if region.len == 0 {
             return 0;
         }
-        if !self.data_memo {
-            return self.data_sweep_walk(region, kind);
+        if self.data_memo {
+            return self.data_sweep_memo(region, kind);
         }
-        if !self.memo_eligible() {
-            if let Some(why) = self.replay_ineligibility() {
-                self.note_bypass_reason(why);
-            }
-            self.dreplay.get_or_insert_default().stats_mut().bypasses += 1;
-            return self.data_sweep_walk(region, kind);
-        }
-        let mut dreplay = self.dreplay.take().unwrap_or_default();
-        let ret = self.data_sweep_memo(&mut dreplay, region, kind);
-        self.dreplay = Some(dreplay);
-        ret
+        self.data_sweep_walk(region, kind)
     }
 
-    /// The memoized body of [`Machine::data_sweep`], mirroring
-    /// [`Machine::fetch_footprint_memo`] with the region's packed line
-    /// range + kind standing in for a footprint id.
-    fn data_sweep_memo(&mut self, dreplay: &mut ReplayCache, region: Region, kind: AccessKind) -> u64 {
+    /// The memoized arm of [`Machine::data_sweep`]: the region's packed
+    /// line range + kind stands in for a footprint id.
+    fn data_sweep_memo(&mut self, region: Region, kind: AccessKind) -> u64 {
+        let sweep = Sweep::Data(region, kind);
+        if let Some(why) = self.replay_ineligibility() {
+            return self.bypass_sweep(sweep, why);
+        }
         let line_size = self.cfg.icache.line_size;
         // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
         let first = region.base / line_size;
         // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
         let n_lines = (region.base + region.len - 1) / line_size - first + 1;
         if n_lines >= MAX_REGION_LINES || first >= (1 << 44) {
-            dreplay.stats_mut().bypasses += 1;
-            self.note_bypass_reason("oversized-region");
-            self.materialize_dstate(dreplay);
-            return self.data_sweep_walk(region, kind);
+            return self.bypass_sweep(sweep, "oversized-region");
         }
         let kind_code = match kind {
             AccessKind::Read => 0u64,
@@ -701,72 +765,17 @@ impl Machine {
             AccessKind::InstrFetch => 2,
         };
         let packed = (first << 20) | (n_lines << 2) | kind_code;
-        let fid = dreplay.region_fid(packed);
-        let cur = match dreplay.cur {
-            Some(t) => t,
-            None => {
-                if dreplay.saturated() {
-                    dreplay.stats_mut().bypasses += 1;
-                    self.note_bypass_reason("state-table-full");
-                    return self.data_sweep_walk(region, kind);
-                }
-                self.build_dkey();
-                match dreplay.intern(&self.key_buf) {
-                    Some(t) => t,
-                    None => {
-                        dreplay.stats_mut().bypasses += 1;
-                        self.note_bypass_reason("state-table-full");
-                        return self.data_sweep_walk(region, kind);
-                    }
-                }
-            }
-        };
-        if let Some(tr) = dreplay.lookup(cur, fid) {
-            dreplay.stats_mut().hits += 1;
-            dreplay.cur = Some(tr.next);
-            if let Some(d) = &mut self.dcache {
-                d.record_bulk(tr.hits, tr.misses, kind);
-            }
-            if let Some(tlb) = &mut self.dtlb {
-                tlb.record_bulk(tr.tlb_hits, tr.tlb_misses);
-            }
-            self.stall_cycles += tr.stall;
-            return tr.ret;
-        }
-        dreplay.stats_mut().misses += 1;
-        self.materialize_dstate(dreplay);
-        let c0 = self.dcache.as_ref().map(|d| *d.stats()).unwrap_or_default();
-        let t0 = self.dtlb.as_ref().map(|t| *t.stats()).unwrap_or_default();
-        let s0 = self.stall_cycles;
-        let ret = self.data_sweep_walk(region, kind);
-        let c1 = self.dcache.as_ref().map(|d| *d.stats()).unwrap_or_default();
-        let t1 = self.dtlb.as_ref().map(|t| *t.stats()).unwrap_or_default();
-        let tr = Transition {
-            ret,
-            hits: c1.hits - c0.hits,
-            misses: c1.misses - c0.misses,
-            tlb_hits: t1.hits - t0.hits,
-            tlb_misses: t1.misses - t0.misses,
-            stall: self.stall_cycles - s0,
-            next: 0,
-        };
-        self.build_dkey();
-        if let Some(next) = dreplay.intern(&self.key_buf) {
-            // analyze::allow(alloc-path, reason = "replay-memo warm-up insert; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
-            dreplay.insert(cur, fid, Transition { next, ..tr });
-            dreplay.cur = Some(next);
-        }
-        ret
+        let fid = self.dreplay.get_or_insert_default().region_fid(packed);
+        self.memo_sweep(fid, sweep)
     }
 
-    /// The non-memoized data sweep: the full path including the unified-
-    /// cache and L2 variants. Callers on the memoized path must have
-    /// materialized any live D-memo state first.
+    /// The non-memoized data sweep. The DTLB, the miss penalty for
+    /// `kind` and the target cache are each resolved once, up front;
+    /// configurations with a built-in L2 then walk per line, everything
+    /// else is one bulk [`Cache::access_range`]. Callers on the memoized
+    /// path must have materialized any live D-memo state first.
+    #[inline]
     fn data_sweep_walk(&mut self, region: Region, kind: AccessKind) -> u64 {
-        if self.dcache.is_none() {
-            // Unified cache: data accesses touch the code memo's cache.
-            self.sync_replay();
-        }
         if let Some(tlb) = &mut self.dtlb {
             let refills = tlb.access_range(region.base, region.len);
             self.stall_cycles += refills * tlb.config().refill_penalty;
@@ -776,23 +785,44 @@ impl Machine {
             _ => self.cfg.read_miss_penalty,
         };
         if self.l2.is_some() {
-            let line_size = self.cfg.icache.line_size;
-            let mut misses = 0;
-            for line_addr in region.line_addrs(line_size) {
-                // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-                let line = line_addr / line_size;
-                let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
-                if !cache.access_line(line, kind) {
-                    misses += 1;
-                    self.stall_cycles += penalty;
-                    self.l2_fill(line, kind);
-                }
-            }
-            return misses;
+            return self.data_sweep_through_l2(region, kind, penalty);
         }
-        let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
+        let cache = match &mut self.dcache {
+            Some(d) => d,
+            None => {
+                // Unified cache: data accesses touch the code memo's cache.
+                self.sync_replay();
+                &mut self.icache
+            }
+        };
         let misses = cache.access_range(region.base, region.len, kind);
         self.stall_cycles += misses * penalty;
+        misses
+    }
+
+    /// [`Machine::data_sweep_walk`] on a machine with a built-in L2: per
+    /// line, so every L1 miss can fill through the L2.
+    fn data_sweep_through_l2(
+        &mut self,
+        region: Region,
+        kind: AccessKind,
+        penalty: CycleCount,
+    ) -> u64 {
+        if self.dcache.is_none() {
+            self.sync_replay();
+        }
+        let line_size = self.cfg.icache.line_size;
+        let mut misses = 0;
+        for line_addr in region.line_addrs(line_size) {
+            // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
+            let line = line_addr / line_size;
+            let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
+            if !cache.access_line(line, kind) {
+                misses += 1;
+                self.stall_cycles += penalty;
+                self.l2_fill(line, kind);
+            }
+        }
         misses
     }
 
@@ -883,7 +913,20 @@ impl Machine {
         }
     }
 
+    /// The two miss counters the run loops difference around every
+    /// (layer, message) application — `(I-cache misses, D-cache misses)`,
+    /// the latter zero on unified configurations — without assembling a
+    /// whole [`MachineStats`].
+    #[inline]
+    pub fn miss_counts(&self) -> (u64, u64) {
+        (
+            self.icache.stats().misses,
+            self.dcache.as_ref().map_or(0, |d| d.stats().misses),
+        )
+    }
+
     /// Total cycles elapsed (execution + stalls).
+    #[inline]
     pub fn cycles(&self) -> CycleCount {
         self.instr_cycles + self.stall_cycles
     }
@@ -1292,6 +1335,48 @@ mod tests {
         assert_eq!(misses, 64, "collision path still simulates correctly");
         assert_eq!(m.replay_stats().bypasses, 1);
         assert_eq!(m.replay_bypass_reason(), Some("footprint-collision"));
+    }
+
+    /// A footprint is its line list, not the slice it was first passed
+    /// in: the `(ptr, len)` identity check is only a shortcut to the
+    /// comparison, so equal lines at another address still replay and
+    /// different lines still collide.
+    #[test]
+    fn footprint_identity_is_content_not_address() {
+        let mut m = Machine::new(MachineConfig::synthetic_benchmark());
+        let fp: Vec<u64> = (0..64).collect();
+        for _ in 0..3 {
+            m.fetch_code_footprint(0, &fp);
+        }
+        let before = m.replay_stats();
+        assert!(before.hits > 0, "the self-loop transition is recorded");
+        let same_lines_elsewhere = fp.clone();
+        assert_ne!(same_lines_elsewhere.as_ptr(), fp.as_ptr());
+        assert_eq!(m.fetch_code_footprint(0, &same_lines_elsewhere), 0);
+        let after = m.replay_stats();
+        assert_eq!(after.hits, before.hits + 1, "equal lines at a new address hit");
+        assert_eq!(after.bypasses, 0);
+        assert_eq!(m.replay_bypass_reason(), None);
+        let other_lines: Vec<u64> = (64..128).collect();
+        assert_eq!(m.fetch_code_footprint(0, &other_lines), 64);
+        assert_eq!(m.replay_stats().bypasses, 1);
+        assert_eq!(m.replay_bypass_reason(), Some("footprint-collision"));
+    }
+
+    /// The hazard behind the identity shortcut: the registering slice's
+    /// memory holds other lines by the time a machine (a clone, say)
+    /// sees its `(ptr, len)` again. Builds with debug assertions — every
+    /// test build — re-compare and refuse to replay the wrong footprint.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "same (ptr, len), different lines")]
+    fn footprint_identity_with_changed_lines_is_caught() {
+        let mut m = Machine::new(MachineConfig::synthetic_benchmark());
+        let mut fp: Vec<u64> = (0..64).collect();
+        m.fetch_code_footprint(0, &fp);
+        let mut clone = m.clone();
+        fp.iter_mut().for_each(|line| *line += 64);
+        clone.fetch_code_footprint(0, &fp);
     }
 
     #[test]

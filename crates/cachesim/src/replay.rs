@@ -163,16 +163,33 @@ impl ReplayCache {
     /// usable: `true` the first time and on every exact repeat, `false`
     /// if `fid` was previously registered with a different line list
     /// (callers must then bypass the memo).
+    #[inline]
     pub(crate) fn check_footprint(&mut self, fid: u32, lines: &[u64]) -> bool {
         let idx = fid as usize;
+        let src = (lines.as_ptr() as usize, lines.len());
+        if self.footprint_src.get(idx) == Some(&src) {
+            // Identity stands in for equality; a machine cloned past the
+            // registering slice's lifetime could see the address reused,
+            // so builds with debug assertions re-compare.
+            debug_assert_eq!(
+                self.footprints[idx].as_slice(),
+                lines,
+                "footprint {fid}: same (ptr, len), different lines"
+            );
+            return true;
+        }
+        self.register_footprint(idx, lines)
+    }
+
+    /// [`ReplayCache::check_footprint`] off the identity fast path: first
+    /// sight of `idx` registers `lines`; after that only an equal line
+    /// list (at whatever address) is the same footprint.
+    fn register_footprint(&mut self, idx: usize, lines: &[u64]) -> bool {
         if idx >= self.footprints.len() {
             // analyze::allow(alloc-path, reason = "replay-memo warm-up path; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
             self.footprints.resize(idx + 1, Vec::new());
             // analyze::allow(alloc-path, reason = "replay-memo warm-up path; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
             self.footprint_src.resize(idx + 1, (0, 0));
-        }
-        if (lines.as_ptr() as usize, lines.len()) == self.footprint_src[idx] {
-            return true;
         }
         if self.footprints[idx].is_empty() {
             // analyze::allow(alloc-path, reason = "replay-memo warm-up path; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
@@ -239,6 +256,17 @@ impl ReplayCache {
         let ts = &self.states[state as usize].transitions;
         // Linear scan: the lists are nearly always 1–4 entries.
         ts.iter().find(|&&(f, _)| f == fid).map(|&(_, tr)| tr)
+    }
+
+    /// Replays the recorded `(state, fid)` transition, if there is one:
+    /// counts the hit and makes the successor state live. The caller
+    /// applies the returned counter deltas.
+    #[inline]
+    pub(crate) fn follow(&mut self, state: u32, fid: u32) -> Option<Transition> {
+        let tr = self.lookup(state, fid)?;
+        self.stats.hits += 1;
+        self.cur = Some(tr.next);
+        Some(tr)
     }
 
     /// Records a transition.

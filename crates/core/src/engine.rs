@@ -47,10 +47,70 @@ pub struct Completion {
     pub rejected: bool,
 }
 
+/// A layer as installed in an engine: the `dyn SimLayer` plus everything
+/// about it that is constant across applications, read through the trait
+/// object once here instead of once per (layer, message).
+struct InstalledLayer {
+    layer: Box<dyn SimLayer>,
+    /// The engine's own copy of [`SimLayer::code_lines`]: one slice, at
+    /// one address, for the machine's footprint-identity check.
+    code_lines: Box<[u64]>,
+    data: Region,
+    touches_message: bool,
+    base_cycles: u64,
+    /// Instruction cycles at the last message length seen. A run sweeps
+    /// messages of one length (or a short ladder of them), so this is a
+    /// compare where there was a float multiply and a libm `round`.
+    at: CyclesAt,
+}
+
+/// [`SimLayer::instr_cycles`] and the data-loop share of it at one length.
+#[derive(Clone, Copy)]
+struct CyclesAt {
+    len: u64,
+    total: u64,
+    data_loop: u64,
+}
+
+impl CyclesAt {
+    fn of(layer: &dyn SimLayer, len: u64) -> Self {
+        CyclesAt {
+            len,
+            total: layer.instr_cycles(len),
+            data_loop: (layer.loop_cycles_per_byte() * len as f64).round() as u64,
+        }
+    }
+}
+
+impl InstalledLayer {
+    fn new(layer: Box<dyn SimLayer>) -> Self {
+        InstalledLayer {
+            code_lines: layer.code_lines().into(),
+            data: layer.data_region(),
+            touches_message: layer.touches_message(),
+            base_cycles: layer.base_instr_cycles(),
+            at: CyclesAt::of(layer.as_ref(), 0),
+            layer,
+        }
+    }
+
+    #[inline]
+    fn cycles_at(&mut self, len: u64) -> CyclesAt {
+        if self.at.len != len {
+            self.at = CyclesAt::of(self.layer.as_ref(), len);
+        }
+        self.at
+    }
+}
+
+fn install(layers: Vec<Box<dyn SimLayer>>) -> Vec<InstalledLayer> {
+    layers.into_iter().map(InstalledLayer::new).collect()
+}
+
 /// Executes batches of messages through a layer stack on a machine.
 pub struct StackEngine {
     machine: Machine,
-    layers: Vec<Box<dyn SimLayer>>,
+    layers: Vec<InstalledLayer>,
     discipline: Discipline,
     /// Enqueue+dequeue instruction cost per message per layer boundary
     /// under LDLP.
@@ -60,7 +120,7 @@ pub struct StackEngine {
     /// completed receive generates a reply that descends these layers.
     /// The paper notes LDLP "is also applicable to transmit-side
     /// processing" without evaluating it; this is that extension.
-    tx_layers: Vec<Box<dyn SimLayer>>,
+    tx_layers: Vec<InstalledLayer>,
     /// Length in bytes of the generated reply (e.g. a 58-byte ACK).
     reply_len: u64,
     /// Index of the layer whose checksum catches corrupted payloads.
@@ -104,7 +164,8 @@ impl StackEngine {
         discipline: Discipline,
     ) -> Self {
         assert!(!layers.is_empty(), "a stack needs at least one layer");
-        let max_layer_data = layers.iter().map(|l| l.data_region().len).max().unwrap_or(0);
+        let layers = install(layers);
+        let max_layer_data = layers.iter().map(|l| l.data.len).max().unwrap_or(0);
         StackEngine {
             machine,
             layers,
@@ -134,10 +195,10 @@ impl StackEngine {
         self.obs_prefix.push_str(prefix);
         if let Some(rec) = sink.on_mut() {
             for l in &self.layers {
-                self.obs_rx.push(rec.intern(&format!("{prefix}rx:{}", l.name())));
+                self.obs_rx.push(rec.intern(&format!("{prefix}rx:{}", l.layer.name())));
             }
             for l in &self.tx_layers {
-                self.obs_tx.push(rec.intern(&format!("{prefix}tx:{}", l.name())));
+                self.obs_tx.push(rec.intern(&format!("{prefix}tx:{}", l.layer.name())));
             }
         }
         self.sink = sink;
@@ -187,9 +248,10 @@ impl StackEngine {
     /// for LDLP, interleaved per message conventionally.
     pub fn with_tx(mut self, tx_layers: Vec<Box<dyn SimLayer>>, reply_len: u64) -> Self {
         assert!(!tx_layers.is_empty(), "duplex needs at least one tx layer");
+        let tx_layers = install(tx_layers);
         self.max_layer_data = self
             .max_layer_data
-            .max(tx_layers.iter().map(|l| l.data_region().len).max().unwrap_or(0));
+            .max(tx_layers.iter().map(|l| l.data.len).max().unwrap_or(0));
         // 32 reply slots laid out after the mbuf window.
         let mut alloc = cachesim::AddressAllocator::new(0x2000_0000, 64);
         self.reply_bufs = (0..32).map(|_| alloc.alloc(reply_len.max(64))).collect();
@@ -276,7 +338,7 @@ impl StackEngine {
         // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
         out.reserve(msgs.len());
         for msg in msgs {
-            let (i0, d0) = self.miss_counters();
+            let (i0, d0) = self.machine.miss_counts();
             // A corrupted message dies at the verification layer.
             let top = if msg.corrupted {
                 self.verify_layer
@@ -307,7 +369,7 @@ impl StackEngine {
                     }
                 }
             }
-            let (i1, d1) = self.miss_counters();
+            let (i1, d1) = self.machine.miss_counts();
             // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
             out.push(Completion {
                 msg_id: msg.id,
@@ -354,12 +416,12 @@ impl StackEngine {
                     continue;
                 }
                 active += 1;
-                let (i0, d0) = self.miss_counters();
+                let (i0, d0) = self.machine.miss_counts();
                 // Layer-boundary queueing: each message is enqueued for
                 // this layer and dequeued from the previous one.
                 self.machine.execute(self.queue_instr);
                 self.apply_layer(li, msg, true, false);
-                let (i1, d1) = self.miss_counters();
+                let (i1, d1) = self.machine.miss_counts();
                 imiss[mi] += i1 - i0;
                 dmiss[mi] += d1 - d0;
                 // A corrupted message finishes (rejected) at the verify
@@ -401,10 +463,10 @@ impl StackEngine {
                         continue;
                     }
                     active += 1;
-                    let (i0, d0) = self.miss_counters();
+                    let (i0, d0) = self.machine.miss_counts();
                     self.machine.execute(self.queue_instr);
                     self.apply_tx(li, reply);
-                    let (i1, d1) = self.miss_counters();
+                    let (i1, d1) = self.machine.miss_counts();
                     imiss[mi] += i1 - i0;
                     dmiss[mi] += d1 - d0;
                     if li == tx_last {
@@ -438,62 +500,55 @@ impl StackEngine {
     fn apply_tx(&mut self, li: usize, reply: cachesim::Region) {
         // Footprint ids: rx layers take 0..layers.len(), tx layers follow.
         let fid = (self.layers.len() + li) as u32;
-        self.machine
-            .fetch_code_footprint(fid, self.tx_layers[li].code_lines());
-        let data = self.tx_layers[li].data_region();
-        self.machine.read_data(data);
-        if self.tx_layers[li].touches_message() && reply.len > 0 {
+        let layer = &mut self.tx_layers[li];
+        self.machine.fetch_code_footprint(fid, &layer.code_lines);
+        self.machine.read_data(layer.data);
+        if layer.touches_message && reply.len > 0 {
             if li == 0 {
                 self.machine.write_data(reply);
             } else {
                 self.machine.read_data(reply);
             }
         }
-        let cycles = self.tx_layers[li].instr_cycles(reply.len);
-        self.machine.execute(cycles);
+        self.machine.execute(layer.cycles_at(reply.len).total);
     }
 
     /// One application of one layer to one message: fetch the layer's
     /// code, read its data, run the data loop over the message, charge
     /// instruction cycles.
     fn apply_layer(&mut self, li: usize, msg: &SimMessage, touch_message: bool, ilp_loop: bool) {
+        let layer = &mut self.layers[li];
         // Instruction fetches over the layer's working code, replayed
         // through the machine's footprint memo.
-        self.machine
-            .fetch_code_footprint(li as u32, self.layers[li].code_lines());
+        self.machine.fetch_code_footprint(li as u32, &layer.code_lines);
         // Per-layer data.
-        let data = self.layers[li].data_region();
-        self.machine.read_data(data);
+        self.machine.read_data(layer.data);
         // The data loop over the message contents.
-        if touch_message && self.layers[li].touches_message() && !msg.is_empty() {
+        if touch_message && layer.touches_message && !msg.is_empty() {
             self.machine.read_data(Region::new(msg.buf.base, msg.buf.len));
         }
         // Instruction cycles. Under ILP the loop work of all layers is
         // done in the single integrated pass; base cycles are unchanged.
         let cycles = if ilp_loop {
+            let base = layer.base_cycles;
             let all_loops: u64 = self
                 .layers
-                .iter()
-                .map(|l| (l.loop_cycles_per_byte() * msg.len() as f64).round() as u64)
+                .iter_mut()
+                .map(|l| l.cycles_at(msg.len()).data_loop)
                 .sum();
-            self.layers[li].base_instr_cycles() + all_loops
+            base + all_loops
         } else if !touch_message {
-            self.layers[li].base_instr_cycles()
+            layer.base_cycles
         } else {
-            self.layers[li].instr_cycles(msg.len())
+            layer.cycles_at(msg.len()).total
         };
         self.machine.execute(cycles);
-    }
-
-    fn miss_counters(&self) -> (u64, u64) {
-        let s = self.machine.stats();
-        (s.icache.misses, s.dcache.misses)
     }
 
     /// Snapshot taken before an observed section: (cycles, I-misses,
     /// D-misses). Only called when the sink is on.
     fn obs_begin(&self) -> (CycleCount, u64, u64) {
-        let (i, d) = self.miss_counters();
+        let (i, d) = self.machine.miss_counts();
         (self.machine.cycles(), i, d)
     }
 
@@ -502,7 +557,7 @@ impl StackEngine {
     /// messages. No-op when the sink is off or the name was never
     /// interned (e.g. a sink attached with no layers).
     fn obs_span(&mut self, name: Option<NameId>, start: CycleCount, i0: u64, d0: u64, batch: u32) {
-        let (i1, d1) = self.miss_counters();
+        let (i1, d1) = self.machine.miss_counts();
         let end = self.machine.cycles();
         let Some(name) = name else { return };
         if let Some(rec) = self.sink.on_mut() {

@@ -264,7 +264,7 @@ fn run_core(
 
         // Process: the machine's counter advances by the batch cost.
         let machine_before = engine.machine().cycles();
-        let stats_before = obs_ids.map(|_| engine.machine().stats());
+        let misses_before = obs_ids.map(|_| engine.machine().miss_counts());
         // Per-message flow lookup: charged inside the batch window, so
         // its cycles show up in latency and its misses in the D-miss
         // samples below.
@@ -276,8 +276,8 @@ fn run_core(
         }
         engine.process_batch_into(&batch, &mut completions);
         let machine_after = engine.machine().cycles();
-        if let (Some((batch_id, _, _, _)), Some(s0)) = (obs_ids, stats_before) {
-            let s1 = engine.machine().stats();
+        if let (Some((batch_id, _, _, _)), Some((i0, d0))) = (obs_ids, misses_before) {
+            let (i1, d1) = engine.machine().miss_counts();
             let (batch_len, queue_after) = (batch.len() as u32, nic.len() as u64);
             if let Some(rec) = engine.sink_mut().on_mut() {
                 rec.span(obs::SpanEvent {
@@ -286,8 +286,8 @@ fn run_core(
                     dur: machine_after - machine_before,
                     batch: batch_len,
                     aux: queue_after,
-                    imisses: s1.icache.misses - s0.icache.misses,
-                    dmisses: s1.dcache.misses - s0.dcache.misses,
+                    imisses: i1 - i0,
+                    dmisses: d1 - d0,
                 });
             }
         }

@@ -1078,7 +1078,7 @@ impl SmpSim {
         let m_before_abs = core.engine.machine().cycles();
         let m_before = m_before_abs - core.m0;
         debug_assert!(start >= m_before, "busy accounting lost cycles");
-        let stats_before = core.obs.map(|_| core.engine.machine().stats());
+        let misses_before = core.obs.map(|_| core.engine.machine().miss_counts());
 
         // Form the batch. Entry cores materialize pool messages;
         // pipeline stages pop handed-off messages and pay the
@@ -1172,7 +1172,7 @@ impl SmpSim {
                     if usize::from(core.b_wclass[k]) & (MAX_WCLASS - 1) != w {
                         continue;
                     }
-                    let s0 = core.engine.machine().stats();
+                    let (i0, d0) = core.engine.machine().miss_counts();
                     if let Some(lines) = self.wlines.get(w) {
                         if !lines.is_empty() {
                             core.engine
@@ -1197,9 +1197,9 @@ impl SmpSim {
                     // (`process_batch_into` only meters layer sweeps);
                     // the first message of a class in the batch absorbs
                     // the handler image's misses, followers ride warm.
-                    let s1 = core.engine.machine().stats();
-                    core.b_imiss[k] += s1.icache.misses - s0.icache.misses;
-                    core.b_dmiss[k] += s1.dcache.misses - s0.dcache.misses;
+                    let (i1, d1) = core.engine.machine().miss_counts();
+                    core.b_imiss[k] += i1 - i0;
+                    core.b_dmiss[k] += d1 - d0;
                 }
             }
         }
@@ -1230,8 +1230,8 @@ impl SmpSim {
         core.rep.msgs += core.batch.len() as u64;
         self.batches += 1;
 
-        if let (Some(ids), Some(s0)) = (core.obs, stats_before) {
-            let s1 = core.engine.machine().stats();
+        if let (Some(ids), Some((i0, d0))) = (core.obs, misses_before) {
+            let (i1, d1) = core.engine.machine().miss_counts();
             let queue_after = core.entry.len() as u64 + core.inbox.len() as u64;
             let batch_len = core.batch.len() as u32;
             if let Some(rec) = core.engine.sink_mut().on_mut() {
@@ -1241,8 +1241,8 @@ impl SmpSim {
                     dur,
                     batch: batch_len,
                     aux: queue_after,
-                    imisses: s1.icache.misses - s0.icache.misses,
-                    dmisses: s1.dcache.misses - s0.dcache.misses,
+                    imisses: i1 - i0,
+                    dmisses: d1 - d0,
                 });
             }
         }
