@@ -111,10 +111,12 @@ fn main() {
     let path = opts.out_dir.join("perf_summary.json");
     std::fs::create_dir_all(&opts.out_dir).expect("output dir");
     std::fs::write(&path, summary).expect("write perf summary");
+    // Floored, not rounded: 99.95 % must never print as 100 %.
     println!(
-        "\nAll experiments regenerated into results/ in {total_s:.1}s \
-         ({threads} worker threads, replay hit rate {:.1}%).",
-        overall.hit_rate() * 100.0
+        "\nAll experiments regenerated into {} in {total_s:.1}s \
+         ({threads} worker threads, replay hit rate {:.2}%).",
+        opts.out_dir.display(),
+        (overall.hit_rate() * 1e4).floor() / 100.0
     );
     println!("wrote {}", path.display());
 }

@@ -1617,11 +1617,12 @@ pub mod figure10 {
     use cachesim::MachineConfig;
     use ldlp::synth::paper_stack;
     use ldlp::{BatchPolicy, Discipline, StackEngine};
-    use netstack::table::{mix64, CacheScheme, LookupCache, OaTable};
+    use netstack::table::{mix64, CacheScheme, LookupCache, OaTable, MAX_CACHE_SLOTS};
     use simnet::par::run_indexed;
     use simnet::stats::SimReport;
     use simnet::traffic::{PoissonSource, TrafficSource};
     use simnet::{run_sim_lookup, LookupCharge, SimConfig};
+    use std::sync::{Arc, Mutex};
 
     /// Paper workload: 552-byte signalling-sized messages.
     pub const MSG_BYTES: u32 = 552;
@@ -1634,7 +1635,9 @@ pub mod figure10 {
     pub const FLOW_TABLE_BASE: u64 = 0x4000_0000;
     /// Simulated address of the per-flow lookup cache.
     pub const LOOKUP_CACHE_BASE: u64 = 0x4800_0000;
-    /// Bytes per table / cache slot (key + value + occupancy tag).
+    /// Bytes per *simulated* table / cache slot (key + value + occupancy
+    /// tag). The host-side [`TableCharge`] keeps keys only — the model
+    /// reads slot indices, never a value — and that changes nothing here.
     pub const SLOT_BYTES: u64 = 16;
 
     /// Concurrent-flow populations swept (smoke keeps the 10^2 vs 10^4
@@ -1747,6 +1750,26 @@ pub mod figure10 {
             let i = self.cdf.partition_point(|&c| c <= u);
             i.min(self.cdf.len().saturating_sub(1)) as u32
         }
+
+        /// The sampler over `1..=n`, built once per process and shared.
+        /// A CDF is a pure function of `n` and costs 8 B per flow (8 MB
+        /// and ~7 ms at 10^6) against the ~2 000 draws a cell makes from
+        /// it, and every cell of a population — any seed, variant or
+        /// worker thread — draws from the same one. The table lives for
+        /// the process because [`flow_sequence`]'s callers have nowhere
+        /// to keep it between cells; the sweep has five populations.
+        fn shared(n: u64) -> Arc<Zipf> {
+            static BY_POPULATION: Mutex<Vec<(u64, Arc<Zipf>)>> = Mutex::new(Vec::new());
+            // Entries are pushed whole, so the table is valid even if a
+            // holder of the lock panicked.
+            let mut table = BY_POPULATION.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some((_, zipf)) = table.iter().find(|(pop, _)| *pop == n) {
+                return Arc::clone(zipf);
+            }
+            let zipf = Arc::new(Zipf::new(n));
+            table.push((n, Arc::clone(&zipf)));
+            zipf
+        }
     }
 
     /// The per-message flow-ID sequence: `n` draws over a population of
@@ -1755,7 +1778,7 @@ pub mod figure10 {
     /// so consecutive messages revisit the same table entry — the
     /// locality a lookup cache exploits.
     pub fn flow_sequence(pop: u64, n: usize, seed: u64, model: PopModel) -> Vec<u32> {
-        let zipf = Zipf::new(pop);
+        let zipf = Zipf::shared(pop);
         let mut rng = Rng::new(seed ^ mix64(pop));
         let mut out = Vec::with_capacity(n);
         match model {
@@ -1781,12 +1804,26 @@ pub mod figure10 {
         out
     }
 
+    /// Slot indices in lookup-cache scan order; the prefix a lookup
+    /// scanned is a slice of this.
+    const SCAN_ORDER: [u32; MAX_CACHE_SLOTS] = {
+        let mut order = [0; MAX_CACHE_SLOTS];
+        let mut i = 0;
+        while i < MAX_CACHE_SLOTS {
+            order[i] = i as u32;
+            i += 1;
+        }
+        order
+    };
+
     /// Charges each message's flow lookup to the engine's machine: scan
     /// the lookup cache (its resident footprint), and on a cache miss
     /// replay the open-addressing table's probe sequence as data reads
     /// plus one cache-fill write.
     pub struct TableCharge {
-        table: OaTable<u64, u32>,
+        /// Keys only: `charge` reads which slots a walk probed, never a
+        /// value, so the host pays 16 B a slot instead of 24.
+        table: OaTable<u64, ()>,
         cache: LookupCache<u64, u32>,
         key_salt: u64,
         probes_total: u64,
@@ -1800,9 +1837,7 @@ pub mod figure10 {
         pub fn new(pop: u64, scheme: CacheScheme, cache_slots: usize, seed: u64) -> Self {
             let key_salt = mix64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pop);
             let mut table = OaTable::with_capacity(pop as usize);
-            for flow in 0..pop {
-                table.insert(mix64(key_salt ^ flow), flow as u32);
-            }
+            table.extend((0..pop).map(|flow| (mix64(key_salt ^ flow), ())));
             TableCharge {
                 table,
                 cache: LookupCache::new(scheme, cache_slots, seed),
@@ -1836,8 +1871,9 @@ pub mod figure10 {
                 Some(pos) => pos + 1,
                 None => self.cache.len(),
             };
-            let scanned: Vec<u32> = (0..scanned_slots as u32).collect();
-            let mut dm = machine.read_data_probes(LOOKUP_CACHE_BASE, SLOT_BYTES, &scanned);
+            debug_assert!(scanned_slots <= SCAN_ORDER.len());
+            let scanned = SCAN_ORDER.get(..scanned_slots).unwrap_or_default();
+            let mut dm = machine.read_data_probes(LOOKUP_CACHE_BASE, SLOT_BYTES, scanned);
             if self.cache.get(&key).is_some() {
                 return dm;
             }
@@ -2046,6 +2082,90 @@ pub mod figure10 {
             assert_eq!(stats.hits + stats.misses, 500);
             assert_eq!(tc.lookups, stats.misses, "every cache miss walked the table");
             assert!(tc.mean_probes() >= 1.0);
+        }
+
+        /// The bulk load is the per-key load: same table, so the same
+        /// charged misses, probe mean and cache counters over a whole
+        /// 10^5-flow cell, under every scheme.
+        #[test]
+        fn bulk_loaded_table_charges_like_a_per_key_load() {
+            let (pop, seed) = (100_000u64, 3u64);
+            let flows = flow_sequence(pop, 2_000, seed, PopModel::Zipf);
+            for scheme in [CacheScheme::Lru, CacheScheme::Fifo, CacheScheme::Random] {
+                let mut bulk = TableCharge::new(pop, scheme, 16, seed);
+                let mut table = OaTable::with_capacity(pop as usize);
+                for flow in 0..pop {
+                    table.insert(mix64(bulk.key_salt ^ flow), ());
+                }
+                let mut per_key = TableCharge {
+                    table,
+                    cache: LookupCache::new(scheme, 16, seed),
+                    key_salt: bulk.key_salt,
+                    probes_total: 0,
+                    lookups: 0,
+                };
+                let cfg = MachineConfig::synthetic_benchmark();
+                let (mut m_bulk, mut m_per_key) =
+                    (cachesim::Machine::new(cfg), cachesim::Machine::new(cfg));
+                for &flow in &flows {
+                    assert_eq!(
+                        bulk.charge(flow, &mut m_bulk),
+                        per_key.charge(flow, &mut m_per_key),
+                        "{scheme:?}: flow {flow}"
+                    );
+                }
+                assert_eq!(bulk.mean_probes().to_bits(), per_key.mean_probes().to_bits());
+                assert_eq!(bulk.cache_stats(), per_key.cache_stats());
+                assert!(bulk.cache_stats().misses > 0, "{scheme:?}: the table was walked");
+            }
+        }
+
+        /// The shared per-population CDF is invisible: repeat calls,
+        /// calls with other populations in between and calls from four
+        /// threads at once all return the one sequence.
+        #[test]
+        fn flow_sequences_repeat_across_calls_populations_and_threads() {
+            let pops = [100u64, 1_000, 10_000, 100_000];
+            let draw = |pop: u64| {
+                (
+                    flow_sequence(pop, 500, 11, PopModel::Zipf),
+                    flow_sequence(pop, 500, 11, PopModel::Train),
+                )
+            };
+            let want: Vec<_> = pops.iter().map(|&pop| draw(pop)).collect();
+            for (i, &pop) in pops.iter().enumerate().rev() {
+                assert_eq!(draw(pop), want[i], "population {pop}, interleaved");
+            }
+            // 77 777 is no other test's population: the four threads race
+            // to build its CDF as well as to read the cached ones.
+            let start = std::sync::Barrier::new(4);
+            let raced: Vec<_> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..4)
+                    .map(|t| {
+                        let (want, start) = (&want, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            let fresh = draw(77_777);
+                            for i in 0..pops.len() {
+                                let at = (i + t) % pops.len();
+                                assert_eq!(draw(pops[at]), want[at], "thread {t}");
+                            }
+                            fresh
+                        })
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .map(|t| t.join().expect("drawing thread"))
+                    .collect()
+            });
+            let serial = draw(77_777);
+            assert!(raced.iter().all(|r| *r == serial));
+            assert_eq!(want[1].0, {
+                let zipf = Zipf::new(1_000);
+                let mut rng = Rng::new(11 ^ mix64(1_000));
+                (0..500).map(|_| zipf.draw(rng.next_f64())).collect::<Vec<_>>()
+            });
         }
 
         #[test]

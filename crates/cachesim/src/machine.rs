@@ -190,58 +190,20 @@ impl MachineStats {
     }
 }
 
-/// Which reference stream a memoized sweep belongs to: the I-cache + ITLB
-/// + code memo, or the D-cache + DTLB + data memo.
-#[derive(Debug, Clone, Copy)]
-enum Side {
-    Code,
-    Data,
-}
-
-/// One sweep the replay memo can answer: what to walk on a memo miss.
-#[derive(Debug, Clone, Copy)]
-enum Sweep<'a> {
-    /// A registered code footprint (line numbers).
-    Code(&'a [u64]),
-    /// A data region read or written.
-    Data(Region, AccessKind),
-}
-
-impl Sweep<'_> {
-    #[inline]
-    fn side(self) -> Side {
-        match self {
-            Sweep::Code(_) => Side::Code,
-            Sweep::Data(..) => Side::Data,
-        }
-    }
-
-    #[inline]
-    fn kind(self) -> AccessKind {
-        match self {
-            Sweep::Code(_) => AccessKind::InstrFetch,
-            Sweep::Data(_, kind) => kind,
-        }
-    }
-}
-
-/// Largest data region (in lines) the replay memo will key; anything
-/// bigger is walked directly. Keeps the packed region key unambiguous.
-const MAX_REGION_LINES: u64 = 1 << 18;
-
 /// A machine instance: caches plus cycle counters.
 ///
 /// The simulators drive it with [`Machine::fetch_code`],
 /// [`Machine::read_data`], [`Machine::write_data`] and
 /// [`Machine::execute`]; it accumulates stall and execution cycles.
 ///
-/// Recurring sweeps are answered by two replay memoizers (see
-/// [`crate::replay`]): one over the I-cache + ITLB for code footprints,
-/// one over the D-cache + DTLB for data regions. Both are exact-replay
-/// tables over interned (cache tags ++ TLB entries) states; machines
-/// with a built-in L2 or a unified cache bypass them and simulate
-/// normally (a code or data sweep then touches state shared with the
-/// other reference stream, so per-sweep transitions would not compose).
+/// Recurring code-footprint sweeps are answered by a replay memoizer
+/// (see [`crate::replay`]): an exact-replay table over interned (I-cache
+/// tags ++ ITLB entries) states. Machines with a built-in L2 or a
+/// unified cache bypass it and simulate normally (a code sweep then
+/// touches state the data stream shares, so per-sweep transitions would
+/// not compose). Data sweeps are always walked: their (D-state × region)
+/// graph does not close on any shipped workload, so there is nothing to
+/// replay (DESIGN.md §5.6).
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -256,22 +218,11 @@ pub struct Machine {
     /// Code-footprint replay memo (I-cache ++ ITLB states), created
     /// lazily on the first [`Machine::fetch_code_footprint`] call.
     replay: Option<ReplayCache>,
-    /// Data-region replay memo (D-cache ++ DTLB states), created lazily
-    /// on the first [`Machine::read_data`]/[`Machine::write_data`] call
-    /// on an eligible configuration.
-    dreplay: Option<ReplayCache>,
     /// Scratch buffer for assembling combined state keys.
     key_buf: Vec<u64>,
-    /// Master switch for both memoizers (tests and benches compare
+    /// Master switch for the memoizer (tests and benches compare
     /// memoized against plain simulation with this).
     replay_enabled: bool,
-    /// Opt-in switch for the data-sweep memo. Off by default: data
-    /// regions vary so much more than code footprints that in the stock
-    /// experiment mix the memo-miss path (exporting and interning a
-    /// multi-KB combined key) costs more than the SoA bulk walk it
-    /// replaces — it only pays on workloads whose (D-state × region)
-    /// graph closes, like a fixed arrival loop replayed many times.
-    data_memo: bool,
     /// Why sweeps bypassed the memo, when any did (first reason sticks).
     bypass_reason: Option<&'static str>,
 }
@@ -288,16 +239,14 @@ impl Machine {
             instr_cycles: 0,
             stall_cycles: 0,
             replay: None,
-            dreplay: None,
             key_buf: Vec::new(),
             replay_enabled: true,
-            data_memo: false,
             bypass_reason: None,
             cfg,
         }
     }
 
-    /// Why this configuration can never use the replay memoizers, or
+    /// Why this configuration can never use the replay memoizer, or
     /// `None` when it is eligible. Sweeps on eligible machines can still
     /// bypass individually (footprint-id collision, state-table cap).
     pub fn replay_ineligibility(&self) -> Option<&'static str> {
@@ -317,45 +266,19 @@ impl Machine {
         self.bypass_reason
     }
 
-    /// Enables or disables both replay memoizers. Disabling materializes
+    /// Enables or disables the replay memoizer. Disabling materializes
     /// any live memo state first, so simulation continues exactly where
     /// it was; results are identical either way — only speed changes.
     pub fn set_replay_enabled(&mut self, on: bool) {
         if !on {
             self.sync_replay();
-            self.sync_dreplay();
         }
         self.replay_enabled = on;
-    }
-
-    /// Opts this machine's data sweeps into the replay memo. Off by
-    /// default — see the `data_memo` field note: it only pays on
-    /// workloads whose (D-state × region) graph closes.
-    pub fn set_data_memo(&mut self, on: bool) {
-        if !on {
-            self.sync_dreplay();
-        }
-        self.data_memo = on;
     }
 
     fn note_bypass_reason(&mut self, reason: &'static str) {
         if self.bypass_reason.is_none() {
             self.bypass_reason = Some(reason);
-        }
-    }
-
-    /// The cache, TLB and replay memo on one side of the machine. (The
-    /// data side of a unified configuration is the one cache; its memo
-    /// never holds a live state, because such machines are ineligible.)
-    #[inline]
-    fn side_mut(&mut self, side: Side) -> (&mut Cache, Option<&mut Tlb>, &mut Option<ReplayCache>) {
-        match side {
-            Side::Code => (&mut self.icache, self.itlb.as_mut(), &mut self.replay),
-            Side::Data => (
-                self.dcache.as_mut().unwrap_or(&mut self.icache),
-                self.dtlb.as_mut(),
-                &mut self.dreplay,
-            ),
         }
     }
 
@@ -374,75 +297,52 @@ impl Machine {
         }
     }
 
-    /// [`Machine::materialize`] on one side's own memo, when it has one.
-    fn sync_side(&mut self, side: Side) {
-        let (cache, tlb, replay) = self.side_mut(side);
-        if let Some(replay) = replay {
-            Self::materialize(cache, tlb, replay);
-        }
-    }
-
     /// Makes the I-cache and ITLB arrays authoritative.
     fn sync_replay(&mut self) {
-        self.sync_side(Side::Code);
-    }
-
-    /// Makes the D-cache and DTLB arrays authoritative.
-    fn sync_dreplay(&mut self) {
-        self.sync_side(Side::Data);
-    }
-
-    /// Assembles one side's current combined key (cache tags ++ TLB
-    /// entries) into `key_buf`.
-    fn build_key(&mut self, side: Side) {
-        let mut key = std::mem::take(&mut self.key_buf);
-        key.clear();
-        let (cache, tlb, _) = self.side_mut(side);
-        key.extend_from_slice(cache.export_tags());
-        if let Some(tlb) = tlb {
-            tlb.export_entries(&mut key);
+        if let Some(replay) = &mut self.replay {
+            Self::materialize(&mut self.icache, self.itlb.as_mut(), replay);
         }
-        self.key_buf = key;
     }
 
-    /// One side's cache and TLB counters, for diffing around a walk.
-    fn side_counters(&mut self, side: Side) -> (CacheStats, TlbStats) {
-        let (cache, tlb, _) = self.side_mut(side);
-        (*cache.stats(), tlb.map(|t| *t.stats()).unwrap_or_default())
+    /// Assembles the current combined key (I-cache tags ++ ITLB entries)
+    /// into `key_buf`.
+    fn build_key(&mut self) {
+        self.key_buf.clear();
+        self.key_buf.extend_from_slice(self.icache.export_tags());
+        if let Some(tlb) = &self.itlb {
+            tlb.export_entries(&mut self.key_buf);
+        }
+    }
+
+    /// The I-cache and ITLB counters, for diffing around a walk.
+    fn code_counters(&self) -> (CacheStats, TlbStats) {
+        (
+            *self.icache.stats(),
+            self.itlb.as_ref().map(|t| *t.stats()).unwrap_or_default(),
+        )
     }
 
     /// Charges a replayed transition exactly as the walk it was recorded
     /// from did: cache and TLB counters, stall cycles, return value.
     #[inline]
-    fn apply_transition(&mut self, side: Side, kind: AccessKind, tr: Transition) -> u64 {
-        let (cache, tlb, _) = self.side_mut(side);
-        cache.record_bulk(tr.hits, tr.misses, kind);
-        if let Some(tlb) = tlb {
+    fn apply_transition(&mut self, tr: Transition) -> u64 {
+        self.icache
+            .record_bulk(tr.hits, tr.misses, AccessKind::InstrFetch);
+        if let Some(tlb) = &mut self.itlb {
             tlb.record_bulk(tr.tlb_hits, tr.tlb_misses);
         }
         self.stall_cycles += tr.stall;
         tr.ret
     }
 
-    /// Counts one sweep that could not use the memo, remembers why, and
-    /// simulates it directly.
-    fn bypass_sweep(&mut self, sweep: Sweep<'_>, reason: &'static str) -> u64 {
+    /// Counts one footprint sweep that could not use the memo, remembers
+    /// why, and simulates it directly.
+    fn bypass_sweep(&mut self, lines: &[u64], reason: &'static str) -> u64 {
         self.note_bypass_reason(reason);
-        let side = sweep.side();
-        let (cache, tlb, replay) = self.side_mut(side);
-        let replay = replay.get_or_insert_default();
+        let replay = self.replay.get_or_insert_default();
         replay.stats_mut().bypasses += 1;
-        Self::materialize(cache, tlb, replay);
-        self.walk(sweep)
-    }
-
-    /// `sweep` through the full (non-memoized) path. Callers must have
-    /// materialized any live memo state first.
-    fn walk(&mut self, sweep: Sweep<'_>) -> u64 {
-        match sweep {
-            Sweep::Code(lines) => self.fetch_lines_walk(lines),
-            Sweep::Data(region, kind) => self.data_sweep_walk(region, kind),
-        }
+        Self::materialize(&mut self.icache, self.itlb.as_mut(), replay);
+        self.fetch_lines_walk(lines)
     }
 
     /// Fetches every line of a fixed code footprint, exactly like calling
@@ -451,35 +351,26 @@ impl Machine {
     /// sweeps cost one table lookup. `fid` must identify this exact
     /// `lines` sequence for the lifetime of the machine; a conflicting
     /// registration falls back to the per-line walk. Returns the misses.
+    ///
+    /// A known `(live state, fid)` transition is answered through a
+    /// borrow of the memo where it sits; anything else goes to
+    /// [`Machine::memo_sweep_record`].
     #[inline]
     pub fn fetch_code_footprint(&mut self, fid: u32, lines: &[u64]) -> u64 {
         if lines.is_empty() {
             return 0;
         }
-        let sweep = Sweep::Code(lines);
         if let Some(why) = self.replay_ineligibility() {
-            return self.bypass_sweep(sweep, why);
+            return self.bypass_sweep(lines, why);
         }
         let replay = self.replay.get_or_insert_default();
         if !replay.check_footprint(fid, lines) {
-            return self.bypass_sweep(sweep, "footprint-collision");
+            return self.bypass_sweep(lines, "footprint-collision");
         }
-        self.memo_sweep(fid, sweep)
-    }
-
-    /// The memoized body of [`Machine::fetch_code_footprint`] and
-    /// [`Machine::data_sweep`]. A known `(live state, fid)` transition is
-    /// answered through a borrow of the memo where it sits; anything else
-    /// goes to [`Machine::memo_sweep_record`].
-    #[inline]
-    fn memo_sweep(&mut self, fid: u32, sweep: Sweep<'_>) -> u64 {
-        let side = sweep.side();
-        if let (_, _, Some(replay)) = self.side_mut(side) {
-            if let Some(tr) = replay.cur.and_then(|cur| replay.follow(cur, fid)) {
-                return self.apply_transition(side, sweep.kind(), tr);
-            }
+        if let Some(tr) = replay.cur.and_then(|cur| replay.follow(cur, fid)) {
+            return self.apply_transition(tr);
         }
-        self.memo_sweep_record(fid, sweep)
+        self.memo_sweep_record(fid, lines)
     }
 
     /// A sweep out of an unknown live state or along an unrecorded
@@ -487,17 +378,15 @@ impl Machine {
     /// when that makes it known, otherwise walk once while diffing every
     /// counter and record the outcome. The walk needs the whole machine,
     /// so the memo rides outside its `Option` for the duration.
-    fn memo_sweep_record(&mut self, fid: u32, sweep: Sweep<'_>) -> u64 {
-        let side = sweep.side();
-        let mut replay = self.side_mut(side).2.take().unwrap_or_default();
-        let ret = self.memo_sweep_taken(&mut replay, fid, sweep);
-        *self.side_mut(side).2 = Some(replay);
+    fn memo_sweep_record(&mut self, fid: u32, lines: &[u64]) -> u64 {
+        let mut replay = self.replay.take().unwrap_or_default();
+        let ret = self.memo_sweep_taken(&mut replay, fid, lines);
+        self.replay = Some(replay);
         ret
     }
 
     /// [`Machine::memo_sweep_record`] with the memo in hand.
-    fn memo_sweep_taken(&mut self, replay: &mut ReplayCache, fid: u32, sweep: Sweep<'_>) -> u64 {
-        let side = sweep.side();
+    fn memo_sweep_taken(&mut self, replay: &mut ReplayCache, fid: u32, lines: &[u64]) -> u64 {
         let cur = match replay.cur {
             Some(t) => t,
             None => {
@@ -506,30 +395,29 @@ impl Machine {
                 let interned = if replay.saturated() {
                     None
                 } else {
-                    self.build_key(side);
+                    self.build_key();
                     replay.intern(&self.key_buf)
                 };
                 let Some(t) = interned else {
                     replay.stats_mut().bypasses += 1;
                     self.note_bypass_reason("state-table-full");
-                    return self.walk(sweep);
+                    return self.fetch_lines_walk(lines);
                 };
                 t
             }
         };
         if let Some(tr) = replay.follow(cur, fid) {
-            return self.apply_transition(side, sweep.kind(), tr);
+            return self.apply_transition(tr);
         }
         // Memo miss: make the arrays reflect `cur` (no-op when it was just
         // interned from them), walk for real while diffing the counters,
         // record the outcome.
         replay.stats_mut().misses += 1;
-        let (cache, tlb, _) = self.side_mut(side);
-        Self::materialize(cache, tlb, replay);
-        let (c0, t0) = self.side_counters(side);
+        Self::materialize(&mut self.icache, self.itlb.as_mut(), replay);
+        let (c0, t0) = self.code_counters();
         let s0 = self.stall_cycles;
-        let ret = self.walk(sweep);
-        let (c1, t1) = self.side_counters(side);
+        let ret = self.fetch_lines_walk(lines);
+        let (c1, t1) = self.code_counters();
         let tr = Transition {
             ret,
             hits: c1.hits - c0.hits,
@@ -539,7 +427,7 @@ impl Machine {
             stall: self.stall_cycles - s0,
             next: 0,
         };
-        self.build_key(side);
+        self.build_key();
         if let Some(next) = replay.intern(&self.key_buf) {
             // analyze::allow(alloc-path, reason = "replay-memo warm-up insert; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
             replay.insert(cur, fid, Transition { next, ..tr });
@@ -560,26 +448,14 @@ impl Machine {
         misses
     }
 
-    /// Counters of both replay memos combined (zero if never used).
+    /// The replay memo's counters (zero if never used).
     pub fn replay_stats(&self) -> ReplayStats {
-        let mut s = self.replay.as_ref().map(|r| r.stats()).unwrap_or_default();
-        if let Some(d) = &self.dreplay {
-            s.merge(&d.stats());
-        }
-        s
+        self.replay.as_ref().map(|r| r.stats()).unwrap_or_default()
     }
 
-    /// Counter-and-size snapshot of both replay memos combined.
+    /// Counter-and-size snapshot of the replay memo.
     pub fn replay_report(&self) -> ReplayReport {
-        let mut r = self.replay.as_ref().map(|r| r.report()).unwrap_or_default();
-        if let Some(d) = &self.dreplay {
-            let dr = d.report();
-            r.stats.merge(&dr.stats);
-            r.states += dr.states;
-            r.transitions += dr.transitions;
-            r.footprints += dr.footprints;
-        }
-        r
+        self.replay.as_ref().map(|r| r.report()).unwrap_or_default()
     }
 
     /// The configuration this machine was built with.
@@ -656,6 +532,10 @@ impl Machine {
 
     /// [`Machine::fetch_code_line`] without the memo sync: the walk body
     /// shared by the public per-line API and the memo-miss recorder.
+    /// `#[inline]` because [`Machine::fetch_lines_walk`]'s loop is the
+    /// whole cost of a memo miss: left to the inliner the body stayed a
+    /// call per line and the walk measured 3.8 → 5.3 ns/line.
+    #[inline]
     fn fetch_line_inner(&mut self, line: u64) -> bool {
         if let Some(tlb) = &mut self.itlb {
             let line_size = self.cfg.icache.line_size;
@@ -728,54 +608,15 @@ impl Machine {
         })
     }
 
-    /// One data sweep over `region`. With the data memo on it is
-    /// memoized exactly like [`Machine::fetch_code_footprint`]: the
-    /// region's line range + kind is the footprint, the D-cache ++ DTLB
-    /// state is the key, and the recorded transition replays the walk's
-    /// full accounting (cache stats, TLB refills, stall cycles).
+    /// One data sweep over `region`. The DTLB, the miss penalty for
+    /// `kind` and the target cache are each resolved once, up front;
+    /// configurations with a built-in L2 then walk per line, everything
+    /// else is one bulk [`Cache::access_range`].
     #[inline]
     fn data_sweep(&mut self, region: Region, kind: AccessKind) -> u64 {
         if region.len == 0 {
             return 0;
         }
-        if self.data_memo {
-            return self.data_sweep_memo(region, kind);
-        }
-        self.data_sweep_walk(region, kind)
-    }
-
-    /// The memoized arm of [`Machine::data_sweep`]: the region's packed
-    /// line range + kind stands in for a footprint id.
-    fn data_sweep_memo(&mut self, region: Region, kind: AccessKind) -> u64 {
-        let sweep = Sweep::Data(region, kind);
-        if let Some(why) = self.replay_ineligibility() {
-            return self.bypass_sweep(sweep, why);
-        }
-        let line_size = self.cfg.icache.line_size;
-        // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-        let first = region.base / line_size;
-        // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-        let n_lines = (region.base + region.len - 1) / line_size - first + 1;
-        if n_lines >= MAX_REGION_LINES || first >= (1 << 44) {
-            return self.bypass_sweep(sweep, "oversized-region");
-        }
-        let kind_code = match kind {
-            AccessKind::Read => 0u64,
-            AccessKind::Write => 1,
-            AccessKind::InstrFetch => 2,
-        };
-        let packed = (first << 20) | (n_lines << 2) | kind_code;
-        let fid = self.dreplay.get_or_insert_default().region_fid(packed);
-        self.memo_sweep(fid, sweep)
-    }
-
-    /// The non-memoized data sweep. The DTLB, the miss penalty for
-    /// `kind` and the target cache are each resolved once, up front;
-    /// configurations with a built-in L2 then walk per line, everything
-    /// else is one bulk [`Cache::access_range`]. Callers on the memoized
-    /// path must have materialized any live D-memo state first.
-    #[inline]
-    fn data_sweep_walk(&mut self, region: Region, kind: AccessKind) -> u64 {
         if let Some(tlb) = &mut self.dtlb {
             let refills = tlb.access_range(region.base, region.len);
             self.stall_cycles += refills * tlb.config().refill_penalty;
@@ -800,7 +641,7 @@ impl Machine {
         misses
     }
 
-    /// [`Machine::data_sweep_walk`] on a machine with a built-in L2: per
+    /// [`Machine::data_sweep`] on a machine with a built-in L2: per
     /// line, so every L1 miss can fill through the L2.
     fn data_sweep_through_l2(
         &mut self,
@@ -831,7 +672,6 @@ impl Machine {
         if self.dcache.is_none() {
             self.sync_replay();
         }
-        self.sync_dreplay();
         let penalty = self.cfg.read_miss_penalty;
         let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
         let hit = cache.access_line(line, AccessKind::Read);
@@ -848,7 +688,6 @@ impl Machine {
     /// memo state is materialized first.
     pub fn flush_caches(&mut self) {
         self.sync_replay();
-        self.sync_dreplay();
         self.icache.flush();
         if let Some(d) = &mut self.dcache {
             d.flush();
@@ -868,7 +707,6 @@ impl Machine {
     /// first.
     pub fn flush_tlbs(&mut self) {
         self.sync_replay();
-        self.sync_dreplay();
         if let Some(t) = &mut self.itlb {
             t.flush();
         }
@@ -949,7 +787,6 @@ impl Machine {
 
     /// Direct access to the D-cache; `None` on unified configurations.
     pub fn dcache(&mut self) -> Option<&mut Cache> {
-        self.sync_dreplay();
         self.dcache.as_mut()
     }
 }
@@ -1189,7 +1026,6 @@ mod tests {
     fn tlb_keyed_replay_matches_disabled_run() {
         let cfg = MachineConfig::synthetic_benchmark().with_alpha_tlbs();
         let mut memo = Machine::new(cfg);
-        memo.set_data_memo(true);
         let mut walk = Machine::new(cfg);
         walk.set_replay_enabled(false);
         // Deterministic xorshift for "random" footprints and regions.
@@ -1293,36 +1129,16 @@ mod tests {
     }
 
     #[test]
-    fn data_replay_steady_state_hits() {
-        let mut m = Machine::new(MachineConfig::synthetic_benchmark().with_alpha_tlbs());
-        m.set_data_memo(true);
-        for lap in 0..100u64 {
-            for slot in 0..8u64 {
-                m.read_data(Region::new(0x10_0000 + slot * 1536, 552));
-                m.write_data(Region::new(0x20_0000 + slot * 64, 58));
-            }
-            let _ = lap;
-        }
-        let s = m.replay_stats();
-        assert!(
-            s.hit_rate() > 0.9,
-            "steady-state data hit rate {:.3} should approach 1",
-            s.hit_rate()
-        );
-    }
-
-    #[test]
     fn footprint_replay_bypasses_ineligible_configs() {
         // A built-in L2 makes sweeps touch state shared between the code
-        // and data streams: both memos must stand aside, and say why.
+        // and data streams: the memo must stand aside, and say why.
         let mut m = Machine::new(MachineConfig::dec3000_400().with_board_cache());
-        m.set_data_memo(true);
         let fp: Vec<u64> = (0..64).collect();
         m.fetch_code_footprint(0, &fp);
         m.fetch_code_footprint(0, &fp);
         m.read_data(Region::new(0x9000, 256));
         assert_eq!(m.replay_stats().hits, 0);
-        assert_eq!(m.replay_stats().bypasses, 3, "every sweep counted");
+        assert_eq!(m.replay_stats().bypasses, 2, "every footprint sweep counted");
         assert_eq!(m.replay_bypass_reason(), Some("l2-configured"));
         // And the fetches still happened.
         assert!(m.stats().icache.fetch_misses > 0);
@@ -1387,22 +1203,6 @@ mod tests {
         m.fetch_code_footprint(0, &fp); // memo hit: tag array now stale
         assert!(m.icache().probe(0), "icache() must materialize first");
         assert!(!m.icache().probe(100 * 32));
-    }
-
-    #[test]
-    fn data_replay_survives_probe_after_hit() {
-        let mut m = Machine::new(MachineConfig::synthetic_benchmark());
-        m.set_data_memo(true);
-        m.read_data(Region::new(0x40_0000, 256));
-        m.flush_caches();
-        m.read_data(Region::new(0x40_0000, 256));
-        m.flush_caches();
-        m.read_data(Region::new(0x40_0000, 256)); // memo hit: tags stale
-        assert!(m.replay_stats().hits > 0);
-        assert!(
-            m.dcache().expect("split config").probe(0x40_0000),
-            "dcache() must materialize first"
-        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Memoized replay of recurring cache sweeps.
 //!
-//! The layer engines sweep the same code footprints and data regions over
-//! the primary caches millions of times per simulated second, and the
-//! resulting misses are a pure function of (sweep, cache-and-TLB state
-//! before it): a set-associative LRU cache has no other inputs, and
+//! The layer engines sweep the same code footprints over the I-cache
+//! millions of times per simulated second, and the resulting misses are
+//! a pure function of (sweep, cache-and-TLB state before it): a set-associative LRU cache has no other inputs, and
 //! neither does a fully-associative LRU TLB. This module exploits that by
 //! interning whole tag states — the cache's flattened tag array
 //! concatenated with the TLB's entry list, when one is configured — and
@@ -14,13 +13,11 @@
 //! drive the caches through a short cycle of recurring states, the
 //! steady-state hit rate approaches 100%.
 //!
-//! A [`crate::Machine`] owns up to two of these: one over the I-cache
-//! (+ ITLB) for code-footprint sweeps, one over the D-cache (+ DTLB) for
-//! data-region sweeps. Code footprints are explicit line lists registered
-//! under caller-chosen ids; data regions self-register through
-//! [`ReplayCache::region_fid`], keyed by their exact line range and
-//! access kind (two byte regions covering the same lines and kind are
-//! the same sweep — the model only sees lines and pages).
+//! A [`crate::Machine`] owns one, over the I-cache (+ ITLB), for
+//! code-footprint sweeps: explicit line lists registered under
+//! caller-chosen ids. Data sweeps are not memoized — the D-side state
+//! graph of every shipped workload keeps growing, so a memo over it
+//! records and never replays (DESIGN.md §5.6).
 //!
 //! Correctness notes:
 //! * Keys are **exact** tag states (not hashes of them), so a lookup hit
@@ -39,7 +36,6 @@
 //!   memory.
 
 use crate::stats::{ReplayReport, ReplayStats};
-use std::collections::BTreeMap;
 use std::hash::{BuildHasherDefault, Hasher};
 // The memoizer's state interner is lookup-only (get/insert, never
 // iterated) and uses a fixed-seed hasher, so not even its internal order
@@ -146,10 +142,6 @@ pub struct ReplayCache {
     /// equality without re-comparing the whole line list per call; a
     /// non-matching pointer falls back to the full comparison.
     footprint_src: Vec<(usize, usize)>,
-    /// Data-region footprints: packed `(first_line, n_lines, kind)` key
-    /// → footprint id. Ordered map: no hashing on the hot path beyond a
-    /// short comparison chain, and deterministic by construction.
-    regions: BTreeMap<u64, u32>,
     /// Token of the state currently live, when known. `None` means the
     /// cache's (and TLB's) own arrays are authoritative.
     pub(crate) cur: Option<u32>,
@@ -198,20 +190,6 @@ impl ReplayCache {
             return true;
         }
         self.footprints[idx].as_slice() == lines
-    }
-
-    /// Footprint id for a data region, identified by its exact line
-    /// range and access kind packed into `key`. Ids are assigned in
-    /// first-seen order and never collide (the key *is* the identity),
-    /// so region sweeps need no collision fallback.
-    pub(crate) fn region_fid(&mut self, key: u64) -> u32 {
-        if let Some(&fid) = self.regions.get(&key) {
-            return fid;
-        }
-        let fid = self.regions.len() as u32;
-        // analyze::allow(alloc-path, reason = "replay-memo warm-up path; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
-        self.regions.insert(key, fid);
-        fid
     }
 
     /// Interns a combined tag state, returning its token — or `None`
@@ -293,8 +271,7 @@ impl ReplayCache {
             stats: self.stats,
             states: self.states.len(),
             transitions: self.states.iter().map(|s| s.transitions.len()).sum(),
-            footprints: self.footprints.iter().filter(|f| !f.is_empty()).count()
-                + self.regions.len(),
+            footprints: self.footprints.iter().filter(|f| !f.is_empty()).count(),
         }
     }
 }
@@ -322,16 +299,6 @@ mod tests {
         assert!(r.check_footprint(0, &[1, 2, 3]), "exact repeat is fine");
         assert!(!r.check_footprint(0, &[1, 2, 4]), "different lines collide");
         assert!(r.check_footprint(5, &[9]), "gaps auto-register");
-        assert_eq!(r.report().footprints, 2);
-    }
-
-    #[test]
-    fn region_fids_are_stable_and_distinct() {
-        let mut r = ReplayCache::default();
-        let a = r.region_fid(0x1000);
-        let b = r.region_fid(0x2000);
-        assert_ne!(a, b);
-        assert_eq!(r.region_fid(0x1000), a, "same key, same id");
         assert_eq!(r.report().footprints, 2);
     }
 

@@ -34,13 +34,6 @@ impl ReplayStats {
             self.hits as f64 / n as f64
         }
     }
-
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: &ReplayStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.bypasses += other.bypasses;
-    }
 }
 
 /// A snapshot of a replay cache's counters and table sizes.
@@ -85,11 +78,7 @@ mod tests {
             ..ReplayStats::default()
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        let mut t = ReplayStats {
-            bypasses: 4,
-            ..ReplayStats::default()
-        };
-        t.merge(&s);
+        let t = ReplayStats { bypasses: 4, ..s };
         assert_eq!(t.accesses(), 8);
         assert!((t.hit_rate() - 3.0 / 8.0).abs() < 1e-12);
     }

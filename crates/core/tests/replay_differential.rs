@@ -1,4 +1,4 @@
-//! Engine-level differential: the replay memoizers, the per-layer
+//! Engine-level differential: the replay memoizer, the per-layer
 //! constants the engine caches and the bulk data sweeps change how fast a
 //! batch is simulated, never what it simulates.
 //!
@@ -13,8 +13,9 @@
 //! every batch. The enabled side's `ReplayStats` are also pinned to the
 //! numbers the commit before the in-place replay hit produced for the same
 //! script (6ebebf3): a hit answered where the memo sits is still exactly
-//! one hit, and the duplex runs' data states overflow the state table, so
-//! the `state-table-full` bypass is counted the same way too.
+//! one hit. (The duplex rows are that commit's code-memo counts — it also
+//! ran a data-sweep memo on those machines, since removed, whose counts
+//! were summed in.)
 
 use cachesim::{MachineConfig, MachineStats, ReplayStats};
 use ldlp::synth::{paper_stack, stack_with, MessagePool};
@@ -36,9 +37,8 @@ impl XorShift {
 }
 
 /// Simplex runs use the plain synthetic machine; duplex runs add the
-/// Alpha TLBs and opt into the data-sweep memo, so the TLB-keyed replay
-/// states, `MachineStats::{itlb, dtlb}` and the data side of the memo
-/// routine are covered too.
+/// Alpha TLBs, so the TLB-keyed replay states and
+/// `MachineStats::{itlb, dtlb}` are covered too.
 fn engine(discipline: Discipline, duplex: bool, replay: bool) -> StackEngine {
     let cfg = if duplex {
         MachineConfig::synthetic_benchmark().with_alpha_tlbs()
@@ -47,7 +47,6 @@ fn engine(discipline: Discipline, duplex: bool, replay: bool) -> StackEngine {
     };
     let (mut machine, rx) = paper_stack(cfg, 17);
     machine.set_replay_enabled(replay);
-    machine.set_data_memo(duplex);
     let e = StackEngine::new(machine, rx, discipline).with_verify_layer(1);
     if duplex {
         let (_, tx) = stack_with(cfg, 99, 3, 4 * 1024, 256);
@@ -125,7 +124,7 @@ fn conventional_simplex() {
 #[test]
 fn conventional_duplex() {
     let got = run_script(Discipline::Conventional, true);
-    assert_eq!(got, replay_stats(58667, 10957, 99291));
+    assert_eq!(got, replay_stats(58659, 23, 0));
 }
 
 #[test]
@@ -137,7 +136,7 @@ fn ilp_simplex() {
 #[test]
 fn ilp_duplex() {
     let got = run_script(Discipline::Ilp, true);
-    assert_eq!(got, replay_stats(58676, 10966, 75509));
+    assert_eq!(got, replay_stats(58659, 23, 0));
 }
 
 #[test]
@@ -149,5 +148,5 @@ fn ldlp_simplex() {
 #[test]
 fn ldlp_duplex() {
     let got = run_script(Discipline::Ldlp(BatchPolicy::DCacheFit), true);
-    assert_eq!(got, replay_stats(60073, 13497, 95345));
+    assert_eq!(got, replay_stats(58643, 39, 0));
 }

@@ -8,6 +8,8 @@
 //!   returns; the cache changes cost, never answers.
 //! * Probe-log sanity: every recorded probe sequence is non-empty and
 //!   the table's mean probe count stays at least one.
+//! * Bulk load: `extend(items)` is `for (k, v) in items { insert(k, v) }`
+//!   in everything a caller can observe — layout, growth, probe log.
 
 use std::collections::BTreeMap;
 
@@ -100,5 +102,50 @@ proptest! {
             }
         }
         prop_assert!(table.mean_probes() >= 1.0);
+    }
+
+    /// `extend` leaves the table exactly as the same items `insert`ed one
+    /// by one do: slot layout (`iter()` order), `len`, `capacity` (so the
+    /// growth points), the last operation's probe log and the mean probe
+    /// count. Lengths sit on both sides of the 32-entry block; a small
+    /// key space puts duplicate keys inside one block; an empty start
+    /// grows at 7, 14, 28, … entries — in the middle of blocks.
+    #[test]
+    fn extend_is_repeated_insert(
+        start in 0usize..3,
+        len_pick in 0usize..7,
+        free_len in 0usize..200,
+        key_space in 1u64..1500,
+        seed in 1u64..1000,
+    ) {
+        let len = [0, 1, 31, 32, 33, 1_000, free_len][len_pick];
+        let items: Vec<(u64, u32)> = (0..len)
+            .map(|i| (mix64(mix64(seed ^ i as u64) % key_space), i as u32))
+            .collect();
+        let fresh = || -> OaTable<u64, u32> {
+            match start {
+                0 => OaTable::new(),
+                1 => OaTable::with_capacity(len),
+                _ => {
+                    // Half full, sharing the key space: some items replace.
+                    let mut t = OaTable::new();
+                    for i in 0..len / 2 + 3 {
+                        t.insert(mix64((i * 2) as u64 % key_space), u32::MAX);
+                    }
+                    t
+                }
+            }
+        };
+        let (mut one_by_one, mut bulk) = (fresh(), fresh());
+        for &(k, v) in &items {
+            one_by_one.insert(k, v);
+        }
+        bulk.extend(items.iter().copied());
+        prop_assert_eq!(bulk.len(), one_by_one.len());
+        prop_assert_eq!(bulk.capacity(), one_by_one.capacity());
+        prop_assert_eq!(bulk.last_probes(), one_by_one.last_probes());
+        prop_assert_eq!(bulk.mean_probes().to_bits(), one_by_one.mean_probes().to_bits());
+        let layout = |t: &OaTable<u64, u32>| t.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>();
+        prop_assert_eq!(layout(&bulk), layout(&one_by_one));
     }
 }

@@ -76,9 +76,7 @@ fn steady_state_allocs(dispatch: DispatchPolicy, metrics: bool) -> u64 {
 
     // Warm up: grow the sample vectors, scratch buffers, replay memo
     // tables, steering map, and the coherence directory to their fixed
-    // points. The data-sweep memo keys on D-cache + DTLB state, so under
-    // flow-hash steering its state graph takes ~75 runs to close; 150
-    // leaves margin.
+    // points (150 runs leaves margin).
     for _ in 0..150 {
         sim.run(&arrivals);
     }
