@@ -1608,7 +1608,12 @@ pub mod figure10 {
     //! DEC-TR-592 schemes: LRU / FIFO / random × 1–64 slots) is scanned
     //! first, and on a miss the open-addressing flow table's *actual
     //! probe sequence* is replayed as data references, so D-misses per
-    //! lookup are simulated, not guessed. The sweep spans concurrent
+    //! lookup are simulated, not guessed. The table is loaded once and
+    //! then only looked up, so that sequence is a function of the key
+    //! order: the host computes the layout
+    //! (`netstack::table::PlacementIndex`, a displacement per flow over
+    //! an occupancy bitmap) instead of building 10^6 slots to ask ~2 000
+    //! questions of them. The sweep spans concurrent
     //! flow populations 10^2 → 10^6 × {Conventional, LDLP} × lookup
     //! scheme, fanned across worker threads and reduced in index order
     //! — the CSV is byte-identical for any `--threads` value.
@@ -1617,7 +1622,7 @@ pub mod figure10 {
     use cachesim::MachineConfig;
     use ldlp::synth::paper_stack;
     use ldlp::{BatchPolicy, Discipline, StackEngine};
-    use netstack::table::{mix64, CacheScheme, LookupCache, OaTable, MAX_CACHE_SLOTS};
+    use netstack::table::{mix64, CacheScheme, LookupCache, PlacementIndex, MAX_CACHE_SLOTS};
     use simnet::par::run_indexed;
     use simnet::stats::SimReport;
     use simnet::traffic::{PoissonSource, TrafficSource};
@@ -1636,8 +1641,9 @@ pub mod figure10 {
     /// Simulated address of the per-flow lookup cache.
     pub const LOOKUP_CACHE_BASE: u64 = 0x4800_0000;
     /// Bytes per *simulated* table / cache slot (key + value + occupancy
-    /// tag). The host-side [`TableCharge`] keeps keys only — the model
-    /// reads slot indices, never a value — and that changes nothing here.
+    /// tag). The host holds no such slots — [`TableCharge`] computes which
+    /// indices a walk probes, all the model reads — and that changes
+    /// nothing here.
     pub const SLOT_BYTES: u64 = 16;
 
     /// Concurrent-flow populations swept (smoke keeps the 10^2 vs 10^4
@@ -1821,9 +1827,11 @@ pub mod figure10 {
     /// replay the open-addressing table's probe sequence as data reads
     /// plus one cache-fill write.
     pub struct TableCharge {
-        /// Keys only: `charge` reads which slots a walk probed, never a
-        /// value, so the host pays 16 B a slot instead of 24.
-        table: OaTable<u64, ()>,
+        /// The flow table's layout, not the table: `charge` reads which
+        /// slots a walk probes, never a key or a value, and for a table
+        /// loaded once and then only looked up that is a function of
+        /// the key sequence.
+        layout: PlacementIndex,
         cache: LookupCache<u64, u32>,
         key_salt: u64,
         probes_total: u64,
@@ -1831,15 +1839,16 @@ pub mod figure10 {
     }
 
     impl TableCharge {
-        /// Builds the flow table with `pop` live entries. Keys are
-        /// drawn from a per-seed key space so slot placement (and thus
-        /// probe clustering) varies across placements.
+        /// Lays out the flow table with `pop` live entries, flow `i`'s
+        /// key the `i`-th loaded. Keys are drawn from a per-seed key
+        /// space so slot placement (and thus probe clustering) varies
+        /// across placements; `mix64` is a bijection, so they are
+        /// pairwise distinct.
         pub fn new(pop: u64, scheme: CacheScheme, cache_slots: usize, seed: u64) -> Self {
             let key_salt = mix64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pop);
-            let mut table = OaTable::with_capacity(pop as usize);
-            table.extend((0..pop).map(|flow| (mix64(key_salt ^ flow), ())));
+            let keys = (0..pop as usize).map(|flow| mix64(key_salt ^ flow as u64));
             TableCharge {
-                table,
+                layout: PlacementIndex::build(keys),
                 cache: LookupCache::new(scheme, cache_slots, seed),
                 key_salt,
                 probes_total: 0,
@@ -1878,9 +1887,13 @@ pub mod figure10 {
                 return dm;
             }
             self.lookups += 1;
-            if self.table.get_mut(&key).is_some() {
-                self.probes_total += self.table.last_probes().len() as u64;
-                dm += machine.read_data_probes(FLOW_TABLE_BASE, SLOT_BYTES, self.table.last_probes());
+            // A flow outside the population is an absent key: the walk
+            // is counted and nothing is charged for it.
+            if let Some(walk) = self.layout.probes(flow_id as usize, &key) {
+                for slot in walk {
+                    self.probes_total += 1;
+                    dm += machine.read_data_probes(FLOW_TABLE_BASE, SLOT_BYTES, &[slot]);
+                }
                 self.cache.insert(key, flow_id);
                 dm += machine.write_data_slot(LOOKUP_CACHE_BASE, SLOT_BYTES, 0);
             }
@@ -2046,6 +2059,7 @@ pub mod figure10 {
     #[cfg(test)]
     mod tests {
         use super::*;
+        use netstack::table::OaTable;
 
         #[test]
         fn zipf_draws_are_skewed_and_in_range() {
@@ -2084,40 +2098,116 @@ pub mod figure10 {
             assert!(tc.mean_probes() >= 1.0);
         }
 
-        /// The bulk load is the per-key load: same table, so the same
-        /// charged misses, probe mean and cache counters over a whole
-        /// 10^5-flow cell, under every scheme.
-        #[test]
-        fn bulk_loaded_table_charges_like_a_per_key_load() {
-            let (pop, seed) = (100_000u64, 3u64);
-            let flows = flow_sequence(pop, 2_000, seed, PopModel::Zipf);
-            for scheme in [CacheScheme::Lru, CacheScheme::Fifo, CacheScheme::Random] {
-                let mut bulk = TableCharge::new(pop, scheme, 16, seed);
+        /// The reference for [`TableCharge`]: the flow table itself,
+        /// loaded key by key, each lookup's logged probe run charged.
+        struct BuiltTableCharge {
+            table: OaTable<u64, ()>,
+            cache: LookupCache<u64, u32>,
+            key_salt: u64,
+            probes_total: u64,
+            lookups: u64,
+        }
+
+        impl BuiltTableCharge {
+            fn new(pop: u64, scheme: CacheScheme, cache_slots: usize, seed: u64) -> Self {
+                let key_salt = mix64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pop);
                 let mut table = OaTable::with_capacity(pop as usize);
                 for flow in 0..pop {
-                    table.insert(mix64(bulk.key_salt ^ flow), ());
+                    table.insert(mix64(key_salt ^ flow), ());
                 }
-                let mut per_key = TableCharge {
+                BuiltTableCharge {
                     table,
-                    cache: LookupCache::new(scheme, 16, seed),
-                    key_salt: bulk.key_salt,
+                    cache: LookupCache::new(scheme, cache_slots, seed),
+                    key_salt,
                     probes_total: 0,
                     lookups: 0,
+                }
+            }
+        }
+
+        impl LookupCharge for BuiltTableCharge {
+            fn charge(&mut self, flow_id: u32, machine: &mut cachesim::Machine) -> u64 {
+                let key = mix64(self.key_salt ^ flow_id as u64);
+                let scanned_slots = match self.cache.position(&key) {
+                    Some(pos) => pos + 1,
+                    None => self.cache.len(),
                 };
+                let mut dm =
+                    machine.read_data_probes(LOOKUP_CACHE_BASE, SLOT_BYTES, &SCAN_ORDER[..scanned_slots]);
+                if self.cache.get(&key).is_some() {
+                    return dm;
+                }
+                self.lookups += 1;
+                if self.table.get_mut(&key).is_some() {
+                    let probes = self.table.last_probes();
+                    self.probes_total += probes.len() as u64;
+                    dm += machine.read_data_probes(FLOW_TABLE_BASE, SLOT_BYTES, probes);
+                    self.cache.insert(key, flow_id);
+                    dm += machine.write_data_slot(LOOKUP_CACHE_BASE, SLOT_BYTES, 0);
+                }
+                dm
+            }
+        }
+
+        /// The computed layout is the built table's: the same charged
+        /// misses message by message, probe mean, cache counters and
+        /// machine totals over a whole 10^5-flow cell, under every
+        /// scheme — out-of-population flows included.
+        #[test]
+        fn computed_layout_charges_like_the_built_table() {
+            let (pop, seed) = (100_000u64, 3u64);
+            let mut flows = flow_sequence(pop, 2_000, seed, PopModel::Zipf);
+            flows.extend([pop as u32, 17, u32::MAX, pop as u32 - 1]);
+            for scheme in [CacheScheme::Lru, CacheScheme::Fifo, CacheScheme::Random] {
+                let mut computed = TableCharge::new(pop, scheme, 16, seed);
+                let mut built = BuiltTableCharge::new(pop, scheme, 16, seed);
+                assert_eq!(computed.layout.capacity(), built.table.capacity());
                 let cfg = MachineConfig::synthetic_benchmark();
-                let (mut m_bulk, mut m_per_key) =
+                let (mut m_computed, mut m_built) =
                     (cachesim::Machine::new(cfg), cachesim::Machine::new(cfg));
                 for &flow in &flows {
                     assert_eq!(
-                        bulk.charge(flow, &mut m_bulk),
-                        per_key.charge(flow, &mut m_per_key),
+                        computed.charge(flow, &mut m_computed),
+                        built.charge(flow, &mut m_built),
                         "{scheme:?}: flow {flow}"
                     );
                 }
-                assert_eq!(bulk.mean_probes().to_bits(), per_key.mean_probes().to_bits());
-                assert_eq!(bulk.cache_stats(), per_key.cache_stats());
-                assert!(bulk.cache_stats().misses > 0, "{scheme:?}: the table was walked");
+                assert_eq!(
+                    (computed.probes_total, computed.lookups),
+                    (built.probes_total, built.lookups)
+                );
+                assert_eq!(
+                    computed.mean_probes().to_bits(),
+                    (built.probes_total as f64 / built.lookups as f64).to_bits()
+                );
+                assert_eq!(computed.cache_stats(), built.cache.stats());
+                assert_eq!(
+                    format!("{:?}", m_computed.stats()),
+                    format!("{:?}", m_built.stats()),
+                    "{scheme:?}: machine totals"
+                );
+                assert!(computed.cache_stats().misses > 0, "{scheme:?}: the table was walked");
             }
+        }
+
+        /// A flow the table never held misses the cache, counts as a
+        /// walk and charges nothing for it.
+        #[test]
+        fn out_of_population_flow_counts_a_lookup_and_charges_no_probes() {
+            let mut machine = cachesim::Machine::new(MachineConfig::synthetic_benchmark());
+            let mut tc = TableCharge::new(500, CacheScheme::Lru, 4, 1);
+            for flow in [500u32, 501, u32::MAX] {
+                assert_eq!(tc.charge(flow, &mut machine), 0, "empty cache, no walk: no reads");
+            }
+            assert_eq!((tc.lookups, tc.probes_total), (3, 0));
+            assert_eq!(tc.mean_probes(), 0.0);
+            let stats = tc.cache_stats();
+            assert_eq!((stats.hits, stats.misses), (0, 3), "absent flows are never cached");
+            assert_eq!(machine.stats().dcache.misses, 0);
+            // A live flow after them walks and fills as usual.
+            assert!(tc.charge(499, &mut machine) > 0);
+            assert_eq!(tc.lookups, 4);
+            assert!(tc.probes_total >= 1);
         }
 
         /// The shared per-population CDF is invisible: repeat calls,

@@ -1,11 +1,15 @@
-//! Zero-allocation assertion for figure10's per-message lookup charge:
+//! Allocation assertions for figure10's flow-lookup charge.
+//!
 //! `TableCharge::charge` runs inside `run_sim_lookup`'s measured window
 //! once per message, and after its first call it must work entirely out
 //! of what `TableCharge::new` built — the scan-order slice, the
-//! pre-sized lookup cache and the table's probe log.
+//! pre-sized lookup cache and the table's computed layout. And `new`
+//! itself computes that layout (a displacement per flow over an
+//! occupancy bitmap) instead of building the table, so a 10^6-flow cell
+//! asks the allocator for a fraction of the 32 MB its slots would take.
 //!
 //! A counting global allocator (this test binary only) measures exact
-//! allocation counts around the loop.
+//! allocation counts and requested bytes around each window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,21 +27,23 @@ struct CountingAlloc;
 // the allocator never recurses or touches torn-down TLS.
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: pure pass-through to the System allocator; the only extra
-// work is bumping a no-destructor, const-initialised thread-local
-// counter, which never allocates, never unwinds, and never re-enters
+// work is bumping no-destructor, const-initialised thread-local
+// counters, which never allocates, never unwinds, and never re-enters
 // the allocator — so System's layout/aliasing contracts are preserved
 // verbatim.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: delegates to System.alloc with the caller's layout.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
@@ -50,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: delegates to System.realloc; `ptr`/`layout`/`new_size`
     // obligations pass straight through from the caller.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,4 +87,18 @@ fn charge_does_not_allocate_after_its_first_call() {
             assert_eq!(allocs, 0, "{scheme:?} x {cache_slots}: charge allocated");
         }
     }
+}
+
+#[test]
+fn a_million_flow_layout_requests_a_fraction_of_the_table() {
+    let before = BYTES.with(|c| c.get());
+    let lookup = TableCharge::new(1_000_000, CacheScheme::Lru, 16, 1);
+    let requested = BYTES.with(|c| c.get()) - before;
+    // 4 B a flow + 1 bit a slot (2^21) + the lookup cache; the table
+    // itself is 2^21 slots x 16 B = 32 MB.
+    assert!(
+        requested < 8 << 20,
+        "TableCharge::new requested {requested} B"
+    );
+    assert_eq!(lookup.mean_probes(), 0.0, "nothing charged yet");
 }

@@ -36,7 +36,7 @@ pub mod tlb;
 pub use addr::{Addr, Region};
 pub use cache::{AccessKind, Cache, CacheConfig, CacheStats};
 pub use coherence::{CoherenceStats, SharedL2, SharedL2Config};
-pub use machine::{CycleCount, Machine, MachineConfig, MachineStats};
+pub use machine::{round_to_cycles, CycleCount, Machine, MachineConfig, MachineStats};
 pub use placement::{AddressAllocator, RandomPlacement};
 pub use replay::ReplayCache;
 pub use stats::{ReplayReport, ReplayStats};

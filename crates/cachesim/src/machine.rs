@@ -9,6 +9,20 @@ use crate::tlb::{Tlb, TlbConfig, TlbStats};
 /// Simulated cycle counts.
 pub type CycleCount = u64;
 
+/// `x.round() as CycleCount` — round half away from zero, saturating at
+/// both ends, NaN to 0 — without the call: `f64::round` is a libm
+/// routine on the baseline x86-64 target, and the conversions that use
+/// this run once per message or more. The truncating cast already
+/// saturates and maps NaN to 0; the fraction it dropped is exact in an
+/// `f64` (below 2^52 the difference of neighbours is, above there is no
+/// fraction), so comparing it with one half decides the rounding, and
+/// the saturating add keeps `+inf` and anything past `u64::MAX` there.
+#[inline]
+pub fn round_to_cycles(x: f64) -> CycleCount {
+    let truncated = x as CycleCount;
+    truncated.saturating_add(CycleCount::from(x - truncated as f64 >= 0.5))
+}
+
 /// Machine parameters: cache geometry, miss penalties and clock rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
@@ -776,7 +790,7 @@ impl Machine {
 
     /// Converts microseconds to (rounded) cycles at the configured clock.
     pub fn us_to_cycles(&self, us: f64) -> CycleCount {
-        (us * self.cfg.clock_mhz).round() as CycleCount
+        round_to_cycles(us * self.cfg.clock_mhz)
     }
 
     /// Direct access to the I-cache (e.g. for warm-up or probing).
@@ -865,6 +879,80 @@ mod tests {
         assert_eq!(misses, 32);
         assert_eq!(m.stats().stall_cycles, 0);
         assert_eq!(m.stats().dcache.write_misses, 32);
+    }
+
+    /// `round_to_cycles` is `round() as u64` on every `f64`: ties, the
+    /// largest value below one half, the last fractional and the first
+    /// all-integer magnitudes, both saturating ends, negatives, NaN —
+    /// and a seeded sweep over raw bit patterns and cycle-sized values.
+    #[test]
+    fn round_to_cycles_is_round_then_cast() {
+        let same = |x: f64| {
+            assert_eq!(
+                round_to_cycles(x),
+                x.round() as u64,
+                "{x:e} ({:#x})",
+                x.to_bits()
+            )
+        };
+        let two52 = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            1e9 + 0.5,
+            0.499_999_999_999_999_94,
+            0.500_000_000_000_000_1,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            u64::MAX as f64,
+            (u64::MAX as f64) * 2.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            same(x);
+        }
+        assert_eq!(round_to_cycles(0.499_999_999_999_999_94), 0);
+        assert_eq!(round_to_cycles(2.5), 3);
+        assert_eq!(round_to_cycles(f64::INFINITY), u64::MAX);
+        // splitmix64 stream, fixed seed.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for i in 0..1_000_000u32 {
+            let bits = next();
+            match i % 4 {
+                // Any f64 at all.
+                0 => same(f64::from_bits(bits)),
+                // Cycle-sized magnitudes with a fraction.
+                1 => same((bits >> 11) as f64 / (1u64 << 24) as f64),
+                // Exact ties and their neighbours one ulp either side.
+                2 => {
+                    let tie = (bits >> 20) as f64 + 0.5;
+                    same(tie);
+                    same(f64::from_bits(tie.to_bits() - 1));
+                    same(f64::from_bits(tie.to_bits() + 1));
+                }
+                // The time-to-cycle products the simulators form.
+                _ => same((bits >> 40) as f64 * 1e-7 * 1e8),
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::layer::{paper, SimLayer, SimMessage};
 use crate::policy::BatchPolicy;
-use cachesim::{CycleCount, Machine, Region};
+use cachesim::{round_to_cycles, CycleCount, Machine, Region};
 use obs::{NameId, Sink, SpanEvent};
 
 /// The scheduling discipline (Figure 2).
@@ -60,7 +60,7 @@ struct InstalledLayer {
     base_cycles: u64,
     /// Instruction cycles at the last message length seen. A run sweeps
     /// messages of one length (or a short ladder of them), so this is a
-    /// compare where there was a float multiply and a libm `round`.
+    /// compare where there was a float multiply and a rounding.
     at: CyclesAt,
 }
 
@@ -77,7 +77,7 @@ impl CyclesAt {
         CyclesAt {
             len,
             total: layer.instr_cycles(len),
-            data_loop: (layer.loop_cycles_per_byte() * len as f64).round() as u64,
+            data_loop: round_to_cycles(layer.loop_cycles_per_byte() * len as f64),
         }
     }
 }

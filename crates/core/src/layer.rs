@@ -7,7 +7,7 @@
 //! layer; anything else (e.g. layers derived from the `netstack`
 //! footprints) can implement [`SimLayer`] too.
 
-use cachesim::Region;
+use cachesim::{round_to_cycles, Region};
 
 /// A message travelling up the stack: identity, arrival time, and the
 /// address region its contents occupy (so data-cache behaviour follows
@@ -66,7 +66,7 @@ pub trait SimLayer {
 
     /// Total instruction cycles to process a message of `len` bytes.
     fn instr_cycles(&self, len: u64) -> u64 {
-        self.base_instr_cycles() + (self.loop_cycles_per_byte() * len as f64).round() as u64
+        self.base_instr_cycles() + round_to_cycles(self.loop_cycles_per_byte() * len as f64)
     }
 }
 

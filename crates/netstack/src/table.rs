@@ -17,7 +17,10 @@
 //! small front-end caches Jain studied in DEC-TR-592: LRU / FIFO /
 //! random replacement at 1–64 entries, effective exactly when the
 //! traffic has destination-address locality. `figure10` reproduces that
-//! scheme comparison under Zipf and packet-train popularity.
+//! scheme comparison under Zipf and packet-train popularity — over a
+//! [`PlacementIndex`], the layout of a loaded [`OaTable`] computed
+//! without building it, since that model reads probe runs and nothing
+//! else.
 //!
 //! Everything here is deterministic: hashing is a fixed splitmix64
 //! finalizer (no per-process `RandomState`), iteration order is slot
@@ -105,10 +108,19 @@ const MIN_CAPACITY: usize = 8;
 /// Grow when occupancy would exceed 7/8 of capacity.
 const LOAD_NUM: usize = 7;
 const LOAD_DEN: usize = 8;
-/// Entries [`OaTable::extend`] hashes and touches ahead of inserting
-/// them: enough independent home-slot loads to cover a memory round trip,
-/// few enough that the block stays in the host's L1.
-const BULK_BLOCK: usize = 32;
+
+/// Slots allocated to hold `n` entries without rehashing (0 for none):
+/// the one capacity rule [`OaTable::with_capacity`] and
+/// [`PlacementIndex::build`] share.
+fn capacity_for(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        (n * LOAD_DEN / LOAD_NUM + 1)
+            .next_power_of_two()
+            .max(MIN_CAPACITY)
+    }
+}
 
 /// An open-addressing hash table with linear probing, backward-shift
 /// deletion, and a probe log.
@@ -154,8 +166,7 @@ impl<K: StableHash + Eq, V> OaTable<K, V> {
     pub fn with_capacity(n: usize) -> Self {
         let mut t = Self::new();
         if n > 0 {
-            let want = (n * LOAD_DEN / LOAD_NUM + 1).next_power_of_two();
-            t.slots = Self::fresh_slots(want.max(MIN_CAPACITY));
+            t.slots = Self::fresh_slots(capacity_for(n));
         }
         t
     }
@@ -268,18 +279,12 @@ impl<K: StableHash + Eq, V> OaTable<K, V> {
     /// is deliberately not logged).
     // analyze::hot_path(oatable-probe, rules = "panic-path")
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.insert_hashed(key.stable_hash(), key, value)
-    }
-
-    /// [`Self::insert`] with `hash == key.stable_hash()` already in hand
-    /// (the bulk load hashes a block ahead of placing it).
-    fn insert_hashed(&mut self, hash: u64, key: K, value: V) -> Option<V> {
         if self.slots.is_empty() || (self.len + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
             self.grow();
         }
         self.probes.clear();
         let mask = self.mask();
-        let mut i = (hash as usize) & mask;
+        let mut i = (key.stable_hash() as usize) & mask;
         let cap = self.slots.len();
         let mut value = Some(value);
         let mut replaced = None;
@@ -449,48 +454,108 @@ impl<K: StableHash + Eq, V> OaTable<K, V> {
     }
 }
 
-/// Bulk load. By contract this *is* `for (k, v) in iter { self.insert(k, v) }`:
-/// same slot layout, same growth points, same `len`, and afterwards the
-/// same [`OaTable::last_probes`] and [`OaTable::mean_probes`] — every
-/// entry goes through the one placement routine, in order.
+/// Where an insert-only load puts its keys — the table's layout without
+/// the table.
 ///
-/// What differs is the host's memory traffic. A table of 10^5+ entries is
-/// far bigger than the host's caches and the hash scatters consecutive
-/// keys across it, so a one-at-a-time load is a chain of dependent
-/// misses. Here each block of [`BULK_BLOCK`] entries is hashed first and
-/// every home slot's occupancy read back to back — independent loads the
-/// host overlaps — so the in-order placement pass that follows finds its
-/// lines resident. (The cache-conscious layout argument the module doc
-/// makes for the simulated machine, applied to the machine running it.)
-/// A growth inside a block only wastes that block's touches.
-impl<K: StableHash + Eq, V> Extend<(K, V)> for OaTable<K, V> {
-    fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
-        let mut iter = iter.into_iter();
-        let mut block: [Option<(u64, K, V)>; BULK_BLOCK] = std::array::from_fn(|_| None);
-        loop {
-            let mut filled = 0usize;
-            for ((k, v), cell) in iter.by_ref().take(BULK_BLOCK).zip(block.iter_mut()) {
-                *cell = Some((k.stable_hash(), k, v));
-                filled += 1;
-            }
-            if filled == 0 {
-                return;
-            }
-            let mask = self.mask();
-            let occupied = block
-                .iter()
-                .flatten()
-                .filter(|(hash, _, _)| {
-                    matches!(self.slots.get(*hash as usize & mask), Some(Some(_)))
-                })
-                .count();
-            // The count is the touches' only product: keep it, or the
-            // loads are dead code.
-            std::hint::black_box(occupied);
-            for (hash, k, v) in block.iter_mut().filter_map(Option::take) {
-                self.insert_hashed(hash, k, v);
-            }
+/// Loading pairwise-distinct keys into [`OaTable::with_capacity`]`(n)` by
+/// [`OaTable::insert`] places each at the first free slot from its home
+/// slot, in insertion order: a pure function of the hash sequence. This
+/// index computes that placement against an occupancy bitmap (one bit a
+/// slot — at 10^6 keys 256 KB where `u64`-keyed slots are 32 MB, so it
+/// stays in the host's cache while the hash scatters over it) and keeps
+/// one number per key: how many slots past home it landed. A later lookup of that key
+/// probes `home ..= home + displacement`, wrapping at the capacity —
+/// exactly what [`OaTable::get_mut`] logs in [`OaTable::last_probes`],
+/// which is all a cost model that replays probe runs ever reads.
+///
+/// Same capacity rule, mask and probe order as [`OaTable`], which is the
+/// reference this is property-tested against. Keys are not stored, so
+/// duplicates cannot be detected: the caller guarantees distinctness.
+#[derive(Debug, Clone)]
+pub struct PlacementIndex {
+    /// Slots of the table this lays out (power of two, 0 when empty).
+    capacity: usize,
+    /// Per key in insertion order, slots past its home slot. A
+    /// displacement is below the capacity and slot indices are `u32`
+    /// throughout this module, so no cluster is too long to record.
+    displacement: Vec<u32>,
+}
+
+/// Marks the first free slot at or after `home` (wrapping) occupied and
+/// returns it: linear probing, a bitmap word at a time — the home word
+/// from `home` up, then each following word whole, the home word's low
+/// bits last. Occupancy stays below 7/8, so a free slot exists.
+fn claim_first_free(occupied: &mut [u64], home: usize) -> usize {
+    let mut at = home / 64;
+    let mut candidates = !0u64 << (home % 64);
+    for _ in 0..=occupied.len() {
+        let Some(word) = occupied.get_mut(at) else {
+            break;
+        };
+        let free = !*word & candidates;
+        if free != 0 {
+            let bit = free.trailing_zeros() as usize;
+            *word |= 1 << bit;
+            return at * 64 + bit;
         }
+        at = if at + 1 < occupied.len() { at + 1 } else { 0 };
+        candidates = !0;
+    }
+    debug_assert!(false, "placement bitmap full");
+    home
+}
+
+impl PlacementIndex {
+    /// Lays out `keys` (pairwise distinct) as `OaTable::with_capacity(keys.len())`
+    /// followed by `insert` of each in order would.
+    pub fn build<K: StableHash>(keys: impl ExactSizeIterator<Item = K>) -> Self {
+        let capacity = capacity_for(keys.len());
+        debug_assert!(capacity as u64 <= 1 << 32, "slot indices are u32");
+        let mask = capacity.wrapping_sub(1);
+        let mut occupied = vec![0u64; capacity.div_ceil(64)];
+        if let Some(only) = occupied.first_mut().filter(|_| capacity < 64) {
+            // A table smaller than a word: the bits past its end are walls.
+            *only = !0 << capacity;
+        }
+        let mut displacement = Vec::with_capacity(keys.len());
+        for key in keys {
+            let home = (key.stable_hash() as usize) & mask;
+            let slot = claim_first_free(&mut occupied, home);
+            displacement.push((slot.wrapping_sub(home) & mask) as u32);
+        }
+        PlacementIndex {
+            capacity,
+            displacement,
+        }
+    }
+
+    /// Number of keys laid out.
+    pub fn len(&self) -> usize {
+        self.displacement.len()
+    }
+
+    /// True when no key was laid out.
+    pub fn is_empty(&self) -> bool {
+        self.displacement.is_empty()
+    }
+
+    /// Slots of the table laid out (see [`OaTable::capacity`]).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The slots a lookup of the `index`-th key laid out probes, in
+    /// order; `key` must be that key (its hash names the home slot).
+    /// `None` past the last key — an absent key, to the caller.
+    pub fn probes<K: StableHash>(
+        &self,
+        index: usize,
+        key: &K,
+    ) -> Option<impl Iterator<Item = u32>> {
+        let &d = self.displacement.get(index)?;
+        let mask = self.capacity.wrapping_sub(1);
+        let home = (key.stable_hash() as usize) & mask;
+        Some((0..=d as usize).map(move |step| ((home + step) & mask) as u32))
     }
 }
 

@@ -8,13 +8,15 @@
 //!   returns; the cache changes cost, never answers.
 //! * Probe-log sanity: every recorded probe sequence is non-empty and
 //!   the table's mean probe count stays at least one.
-//! * Bulk load: `extend(items)` is `for (k, v) in items { insert(k, v) }`
-//!   in everything a caller can observe — layout, growth, probe log.
+//! * Computed layout: `PlacementIndex::build(keys)` names, for every
+//!   key, exactly the probe run a lookup in the table loaded with those
+//!   keys logs — long clusters and wrap-around included.
 
 use std::collections::BTreeMap;
 
-use netstack::table::{mix64, CacheScheme, LookupCache, OaTable};
+use netstack::table::{mix64, CacheScheme, LookupCache, OaTable, PlacementIndex, StableHash};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 proptest! {
     /// The OA table and a BTreeMap reference stay in lockstep under a
@@ -104,48 +106,92 @@ proptest! {
         prop_assert!(table.mean_probes() >= 1.0);
     }
 
-    /// `extend` leaves the table exactly as the same items `insert`ed one
-    /// by one do: slot layout (`iter()` order), `len`, `capacity` (so the
-    /// growth points), the last operation's probe log and the mean probe
-    /// count. Lengths sit on both sides of the 32-entry block; a small
-    /// key space puts duplicate keys inside one block; an empty start
-    /// grows at 7, 14, 28, … entries — in the middle of blocks.
+    /// Real keys under the real hash: the index agrees with the table
+    /// at every length, on both sides of the capacity steps.
     #[test]
-    fn extend_is_repeated_insert(
-        start in 0usize..3,
-        len_pick in 0usize..7,
-        free_len in 0usize..200,
-        key_space in 1u64..1500,
+    fn placement_index_matches_the_loaded_table(
+        len_pick in 0usize..6,
+        free_len in 0usize..300,
         seed in 1u64..1000,
     ) {
-        let len = [0, 1, 31, 32, 33, 1_000, free_len][len_pick];
-        let items: Vec<(u64, u32)> = (0..len)
-            .map(|i| (mix64(mix64(seed ^ i as u64) % key_space), i as u32))
-            .collect();
-        let fresh = || -> OaTable<u64, u32> {
-            match start {
-                0 => OaTable::new(),
-                1 => OaTable::with_capacity(len),
-                _ => {
-                    // Half full, sharing the key space: some items replace.
-                    let mut t = OaTable::new();
-                    for i in 0..len / 2 + 3 {
-                        t.insert(mix64((i * 2) as u64 % key_space), u32::MAX);
-                    }
-                    t
-                }
-            }
-        };
-        let (mut one_by_one, mut bulk) = (fresh(), fresh());
-        for &(k, v) in &items {
-            one_by_one.insert(k, v);
-        }
-        bulk.extend(items.iter().copied());
-        prop_assert_eq!(bulk.len(), one_by_one.len());
-        prop_assert_eq!(bulk.capacity(), one_by_one.capacity());
-        prop_assert_eq!(bulk.last_probes(), one_by_one.last_probes());
-        prop_assert_eq!(bulk.mean_probes().to_bits(), one_by_one.mean_probes().to_bits());
-        let layout = |t: &OaTable<u64, u32>| t.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>();
-        prop_assert_eq!(layout(&bulk), layout(&one_by_one));
+        let len = [0, 1, 7, 8, 1_000, free_len][len_pick];
+        // `mix64` is a bijection: distinct `i` give distinct keys.
+        let keys: Vec<u64> = (0..len).map(|i| mix64(seed ^ i as u64)).collect();
+        index_matches_table(&keys)?;
     }
+
+    /// Chosen hashes: every key homes into one narrow window — a single
+    /// slot (`spread` 1: the last key sits `len - 1 >= 300` slots from
+    /// home, past what a `u8` holds) or a few adjacent ones — placed
+    /// anywhere in the table, the last slots included, so the cluster
+    /// runs off the end and wraps.
+    #[test]
+    fn placement_index_matches_the_loaded_table_under_adversarial_hashes(
+        len in 300usize..700,
+        spread in 1u64..6,
+        from_end in 0u64..1200,
+        noise in 1u64..1000,
+    ) {
+        let capacity = OaTable::<Forced, ()>::with_capacity(len).capacity() as u64;
+        let window = (capacity - 1).saturating_sub(from_end % capacity);
+        let keys: Vec<Forced> = (0..len as u64)
+            .map(|id| Forced {
+                id,
+                // High bits differ per key; the masked home does not.
+                hash: (mix64(noise ^ id) & !(capacity - 1)) | ((window + id % spread) % capacity),
+            })
+            .collect();
+        let index = index_matches_table(&keys)?;
+        let longest = (0..len)
+            .filter_map(|i| index.probes(i, &keys[i]).map(Iterator::count))
+            .max();
+        prop_assert!(longest >= Some(len / spread as usize), "cluster of {:?}", longest);
+    }
+}
+
+/// A key whose hash the test picks.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Forced {
+    id: u64,
+    hash: u64,
+}
+
+impl StableHash for Forced {
+    fn stable_hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// The index over `keys` (pairwise distinct) against the reference:
+/// `OaTable::with_capacity(n)`, `insert` in order, then each key's
+/// `get_mut` probe log. Hands the index back for further checks.
+fn index_matches_table<K: StableHash + Eq + Clone>(
+    keys: &[K],
+) -> Result<PlacementIndex, TestCaseError> {
+    let index = PlacementIndex::build(keys.iter().cloned());
+    let mut table: OaTable<K, ()> = OaTable::with_capacity(keys.len());
+    for key in keys {
+        prop_assert!(table.insert(key.clone(), ()).is_none(), "keys are distinct");
+    }
+    prop_assert_eq!(index.capacity(), table.capacity());
+    prop_assert_eq!(index.len(), table.len());
+    prop_assert_eq!(index.is_empty(), table.is_empty());
+    for (i, key) in keys.iter().enumerate() {
+        prop_assert!(table.get_mut(key).is_some());
+        let run: Option<Vec<u32>> = index.probes(i, key).map(Iterator::collect);
+        prop_assert_eq!(
+            run.as_deref(),
+            Some(table.last_probes()),
+            "key {} of {}",
+            i,
+            keys.len()
+        );
+    }
+    if let Some(first) = keys.first() {
+        prop_assert!(
+            index.probes(keys.len(), first).is_none(),
+            "past the last key"
+        );
+    }
+    Ok(index)
 }

@@ -20,6 +20,7 @@
 use crate::impair::{ImpairCounters, ImpairedArrival};
 use crate::stats::{RunTally, SimReport};
 use crate::traffic::Arrival;
+use cachesim::round_to_cycles;
 use ldlp::synth::MessagePool;
 use ldlp::{AdmissionPolicy, SimMessage, StackEngine};
 
@@ -199,7 +200,7 @@ fn run_core(
     let mut completions: Vec<ldlp::Completion> = Vec::with_capacity(cfg.pool_bufs);
 
     let arrival_cycle =
-        |a: &ImpairedArrival| -> u64 { (a.time_s * cycles_per_s).round() as u64 };
+        |a: &ImpairedArrival| -> u64 { round_to_cycles(a.time_s * cycles_per_s) };
 
     loop {
         // Admit everything that has arrived by `now`.

@@ -159,7 +159,9 @@ impl SimReport {
         // still cost cache lines), so these slices can be longer than
         // the latency sample set.
         let miss_n = imisses.len().max(1) as f64;
-        latencies_us.sort_by(|a, b| a.total_cmp(b));
+        // Ties under `total_cmp` are bit-identical, so the unstable sort
+        // yields the stable one's sequence without its scratch buffer.
+        latencies_us.sort_unstable_by(f64::total_cmp);
         r.mean_latency_us = latencies_us.iter().sum::<f64>() / n as f64;
         r.p50_latency_us = percentile(latencies_us, 0.50);
         r.p99_latency_us = percentile(latencies_us, 0.99);
@@ -288,7 +290,7 @@ impl ClassSamples {
     /// samples in place. `slo_us` is the class's latency objective
     /// (0 = none; attainment reports 1 then).
     pub fn report(&mut self, slo_us: f64) -> ClassReport {
-        self.latencies_us.sort_by(|a, b| a.total_cmp(b));
+        self.latencies_us.sort_unstable_by(f64::total_cmp);
         let processed = (self.completed + self.rejected).max(1) as f64;
         let within = if slo_us > 0.0 {
             self.latencies_us.iter().filter(|&&l| l <= slo_us).count() as u64
@@ -482,6 +484,63 @@ mod tests {
             duration_s,
             batches,
             ..RunTally::default()
+        }
+    }
+
+    /// The unstable percentile sorts change nothing a report shows: on
+    /// samples with duplicates, both zeros and sorted runs, the samples
+    /// end in the stable sort's order bit for bit, so every field —
+    /// the order-sensitive float mean included — is the one a
+    /// stably-sorted input gives.
+    #[test]
+    fn unstable_percentile_sorts_report_what_the_stable_sort_did() {
+        let mut state = 7u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut noisy: Vec<f64> = (0..5_000).map(|_| (next() % 40) as f64 * 0.37).collect();
+        noisy.extend([0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300, f64::INFINITY]);
+        let sorted_run: Vec<f64> = (0..3_000).map(|i| (i / 3) as f64 * 1.25).collect();
+        let mut mixed = sorted_run.clone();
+        mixed.extend(noisy.iter().copied());
+        for samples in [noisy, sorted_run, mixed, vec![-0.0, 0.0], vec![2.5]] {
+            let mut stable = samples.clone();
+            stable.sort_by(|a, b| a.total_cmp(b));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let misses = vec![3u64; samples.len()];
+            let run = RunTally {
+                duration_s: 1.0,
+                batches: 10,
+                ..RunTally::default()
+            };
+
+            let (mut raw, mut presorted) = (samples.clone(), stable.clone());
+            let from_raw = SimReport::from_samples(&mut raw, &misses, &misses, run);
+            let from_stable = SimReport::from_samples(&mut presorted, &misses, &misses, run);
+            assert_eq!(bits(&raw), bits(&stable), "sample order");
+            // `{:?}` tells -0.0 from 0.0 and prints floats exactly.
+            assert_eq!(format!("{from_raw:?}"), format!("{from_stable:?}"));
+            assert_eq!(
+                from_raw.mean_latency_us.to_bits(),
+                from_stable.mean_latency_us.to_bits()
+            );
+            assert_eq!(
+                from_raw.p99_latency_us.to_bits(),
+                from_stable.p99_latency_us.to_bits()
+            );
+
+            let class = |latencies_us: Vec<f64>| ClassSamples {
+                completed: latencies_us.len() as u64,
+                latencies_us,
+                ..ClassSamples::default()
+            };
+            let (mut raw, mut presorted) = (class(samples.clone()), class(stable.clone()));
+            let (from_raw, from_stable) = (raw.report(9.0), presorted.report(9.0));
+            assert_eq!(bits(&raw.latencies_us), bits(&stable), "class sample order");
+            assert_eq!(format!("{from_raw:?}"), format!("{from_stable:?}"));
         }
     }
 

@@ -63,7 +63,8 @@
 use crate::ring::{Desc, DescRing};
 use crate::steer::{DispatchPolicy, FlowArrival, FlowKey, Steerer};
 use cachesim::{
-    CoherenceStats, MachineConfig, MachineStats, Region, ReplayStats, SharedL2, SharedL2Config,
+    round_to_cycles, CoherenceStats, MachineConfig, MachineStats, Region, ReplayStats, SharedL2,
+    SharedL2Config,
 };
 use ldlp::synth::{paper_stack, MessagePool};
 use ldlp::{
@@ -1402,7 +1403,7 @@ impl SmpSim {
     }
 
     fn to_cycles(&self, t_s: f64) -> u64 {
-        (t_s * self.cycles_per_s).round() as u64
+        round_to_cycles(t_s * self.cycles_per_s)
     }
 }
 
