@@ -248,6 +248,50 @@ impl SharedL2 {
         stall
     }
 
+    /// [`SharedL2::read`] then [`SharedL2::write`] of the same `region`
+    /// by `core` — a read-modify-write of one table slot — in one pass
+    /// over its lines, with the same counters, tag state and stalls.
+    /// Per line the read's tag lookup stands; the write's that follows
+    /// finds the line where the read just left it, the most recent way
+    /// of its set, so it is a hit that reorders nothing; and since
+    /// nothing comes between the two, the owner the read saw is the one
+    /// the write displaces: one directory swap decides both the
+    /// transfer and the invalidation. Exact while the region's lines
+    /// fall in distinct sets (consecutive lines, fewer than there are
+    /// sets), so that touching one never ages another. Returns the
+    /// cycles charged.
+    pub fn rmw(&mut self, core: u8, region: Region, machine: &mut Machine) -> CycleCount {
+        let l2 = self.cfg.l2;
+        debug_assert!(
+            (region.len + l2.line_size) * u64::from(l2.associativity) <= l2.size_bytes,
+            "a slot of up to len / line + 1 lines must fit across the sets"
+        );
+        self.stats.reads += 1;
+        self.stats.writes += 1;
+        let mut read_stall = 0;
+        let mut write_stall = 0;
+        for addr in region.line_addrs(l2.line_size) {
+            let line = addr >> self.line_shift;
+            read_stall += self.lookup(line, AccessKind::Read);
+            self.l2.record_bulk(1, 0, AccessKind::Write);
+            self.stats.l2_hits += 1;
+            write_stall += self.cfg.hit_cycles;
+            match self.owners.swap(line, core) {
+                Some(prev) if prev != core => {
+                    self.stats.transfers += 1;
+                    self.stats.invalidations += 1;
+                    read_stall += self.cfg.transfer_cycles;
+                    write_stall += self.cfg.invalidate_cycles;
+                }
+                _ => {}
+            }
+        }
+        machine.stall(read_stall);
+        machine.stall(write_stall);
+        self.stats.stall_cycles += read_stall + write_stall;
+        read_stall + write_stall
+    }
+
     fn lookup(&mut self, line: u64, kind: AccessKind) -> CycleCount {
         if self.l2.access_line(line, kind) {
             self.stats.l2_hits += 1;
@@ -340,6 +384,56 @@ mod tests {
         let charged = l2.read(0, Region::new(0x1000, 128), &mut m);
         assert_eq!(charged, 4 * l2.config().miss_cycles);
         assert_eq!(l2.stats().l2_misses, 4);
+    }
+
+    #[test]
+    fn rmw_is_read_then_write() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // A 1 KB 4-way level under 3 KB of 48-byte slots — one or two
+        // lines each, evicting each other — hammered by four cores.
+        // `fused` does its read-modify-writes with `rmw`, `split` with
+        // `read; write`; plain reads and writes interleave on both, so
+        // any difference in tags, LRU order or ownership shows up in a
+        // later access's stall.
+        let cfg = SharedL2Config {
+            l2: CacheConfig {
+                size_bytes: 1024,
+                line_size: 32,
+                associativity: 4,
+            },
+            ..SharedL2Config::smp_default()
+        };
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fused = SharedL2::new(cfg);
+            let mut split = SharedL2::new(cfg);
+            let mut mf: Vec<Machine> = (0..4).map(|_| machine()).collect();
+            let mut ms: Vec<Machine> = (0..4).map(|_| machine()).collect();
+            let mut two_line = 0;
+            for _ in 0..4000 {
+                let core = rng.random_range(0..4usize);
+                let slot = Region::new(0x4_0000 + rng.random_range(0..64u64) * 48, 48);
+                two_line += u32::from(slot.lines(32) == 2);
+                let (f, s) = (&mut mf[core], &mut ms[core]);
+                let core = core as u8;
+                let (a, b) = match rng.random_range(0..4u32) {
+                    0 => (fused.read(core, slot, f), split.read(core, slot, s)),
+                    1 => (fused.write(core, slot, f), split.write(core, slot, s)),
+                    _ => (
+                        fused.rmw(core, slot, f),
+                        split.read(core, slot, s) + split.write(core, slot, s),
+                    ),
+                };
+                assert_eq!(a, b, "stall charged");
+                assert_eq!(f.cycles(), s.cycles(), "stall billed");
+            }
+            assert!(two_line > 1000, "both slot shapes exercised");
+            assert_eq!(fused.stats(), split.stats());
+            assert!(fused.stats().transfers > 0 && fused.stats().l2_misses > 100);
+            assert_eq!(fused.l2.stats(), split.l2.stats());
+            assert_eq!(fused.l2.export_tags(), split.l2.export_tags());
+        }
     }
 
     #[test]

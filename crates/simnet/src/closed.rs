@@ -40,10 +40,9 @@
 //! Reordering has no meaning at this per-request level and is ignored.
 
 use crate::impair::{ImpairConfig, ImpairState};
+use crate::winner::WinnerTree;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 
 /// Retransmission policy of the reliable transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,64 +288,16 @@ impl ClosedStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The client starts its next request at this time.
-    Think,
-    /// The retransmit timer for `(client, req)` fires at this time.
-    Timer,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time_s: f64,
-    client: u32,
-    req: u64,
-    kind: EventKind,
-}
-
-impl Event {
-    fn rank(&self) -> u8 {
-        match self.kind {
-            EventKind::Think => 0,
-            EventKind::Timer => 1,
-        }
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Total order with deterministic tie-breaks so heap pops are
-        // reproducible across runs and thread counts.
-        self.time_s
-            .total_cmp(&other.time_s)
-            .then(self.client.cmp(&other.client))
-            .then(self.req.cmp(&other.req))
-            .then(self.rank().cmp(&other.rank()))
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
-    /// Between requests (thinking) — a `Think` event is pending.
+    /// Between requests (thinking): the client's event is the start of
+    /// its next request.
     Idle,
-    /// A request is outstanding; the retransmit timer is armed.
+    /// A request is outstanding: the client's event is its retransmit
+    /// timer's deadline.
     Waiting,
-    /// Past the window with nothing outstanding: the client retires.
+    /// Past the window with nothing outstanding: the client has retired
+    /// and has no event.
     Done,
 }
 
@@ -370,13 +321,20 @@ struct ClientState {
 /// acknowledgement with finish time ≤ the frontier is delivered before
 /// the frontier advances past it — client timers never observe the
 /// future.
+///
+/// A client has exactly one live event, named by its [`Phase`], so the
+/// schedule is one time per client (`events`), not a queue: arming a
+/// timer, an acknowledgement and an abandonment each *overwrite* the
+/// client's slot, and a superseded timer simply no longer exists.
+/// Events at equal times fire in client order.
 #[derive(Debug)]
 pub struct ClosedPopulation {
     think_s: f64,
     duration_s: f64,
     policy: RetryPolicy,
     clients: Vec<ClientState>,
-    heap: BinaryHeap<Reverse<Event>>,
+    /// Each client's next event time, by client id.
+    events: WinnerTree,
     rng: StdRng,
     chan: ImpairState,
     stats: ClosedStats,
@@ -401,7 +359,7 @@ impl ClosedPopulation {
             duration_s: cfg.duration_s,
             policy,
             clients: Vec::with_capacity(cfg.clients as usize),
-            heap: BinaryHeap::with_capacity(cfg.clients as usize),
+            events: WinnerTree::new(cfg.clients as usize),
             rng: StdRng::seed_from_u64(cfg.seed),
             chan: ImpairState::new(cfg.channel),
             stats: ClosedStats::default(),
@@ -416,7 +374,7 @@ impl ClosedPopulation {
                 class: Class::of_client(client),
             });
             let first = pop.think_draw();
-            pop.schedule(first, client, 1, EventKind::Think);
+            pop.events.set(client as usize, first);
         }
         pop
     }
@@ -427,25 +385,14 @@ impl ClosedPopulation {
         -self.think_s * u.ln()
     }
 
-    /// Queues one client event.
-    fn schedule(&mut self, time_s: f64, client: u32, req: u64, kind: EventKind) {
-        // analyze::allow(alloc-path, reason = "reserved for one event per client at construction; beyond that the heap holds only superseded timers awaiting their deadline, at most one per request a client resolves within one RTO")
-        self.heap.push(Reverse(Event {
-            time_s,
-            client,
-            req,
-            kind,
-        }));
-    }
-
     /// The time of the next pending client event, if any.
     pub fn next_event_time(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse(e)| e.time_s)
+        self.events.min().map(|(t, _)| t)
     }
 
     /// Whether every client has retired and no events are pending.
     pub fn drained(&self) -> bool {
-        self.heap.is_empty()
+        self.events.min().is_none()
     }
 
     /// Requests currently outstanding (sent, neither acknowledged nor
@@ -475,80 +422,63 @@ impl ClosedPopulation {
     /// appending the transmissions the channel delivers to `out` in
     /// non-decreasing time order.
     pub fn poll_sends(&mut self, until_s: f64, out: &mut Vec<ClientSend>) {
-        loop {
-            match self.heap.peek() {
-                Some(Reverse(e)) if e.time_s <= until_s => {}
-                _ => break,
-            }
-            let Some(Reverse(ev)) = self.heap.pop() else {
+        while let Some((t_s, client)) = self.events.min() {
+            if t_s > until_s {
                 break;
-            };
-            self.handle(ev, out);
+            }
+            self.fire(t_s, client, out);
         }
     }
 
-    fn handle(&mut self, ev: Event, out: &mut Vec<ClientSend>) {
-        match ev.kind {
-            EventKind::Think => {
-                let (class, req, deadline) = {
-                    let Some(c) = self.clients.get_mut(ev.client as usize) else {
-                        return;
-                    };
-                    if c.phase != Phase::Idle {
-                        return;
-                    }
-                    if ev.time_s > self.duration_s {
-                        // The window closed while this client thought;
-                        // it retires instead of starting a request.
-                        c.phase = Phase::Done;
-                        return;
-                    }
-                    c.req += 1;
-                    c.start_s = ev.time_s;
-                    c.phase = Phase::Waiting;
-                    c.timer = RetransmitTimer::arm(self.policy, ev.time_s);
-                    (c.class, c.req, c.timer.deadline_s())
-                };
+    /// Fires `client`'s event, due at `t_s`: the start of its next
+    /// request if it was thinking, its retransmit timer if it was
+    /// waiting. Either way the client's slot is overwritten with what
+    /// it waits for next.
+    fn fire(&mut self, t_s: f64, client: usize, out: &mut Vec<ClientSend>) {
+        let policy = self.policy;
+        let past_window = t_s > self.duration_s;
+        let Some(c) = self.clients.get_mut(client) else {
+            return;
+        };
+        let class = c.class;
+        let next_s = match c.phase {
+            Phase::Idle if past_window => {
+                // The window closed while this client thought; it
+                // retires instead of starting a request.
+                c.phase = Phase::Done;
+                f64::INFINITY
+            }
+            Phase::Idle => {
+                c.req += 1;
+                c.start_s = t_s;
+                c.phase = Phase::Waiting;
+                c.timer = RetransmitTimer::arm(policy, t_s);
+                let (req, deadline) = (c.req, c.timer.deadline_s());
                 self.stats.requests += 1;
                 if let Some(n) = self.stats.per_class_requests.get_mut(class.index()) {
                     *n += 1;
                 }
-                self.transmit(ev.time_s, ev.client, req, class, out);
-                self.schedule(deadline, ev.client, req, EventKind::Timer);
+                self.transmit(t_s, client as u32, req, class, out);
+                deadline
             }
-            EventKind::Timer => {
-                let fired = {
-                    let Some(c) = self.clients.get_mut(ev.client as usize) else {
-                        return;
-                    };
-                    if c.phase != Phase::Waiting || c.req != ev.req {
-                        // Acknowledged or superseded since armed.
-                        return;
-                    }
-                    match c.timer.expire() {
-                        Some(retx_s) => Some((retx_s, c.class, c.timer.deadline_s())),
-                        None => {
-                            c.phase = Phase::Idle;
-                            None
-                        }
-                    }
-                };
-                match fired {
-                    Some((retx_s, class, deadline)) => {
-                        self.transmit(retx_s, ev.client, ev.req, class, out);
-                        self.schedule(deadline, ev.client, ev.req, EventKind::Timer);
-                    }
-                    None => {
-                        // Budget spent: the request is abandoned and the
-                        // client thinks up its next one. Any copies still
-                        // in the simulator will complete stale.
-                        self.stats.abandoned_requests += 1;
-                        let next = ev.time_s + self.think_draw();
-                        self.schedule(next, ev.client, ev.req + 1, EventKind::Think);
-                    }
+            Phase::Waiting => match c.timer.expire() {
+                Some(retx_s) => {
+                    let (req, deadline) = (c.req, c.timer.deadline_s());
+                    self.transmit(retx_s, client as u32, req, class, out);
+                    deadline
                 }
-            }
-        }
+                None => {
+                    // Budget spent: the request is abandoned and the
+                    // client thinks up its next one. Any copies still
+                    // in the simulator will complete stale.
+                    c.phase = Phase::Idle;
+                    self.stats.abandoned_requests += 1;
+                    t_s + self.think_draw()
+                }
+            },
+            Phase::Done => f64::INFINITY,
+        };
+        self.events.set(client, next_s);
     }
 
     /// Pushes one transmission through the channel.
@@ -603,8 +533,10 @@ impl ClosedPopulation {
         }
         // analyze::allow(alloc-path, reason = "the population is single-use: one sample per useful acknowledgement is the run's result, not steady-state churn")
         self.latencies_us.push(latency_us);
+        // The request's timer goes with it: the client's one event is
+        // now the start of its next request.
         let next = t_s + self.think_draw();
-        self.schedule(next, client, req + 1, EventKind::Think);
+        self.events.set(client as usize, next);
         AckKind::Useful { latency_us }
     }
 }
@@ -612,6 +544,7 @@ impl ClosedPopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn backoff_caps_at_max_rto() {
@@ -649,9 +582,39 @@ mod tests {
         }
     }
 
+    /// FNV-1a over everything a driver can see of a send stream.
+    struct SendDigest(u64);
+
+    impl SendDigest {
+        fn new() -> Self {
+            SendDigest(crate::FNV_OFFSET)
+        }
+
+        fn send(&mut self, s: &ClientSend) {
+            for bytes in [
+                &s.time_s.to_bits().to_le_bytes()[..],
+                &s.client.to_le_bytes(),
+                &s.req.to_le_bytes(),
+                &[u8::from(s.corrupted)],
+            ] {
+                self.0 = crate::fnv1a(self.0, bytes);
+            }
+        }
+    }
+
     /// Serves every send instantly `service_s` after transmission,
     /// acking clean copies; returns (useful, stale) completions.
     fn serve_all(pop: &mut ClosedPopulation, service_s: f64, horizon_s: f64) -> (u64, u64) {
+        serve_all_digest(pop, service_s, horizon_s, &mut SendDigest::new())
+    }
+
+    /// [`serve_all`], folding every send into `digest` as it is emitted.
+    fn serve_all_digest(
+        pop: &mut ClosedPopulation,
+        service_s: f64,
+        horizon_s: f64,
+        digest: &mut SendDigest,
+    ) -> (u64, u64) {
         let mut useful = 0;
         let mut stale = 0;
         let mut sends = Vec::new();
@@ -662,6 +625,7 @@ mod tests {
             sends.clear();
             pop.poll_sends(t, &mut sends);
             for s in &sends {
+                digest.send(s);
                 if s.corrupted {
                     continue;
                 }
@@ -672,6 +636,42 @@ mod tests {
             }
         }
         (useful, stale)
+    }
+
+    /// A server that really takes `service_s`: the acknowledgement is
+    /// delivered when simulated time reaches it, so timers that expire
+    /// first fire, retransmit, and leave stale completions behind —
+    /// the order `SmpSim::run_closed` drives the population in (events
+    /// before acknowledgements on a tie).
+    fn serve_delayed(pop: &mut ClosedPopulation, service_s: f64, digest: &mut SendDigest) -> u64 {
+        let mut stale = 0;
+        let mut sends = Vec::new();
+        let mut acks: VecDeque<(f64, u32, u64)> = VecDeque::new();
+        loop {
+            let ev = pop.next_event_time();
+            let ack = acks.front().map(|a| a.0);
+            match (ev, ack) {
+                (Some(t), a) if a.is_none_or(|a| t <= a) => {
+                    pop.poll_sends(t, &mut sends);
+                    for s in sends.drain(..) {
+                        digest.send(&s);
+                        if !s.corrupted {
+                            acks.push_back((s.time_s + service_s, s.client, s.req));
+                        }
+                    }
+                }
+                (_, Some(_)) => {
+                    let Some((t, client, req)) = acks.pop_front() else {
+                        break;
+                    };
+                    if pop.ack(client, req, t) == AckKind::Stale {
+                        stale += 1;
+                    }
+                }
+                (_, None) => break,
+            }
+        }
+        stale
     }
 
     #[test]
@@ -865,5 +865,125 @@ mod tests {
         assert_eq!(a1, a2);
         assert_eq!(s1, s2);
         assert!(a1.windows(2).all(|w| w[0].time_s <= w[1].time_s), "time-ordered");
+    }
+
+    /// The three `serve_all` populations whose send streams are pinned:
+    /// retry budget on, budget off (both over a channel lossy enough to
+    /// exhaust a budget), and a lossy + duplicating + corrupting one.
+    fn pinned_populations() -> [ClosedConfig; 3] {
+        let lossy = ClosedConfig {
+            channel: ImpairConfig::loss(0.55, 29),
+            ..ClosedConfig::new(97, 0.004, 0.4, 41)
+        };
+        [
+            lossy,
+            ClosedConfig {
+                retry_budget_on: false,
+                ..lossy
+            },
+            ClosedConfig {
+                channel: ImpairConfig {
+                    drop_prob: 0.25,
+                    dup_prob: 0.2,
+                    corrupt_prob: 0.1,
+                    seed: 5,
+                    ..ImpairConfig::default()
+                },
+                ..ClosedConfig::new(600, 0.01, 0.25, 17)
+            },
+        ]
+    }
+
+    /// Shorthand for a pinned [`ClosedStats`].
+    fn pinned(counts: [u64; 6], per_class_requests: [u64; 3], per_class_useful: [u64; 3]) -> ClosedStats {
+        let [requests, useful, abandoned_requests, transmissions, offered, channel_dropped] = counts;
+        ClosedStats {
+            requests,
+            useful,
+            abandoned_requests,
+            transmissions,
+            offered,
+            channel_dropped,
+            per_class_requests,
+            per_class_useful,
+        }
+    }
+
+    #[test]
+    fn send_streams_match_the_event_heap_they_replaced() {
+        // Captured from the `BinaryHeap<Reverse<Event>>` population
+        // before the winner tree went in: every send's (time bits,
+        // client, req, corrupted) and the final counters.
+        let want = [
+            (
+                18225052758803256267,
+                pinned([2425, 2207, 218, 4911, 2207, 2704], [811, 813, 801], [738, 742, 727]),
+            ),
+            (
+                3106685675947428229,
+                pinned([1799, 1799, 0, 4013, 1799, 2214], [680, 640, 479], [680, 640, 479]),
+            ),
+            (
+                3489887751243212316,
+                pinned([10959, 10825, 134, 16099, 14432, 4050], [3642, 3650, 3667], [3595, 3603, 3627]),
+            ),
+        ];
+        for (cfg, want) in pinned_populations().iter().zip(want) {
+            let mut pop = ClosedPopulation::new(cfg);
+            let mut digest = SendDigest::new();
+            serve_all_digest(&mut pop, 1e-4, 50.0, &mut digest);
+            assert!(pop.drained());
+            assert_eq!((digest.0, *pop.stats()), want);
+        }
+    }
+
+    /// A population whose service (7 ms) is slower than its first
+    /// timeout (5 ms): every request retransmits at least once and its
+    /// second copy completes stale.
+    fn slow_service_population() -> ClosedPopulation {
+        ClosedPopulation::new(&ClosedConfig {
+            channel: ImpairConfig::loss(0.1, 3),
+            ..ClosedConfig::new(64, 0.01, 0.3, 23)
+        })
+    }
+
+    #[test]
+    fn delayed_acks_match_the_event_heap_they_replaced() {
+        // Same capture as above, driven in real time order — under the
+        // heap, every acknowledgement here left a dead timer queued.
+        let mut pop = slow_service_population();
+        let mut digest = SendDigest::new();
+        let stale = serve_delayed(&mut pop, 0.007, &mut digest);
+        assert!(pop.drained());
+        assert_eq!(stale, 883);
+        let want = pinned([1083, 1083, 0, 2175, 1966, 209], [366, 350, 367], [366, 350, 367]);
+        assert_eq!((digest.0, *pop.stats()), (4045195495549428264, want));
+    }
+
+    #[test]
+    fn an_acknowledged_requests_timer_is_gone() {
+        // One client, so the next event is its own: after a useful
+        // acknowledgement that is the next think — not the deadline the
+        // acknowledged request had armed, which no longer exists.
+        let mut pop = ClosedPopulation::new(&ClosedConfig::new(1, 0.002, 0.5, 31));
+        let mut sends = Vec::new();
+        let mut acked = 0;
+        while let Some(t) = pop.next_event_time() {
+            sends.clear();
+            pop.poll_sends(t, &mut sends);
+            let Some(s) = sends.first() else {
+                continue;
+            };
+            let deadline = pop.next_event_time();
+            assert_eq!(deadline, Some(s.time_s + pop.policy.timeout_s(1)));
+            let done_s = s.time_s + 1e-4;
+            assert!(matches!(pop.ack(s.client, s.req, done_s), AckKind::Useful { .. }));
+            acked += 1;
+            let next = pop.next_event_time();
+            assert_ne!(next, deadline, "the dead timer still heads the schedule");
+            assert!(next.is_some_and(|n| n >= done_s), "the think starts at the ack");
+        }
+        assert!(acked > 50);
+        assert!(pop.drained(), "nothing but live events, so nothing left");
     }
 }

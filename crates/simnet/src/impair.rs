@@ -161,6 +161,8 @@ pub struct ImpairCounters {
 #[derive(Debug)]
 pub struct ImpairState {
     cfg: ImpairConfig,
+    /// [`ImpairConfig::is_transparent`], computed once.
+    transparent: bool,
     rng: StdRng,
     in_bad: bool,
     counters: ImpairCounters,
@@ -171,6 +173,7 @@ impl ImpairState {
     pub fn new(cfg: ImpairConfig) -> Self {
         ImpairState {
             rng: StdRng::seed_from_u64(cfg.seed),
+            transparent: cfg.is_transparent(),
             cfg,
             in_bad: false,
             counters: ImpairCounters::default(),
@@ -189,10 +192,24 @@ impl ImpairState {
 
     /// Decides the fate of the next packet. Exactly six RNG draws per
     /// call, regardless of outcome, so fates of later packets do not
-    /// depend on which earlier ones were dropped.
-    // draws: 6 — the fixed per-packet budget; R2 (rng-draw-budget)
-    // cross-checks this count against the call sites below.
+    /// depend on which earlier ones were dropped — or none at all on a
+    /// transparent channel, whose every fate is the clean one whatever
+    /// the draws say (the chain's RNG feeds nothing else, and a
+    /// channel is transparent for life).
+    // draws: 6, or 0 when transparent — the fixed per-packet budget; R2
+    // (rng-draw-budget) cross-checks this count against the call sites
+    // below.
     pub fn next_fate(&mut self) -> Fate {
+        if self.transparent {
+            self.counters.offered += 1;
+            self.counters.delivered += 1;
+            return Fate {
+                dropped: false,
+                corrupted: false,
+                duplicated: false,
+                reorder_slip: 0,
+            };
+        }
         let u_trans: f64 = self.rng.random();
         let u_loss: f64 = self.rng.random();
         let u_corrupt: f64 = self.rng.random();
@@ -626,6 +643,44 @@ mod tests {
         assert!(fa.iter().any(|f| f.corrupted));
         assert!(fa.iter().any(|f| f.duplicated));
         assert!(fa.iter().any(|f| f.reorder_slip > 0));
+    }
+
+    #[test]
+    fn transparent_channels_skip_the_draws_and_nothing_else() {
+        // The drawing path on a transparent config: same fates, same
+        // counters — the shortcut only leaves the private RNG unspent.
+        let cfg = ImpairConfig {
+            reorder_prob: 0.5, // depth 0: still transparent
+            seed: 77,
+            ..ImpairConfig::default()
+        };
+        assert!(cfg.is_transparent());
+        let mut fast = ImpairState::new(cfg);
+        let mut drawing = ImpairState::new(cfg);
+        drawing.transparent = false;
+        let untouched = StdRng::seed_from_u64(cfg.seed).random::<u64>();
+        for _ in 0..10_000 {
+            assert_eq!(fast.next_fate(), drawing.next_fate());
+        }
+        assert_eq!(fast.counters(), drawing.counters());
+        assert_eq!(fast.counters().delivered, 10_000);
+        assert_eq!(fast.rng.random::<u64>(), untouched, "no draws on the shortcut");
+        assert_ne!(drawing.rng.random::<u64>(), untouched);
+
+        // Any non-zero probability keeps the six-draw budget, even one
+        // too small to ever fire.
+        let cfg = ImpairConfig {
+            dup_prob: 1e-300,
+            seed: 77,
+            ..ImpairConfig::default()
+        };
+        let mut live = ImpairState::new(cfg);
+        let mut reference = StdRng::seed_from_u64(cfg.seed);
+        live.next_fate();
+        for _ in 0..6 {
+            reference.random::<f64>();
+        }
+        assert_eq!(live.rng.random::<u64>(), reference.random::<u64>());
     }
 
     #[test]

@@ -37,6 +37,18 @@ pub mod par;
 pub mod sim;
 pub mod stats;
 pub mod traffic;
+mod winner;
+
+/// FNV-1a offset basis: the seed of [`fnv1a`].
+#[cfg(test)]
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a hash, for the event streams this
+/// crate's tests pin by digest.
+#[cfg(test)]
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
 
 pub use closed::{
     AckKind, Class, ClientSend, ClosedConfig, ClosedPopulation, ClosedStats, RetransmitTimer,

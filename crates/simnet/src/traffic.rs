@@ -4,9 +4,9 @@
 //! non-decreasing time order. Times are in seconds; the simulator converts
 //! to machine cycles at the configured clock.
 
+use crate::winner::WinnerTree;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::BinaryHeap;
 
 /// One message arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,8 +175,10 @@ impl TrafficSource for TraceSource {
 /// paper replays for Figure 7.
 #[derive(Debug)]
 pub struct SelfSimilarSource {
-    /// Per-source state heaps as (negated next-emit time, source id).
-    heap: BinaryHeap<HeapEntry>,
+    /// Each source's next emission time. Source `i` sits in slot
+    /// `n - 1 - i`: the tree breaks ties toward the lower slot, and
+    /// simultaneous emissions go out highest source first.
+    next: WinnerTree,
     sources: Vec<OnOff>,
     rng: StdRng,
     sizes: SizeMix,
@@ -191,27 +193,6 @@ struct OnOff {
     alpha: f64,
     /// End of the current ON period (valid while emitting).
     on_until: f64,
-}
-
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    /// Negated time so the max-heap pops the earliest event.
-    neg_time: f64,
-    source: usize,
-}
-
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.neg_time
-            .total_cmp(&other.neg_time)
-            .then(self.source.cmp(&other.source))
-    }
 }
 
 /// Packet-size mixture: cumulative percentage thresholds and sizes.
@@ -288,7 +269,7 @@ impl SelfSimilarSource {
         let mean_off_s = 1.0;
         let duty = mean_on_s / (mean_on_s + mean_off_s);
         let peak_rate = mean_rate / (n_sources as f64 * duty);
-        let mut heap = BinaryHeap::new();
+        let mut next = WinnerTree::new(n_sources);
         let mut sources = Vec::with_capacity(n_sources);
         for i in 0..n_sources {
             // Start each source in an OFF period of random residual life.
@@ -300,13 +281,10 @@ impl SelfSimilarSource {
                 alpha,
                 on_until: 0.0,
             });
-            heap.push(HeapEntry {
-                neg_time: -first_on,
-                source: i,
-            });
+            next.set(n_sources - 1 - i, first_on);
         }
         SelfSimilarSource {
-            heap,
+            next,
             sources,
             rng,
             sizes,
@@ -323,9 +301,8 @@ impl SelfSimilarSource {
 
 impl TrafficSource for SelfSimilarSource {
     fn next_arrival(&mut self) -> Option<Arrival> {
-        let entry = self.heap.pop()?;
-        let t = -entry.neg_time;
-        let si = entry.source;
+        let (t, slot) = self.next.min()?;
+        let si = self.sources.len() - 1 - slot;
         let (alpha, mean_on, mean_off, peak) = {
             let s = &self.sources[si];
             (s.alpha, s.mean_on_s, s.mean_off_s, s.peak_rate)
@@ -345,10 +322,7 @@ impl TrafficSource for SelfSimilarSource {
         } else {
             on_until.max(t) + pareto(&mut self.rng, alpha, mean_off)
         };
-        self.heap.push(HeapEntry {
-            neg_time: -next,
-            source: si,
-        });
+        self.next.set(slot, next);
         Some(Arrival {
             time_s: t,
             bytes: self.sizes.draw(&mut self.rng),
@@ -436,6 +410,42 @@ mod tests {
         let ds = dispersion(&selfsim, 20.0);
         assert!(dp < 1.5, "poisson dispersion {dp}");
         assert!(ds > 2.0 * dp, "self-similar {ds} vs poisson {dp}");
+    }
+
+    #[test]
+    fn self_similar_arrivals_match_the_heap_they_replaced() {
+        // FNV-1a over (time bits, bytes) of the first 10^5 arrivals,
+        // captured from the `BinaryHeap<HeapEntry>` source before the
+        // winner tree went in.
+        let want = [
+            (1u64, 1585329674648396492u64),
+            (7, 15757129585848358336),
+            (1996, 15935823615491854551),
+        ];
+        for (seed, want) in want {
+            let mut s = SelfSimilarSource::bellcore_like(seed);
+            let mut h = crate::FNV_OFFSET;
+            for _ in 0..100_000 {
+                let a = s.next_arrival().expect("the source never ends");
+                h = crate::fnv1a(h, &a.time_s.to_bits().to_le_bytes());
+                h = crate::fnv1a(h, &a.bytes.to_le_bytes());
+            }
+            assert_eq!(h, want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn simultaneous_emissions_go_highest_source_first() {
+        // The order the max-heap on (-time, source) gave: at equal
+        // times the larger source id pops first.
+        let n = 8;
+        let mut s = SelfSimilarSource::new(n, 1000.0, 1.4, SizeMix::fixed(64), 3);
+        for i in 0..n {
+            s.next.set(n - 1 - i, if i == 3 || i == 5 { 1.0 } else { 2.0 });
+        }
+        assert_eq!(s.next_arrival().map(|a| a.time_s), Some(1.0));
+        assert_eq!(s.next.time(n - 1 - 3), 1.0, "source 3 has yet to emit");
+        assert!(s.next.time(n - 1 - 5) > 1.0, "source 5 went first and rescheduled");
     }
 
     #[test]

@@ -1142,8 +1142,7 @@ impl SmpSim {
                     netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
                     flow,
                 );
-                self.shared.read(c as u8, slot, core.engine.machine_mut());
-                self.shared.write(c as u8, slot, core.engine.machine_mut());
+                self.shared.rmw(c as u8, slot, core.engine.machine_mut());
             }
             if owns_top {
                 let slot = Self::table_slot(
@@ -1152,8 +1151,7 @@ impl SmpSim {
                     signaling::call::CALL_SLOT_BYTES,
                     flow,
                 );
-                self.shared.read(c as u8, slot, core.engine.machine_mut());
-                self.shared.write(c as u8, slot, core.engine.machine_mut());
+                self.shared.rmw(c as u8, slot, core.engine.machine_mut());
             }
         }
 
@@ -1191,8 +1189,7 @@ impl SmpSim {
                             WCLASS_SLOT_BYTES,
                             core.b_flow[k],
                         );
-                        self.shared.read(c as u8, slot, core.engine.machine_mut());
-                        self.shared.write(c as u8, slot, core.engine.machine_mut());
+                        self.shared.rmw(c as u8, slot, core.engine.machine_mut());
                     }
                     // Attribute the class work's misses to this message
                     // (`process_batch_into` only meters layer sweeps);
