@@ -58,6 +58,7 @@ struct InstalledLayer {
     data: Region,
     touches_message: bool,
     base_cycles: u64,
+    loop_cycles_per_byte: f64,
     /// Instruction cycles at the last message length seen. A run sweeps
     /// messages of one length (or a short ladder of them), so this is a
     /// compare where there was a float multiply and a rounding.
@@ -73,23 +74,29 @@ struct CyclesAt {
 }
 
 impl CyclesAt {
-    fn of(layer: &dyn SimLayer, len: u64) -> Self {
+    /// From a layer's installed constants: a multiply and a rounding,
+    /// no call through the trait object.
+    fn of(base_cycles: u64, loop_cycles_per_byte: f64, len: u64) -> Self {
+        let data_loop = round_to_cycles(loop_cycles_per_byte * len as f64);
         CyclesAt {
             len,
-            total: layer.instr_cycles(len),
-            data_loop: round_to_cycles(layer.loop_cycles_per_byte() * len as f64),
+            total: base_cycles + data_loop,
+            data_loop,
         }
     }
 }
 
 impl InstalledLayer {
     fn new(layer: Box<dyn SimLayer>) -> Self {
+        let base_cycles = layer.base_instr_cycles();
+        let loop_cycles_per_byte = layer.loop_cycles_per_byte();
         InstalledLayer {
             code_lines: layer.code_lines().into(),
             data: layer.data_region(),
             touches_message: layer.touches_message(),
-            base_cycles: layer.base_instr_cycles(),
-            at: CyclesAt::of(layer.as_ref(), 0),
+            base_cycles,
+            loop_cycles_per_byte,
+            at: CyclesAt::of(base_cycles, loop_cycles_per_byte, 0),
             layer,
         }
     }
@@ -97,7 +104,8 @@ impl InstalledLayer {
     #[inline]
     fn cycles_at(&mut self, len: u64) -> CyclesAt {
         if self.at.len != len {
-            self.at = CyclesAt::of(self.layer.as_ref(), len);
+            self.at = CyclesAt::of(self.base_cycles, self.loop_cycles_per_byte, len);
+            debug_assert_eq!(self.at.total, self.layer.instr_cycles(len));
         }
         self.at
     }

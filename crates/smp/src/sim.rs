@@ -408,15 +408,60 @@ struct ClosedSource<'a> {
     pending: VecDeque<ClientSend>,
     /// `poll_sends` scratch, empty between calls.
     sends: Vec<ClientSend>,
+    cycles_per_s: f64,
+    /// `pop`'s next event and `pending`'s front in cycles (`u64::MAX` =
+    /// none). `pop` and `pending` change only through the methods
+    /// below, each of which converts the head it moved — once per
+    /// change instead of once per [`SmpSim::step`].
+    ev: u64,
+    send: u64,
 }
 
-impl ClosedSource<'_> {
+impl<'a> ClosedSource<'a> {
+    fn new(pop: &'a mut ClosedPopulation, weights: [u32; Class::COUNT], cycles_per_s: f64) -> Self {
+        let mut cs = ClosedSource {
+            pop,
+            weights,
+            pending: VecDeque::new(),
+            sends: Vec::new(),
+            cycles_per_s,
+            ev: u64::MAX,
+            send: u64::MAX,
+        };
+        cs.refresh_ev();
+        cs
+    }
+
+    fn refresh_ev(&mut self) {
+        let next = self.pop.next_event_time();
+        self.ev = next.map_or(u64::MAX, |t| to_cycles(t, self.cycles_per_s));
+    }
+
+    fn refresh_send(&mut self) {
+        let front = self.pending.front();
+        self.send = front.map_or(u64::MAX, |s| to_cycles(s.time_s, self.cycles_per_s));
+    }
+
     /// Fires every client event up to `t_s` and queues the
     /// transmissions the channel delivers.
     fn fire(&mut self, t_s: f64) {
         self.pop.poll_sends(t_s, &mut self.sends);
         // analyze::allow(alloc-path, reason = "holds only what the events just fired emitted, a few transmissions per client at most, and drains as the frontier passes them; capacity is kept for the whole run")
         self.pending.extend(self.sends.drain(..));
+        self.refresh_ev();
+        self.refresh_send();
+    }
+
+    fn pop_send(&mut self) -> Option<ClientSend> {
+        let s = self.pending.pop_front();
+        self.refresh_send();
+        s
+    }
+
+    fn ack(&mut self, client: u32, req: u64, t_s: f64) -> AckKind {
+        let kind = self.pop.ack(client, req, t_s);
+        self.refresh_ev();
+        kind
     }
 }
 
@@ -657,12 +702,7 @@ impl SmpSim {
     /// before an acknowledgement's finish time fire before the
     /// acknowledgement lands.
     pub fn run_closed(&mut self, pop: &mut ClosedPopulation, weights: [u32; Class::COUNT]) {
-        self.drive(Source::Closed(ClosedSource {
-            pop,
-            weights,
-            pending: VecDeque::new(),
-            sends: Vec::new(),
-        }));
+        self.drive(Source::Closed(ClosedSource::new(pop, weights, self.cycles_per_s)));
     }
 
     /// The scheduler: deliver everything the source has due at or
@@ -704,7 +744,7 @@ impl SmpSim {
         match src {
             Source::Open(arrivals, next) => {
                 let a = arrivals.get(*next)?;
-                let t = self.to_cycles(a.time_s);
+                let t = to_cycles(a.time_s, self.cycles_per_s);
                 if t > frontier {
                     return None;
                 }
@@ -723,18 +763,18 @@ impl SmpSim {
                 Some(self.admit(&a.key, pkt, None, best))
             }
             Source::Closed(cs) => {
-                let ev_s = cs.pop.next_event_time();
-                let ev = ev_s.map(|t| self.to_cycles(t));
-                let send = cs.pending.front().map(|s| self.to_cycles(s.time_s));
-                let ack = self.ready_acks.peek().map(|Reverse(a)| a.0);
-                let t = [ev, send, ack].into_iter().flatten().min().filter(|&t| t <= frontier)?;
+                let ack = self.ready_acks.peek().map_or(u64::MAX, |Reverse(a)| a.0);
+                let t = cs.ev.min(cs.send).min(ack);
+                if t == u64::MAX || t > frontier {
+                    return None;
+                }
                 // Ties go to events, then sends, then acknowledgements:
                 // a timer due exactly when its acknowledgement lands
                 // still fires, matching `signaling::recovery`.
-                if ev == Some(t) {
-                    cs.fire(ev_s?);
-                } else if send == Some(t) {
-                    let s = cs.pending.pop_front()?;
+                if cs.ev == t {
+                    cs.fire(cs.pop.next_event_time()?);
+                } else if cs.send == t {
+                    let s = cs.pop_send()?;
                     let key = FlowKey::synth(s.client, self.cfg.placement_seed);
                     let pkt = EntryPkt {
                         arr: t,
@@ -754,7 +794,7 @@ impl SmpSim {
                     cs.fire(finish_s);
                     let (client, req) =
                         self.closed_meta.get(id as usize).copied().unwrap_or((u32::MAX, 0));
-                    match cs.pop.ack(client, req, finish_s) {
+                    match cs.ack(client, req, finish_s) {
                         AckKind::Useful { latency_us } => Self::complete(
                             &mut self.cores[c],
                             &mut self.latencies_us,
@@ -1062,11 +1102,15 @@ impl SmpSim {
         // ring scan reads only the ready-time and buffer-length columns.
         let (avail, max_bytes) = if core.entry.is_empty() {
             core.inbox.takeable(start)
-        } else {
+        } else if matches!(core.engine.discipline(), Discipline::Ldlp(_)) {
             (
                 core.entry.len(),
                 core.entry.iter().map(|p| u64::from(p.bytes)).max().unwrap_or(0),
             )
+        } else {
+            // Only LDLP sizes a batch by its largest message; under
+            // overload the entry queue is full and not worth walking.
+            (core.entry.len(), 0)
         };
         debug_assert!(avail > 0, "scheduled a core with no takeable work");
         let limit = core
@@ -1399,9 +1443,11 @@ impl SmpSim {
         );
     }
 
-    fn to_cycles(&self, t_s: f64) -> u64 {
-        round_to_cycles(t_s * self.cycles_per_s)
-    }
+}
+
+/// Simulated seconds to machine cycles at `cycles_per_s`.
+fn to_cycles(t_s: f64, cycles_per_s: f64) -> u64 {
+    round_to_cycles(t_s * cycles_per_s)
 }
 
 /// One-shot convenience: build, run, report.

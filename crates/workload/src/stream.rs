@@ -20,6 +20,7 @@ use crate::class::WireClass;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use smp::{FlowArrival, FlowKey, MAX_WCLASS};
+use std::sync::OnceLock;
 
 /// Configuration of a mixed multi-protocol stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,6 +70,85 @@ fn quantize(bytes: u32) -> u32 {
     SIZE_LADDER[SIZE_LADDER.len() - 1]
 }
 
+/// The largest size draw: [`MixedStream::next_arrival`] clamps its
+/// third draw here, so this is where the size tables end.
+const V_MAX: f64 = 1.0 - 1e-12;
+
+/// The size a class draws at `v` in `[0, V_MAX]`: the bounded-Pareto
+/// inverse CDF x = L / (1 − v (1 − (L/H)^α))^(1/α), truncated and
+/// rounded up to a buffer. This *is* the size distribution; [`SizeRuns`]
+/// is its tabulation and is built from, and debug-checked against, it.
+fn size_of(class: WireClass, v: f64) -> u32 {
+    let (lo, hi, alpha) = class.size_params();
+    let l = f64::from(lo);
+    let h = f64::from(hi);
+    let ratio = (l / h).powf(alpha);
+    let x = l / (1.0 - v * (1.0 - ratio)).powf(1.0 / alpha);
+    // Buffers come in ladder sizes; every class band's ends are rungs,
+    // so the quantized size stays within the band.
+    quantize((x as u32).clamp(lo, hi)).clamp(lo, hi)
+}
+
+/// [`size_of`] for one class as a step function of `v`: `steps` holds
+/// `(v_upper_exclusive, bytes)` in increasing `v`, and every `v` past
+/// the last step draws `top`. `size_of` is non-decreasing in `v` and
+/// takes one value per ladder rung in the class band, so a step per
+/// rung below the ceiling is the whole function.
+#[derive(Debug)]
+struct SizeRuns {
+    class: WireClass,
+    steps: Vec<(f64, u32)>,
+    top: u32,
+}
+
+impl SizeRuns {
+    /// Finds every step of `size_of(class, ·)` by bisection over the
+    /// *bit patterns* of `v` (non-negative `f64`s order as their bits),
+    /// evaluating the formula with the host's own `powf`: each threshold
+    /// is the exact first `f64` at which this libm's result crosses the
+    /// rung, not a closed-form inverse that may differ from it by an ULP.
+    fn build(class: WireClass) -> SizeRuns {
+        let last = V_MAX.to_bits();
+        let top = size_of(class, V_MAX);
+        let mut steps = Vec::new();
+        let mut below = 0.0f64.to_bits();
+        loop {
+            let bytes = size_of(class, f64::from_bits(below));
+            if bytes == top {
+                return SizeRuns { class, steps, top };
+            }
+            // Invariant: size_of(below) <= bytes < size_of(above).
+            let mut above = last;
+            while above - below > 1 {
+                let mid = below + (above - below) / 2;
+                if size_of(class, f64::from_bits(mid)) <= bytes {
+                    below = mid;
+                } else {
+                    above = mid;
+                }
+            }
+            steps.push((f64::from_bits(above), bytes));
+            below = above;
+        }
+    }
+
+    #[inline]
+    fn lookup(&self, v: f64) -> u32 {
+        self.steps
+            .iter()
+            .find(|&&(upper, _)| v < upper)
+            .map_or(self.top, |&(_, bytes)| bytes)
+    }
+}
+
+/// One [`SizeRuns`] per class, in [`WireClass::ALL`] order. A pure
+/// function of the class constants, so built once per process: a
+/// figure14 rep opens 96 streams over the same five tables.
+fn size_tables() -> &'static [SizeRuns; 5] {
+    static TABLES: OnceLock<[SizeRuns; 5]> = OnceLock::new();
+    TABLES.get_or_init(|| WireClass::ALL.map(SizeRuns::build))
+}
+
 /// One arrival of the mixed stream: a time, a size, and the class it
 /// belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,6 +171,7 @@ pub struct MixedStream {
     cum: [f64; 5],
     t: f64,
     rng: StdRng,
+    sizes: &'static [SizeRuns; 5],
 }
 
 impl MixedStream {
@@ -112,6 +193,7 @@ impl MixedStream {
             cum,
             t: 0.0,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x00f1_4f1e),
+            sizes: size_tables(),
         }
     }
 
@@ -123,26 +205,17 @@ impl MixedStream {
         let u: f64 = self.rng.random::<f64>().max(1e-12);
         self.t += -u.ln() / self.rate;
         let p: f64 = self.rng.random::<f64>();
-        let mut class = WireClass::Agent;
-        for (i, c) in WireClass::ALL.iter().enumerate() {
-            if p < self.cum.get(i).copied().unwrap_or(1.0) {
-                class = *c;
-                break;
-            }
-        }
-        let (lo, hi, alpha) = class.size_params();
-        let v: f64 = self.rng.random::<f64>().min(1.0 - 1e-12);
-        let l = f64::from(lo);
-        let h = f64::from(hi);
-        // Bounded-Pareto inverse CDF: x = L / (1 - v (1 - (L/H)^a))^(1/a).
-        let ratio = (l / h).powf(alpha);
-        let x = l / (1.0 - v * (1.0 - ratio)).powf(1.0 / alpha);
+        let [.., last] = self.sizes;
+        let runs = (self.cum.iter().zip(self.sizes))
+            .find(|&(&cum, _)| p < cum)
+            .map_or(last, |(_, runs)| runs);
+        let v: f64 = self.rng.random::<f64>().min(V_MAX);
+        let bytes = runs.lookup(v);
+        debug_assert_eq!(bytes, size_of(runs.class, v), "size table at v = {v:e}");
         ClassedArrival {
             time_s: self.t,
-            // Buffers come in ladder sizes; every class band's ends are
-            // rungs, so the quantized size stays within the band.
-            bytes: quantize((x as u32).clamp(lo, hi)).clamp(lo, hi),
-            class,
+            bytes,
+            class: runs.class,
         }
     }
 }
@@ -290,6 +363,97 @@ mod tests {
         assert_eq!(quantize(48), 48);
         assert_eq!(quantize(49), 64);
         assert_eq!(quantize(2_000), 1_440, "saturates at the top rung");
+    }
+
+    /// FNV-1a over every field of a generated stream and of its
+    /// flow-tagged form.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn stream_digests(seed: u64) -> (usize, u64, u64) {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        let stream = generate(&cfg(seed));
+        let classed = stream.iter().fold(FNV_OFFSET, |h, a| {
+            let h = fnv1a(h, &a.time_s.to_bits().to_le_bytes());
+            let h = fnv1a(h, &a.bytes.to_le_bytes());
+            fnv1a(h, &[a.class.id()])
+        });
+        let tagged = to_flow_arrivals(&stream, 250, seed)
+            .iter()
+            .fold(FNV_OFFSET, |h, f| {
+                let h = fnv1a(h, &f.time_s.to_bits().to_le_bytes());
+                let h = fnv1a(h, &f.bytes.to_le_bytes());
+                let h = fnv1a(h, &f.flow_id.to_le_bytes());
+                fnv1a(h, &[f.wclass, u8::from(f.corrupted)])
+            });
+        (stream.len(), classed, tagged)
+    }
+
+    /// Captured from the formula-per-message generator this table
+    /// replaced: (seed, messages, classed digest, flow-tagged digest).
+    #[test]
+    fn streams_match_the_pinned_pre_table_digests() {
+        for (seed, n, classed, tagged) in [
+            (7, 9_993, 0x9d9c_47c5_71e4_0231, 0x5c08_d35b_c5ea_bb47),
+            (11, 10_167, 0xedd2_522d_92c9_0ce8, 0x7ce3_856b_e81c_67e6),
+            (0x5eed, 9_864, 0x2536_430f_f1d1_a9c5, 0x8d84_e3a9_7601_3afa),
+        ] {
+            assert_eq!(stream_digests(seed), (n, classed, tagged), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn size_runs_cover_exactly_the_band_rungs() {
+        for (c, runs) in WireClass::ALL.iter().zip(size_tables()) {
+            let (lo, hi, _) = c.size_params();
+            let band: Vec<u32> = (SIZE_LADDER.iter().copied())
+                .filter(|r| (lo..=hi).contains(r))
+                .collect();
+            let drawn: Vec<u32> = (runs.steps.iter().map(|&(_, b)| b))
+                .chain([runs.top])
+                .collect();
+            assert_eq!(runs.class, *c);
+            assert_eq!(drawn, band, "{c:?}: one run per rung, in ladder order");
+            assert!(drawn.len() <= 10, "{c:?}: lookup scans at most ten entries");
+            let uppers: Vec<f64> = runs.steps.iter().map(|&(u, _)| u).collect();
+            assert!(uppers.windows(2).all(|w| w[0] < w[1]), "{c:?}: {uppers:?}");
+            assert!(uppers.iter().all(|&u| 0.0 < u && u <= V_MAX), "{c:?}");
+        }
+    }
+
+    /// The table is the formula: on seeded draws (the tail included —
+    /// 10^7 draws reach every run of every class) and on every `f64`
+    /// around every threshold, where a non-monotone `powf` would show as
+    /// a second crossing the bisection cannot see.
+    #[test]
+    fn size_table_equals_the_formula() {
+        const DRAWS: usize = 10_000_000;
+        const ULPS: u64 = 100_000;
+        for runs in size_tables() {
+            let c = runs.class;
+            let mut rng = StdRng::seed_from_u64(0x0512_e5ed_u64 ^ u64::from(c.id()));
+            let mut seen = vec![0u64; runs.steps.len() + 1];
+            for _ in 0..DRAWS {
+                let v = rng.random::<f64>().min(V_MAX);
+                let bytes = runs.lookup(v);
+                assert_eq!(bytes, size_of(c, v), "{c:?} at v = {v:e}");
+                seen[runs.steps.iter().take_while(|&&(u, _)| v >= u).count()] += 1;
+            }
+            assert!(
+                seen.iter().all(|&n| n > 0),
+                "{c:?}: a run was never drawn: {seen:?}"
+            );
+            for &(upper, _) in &runs.steps {
+                let at = upper.to_bits();
+                for bits in at.saturating_sub(ULPS)..=(at + ULPS).min(V_MAX.to_bits()) {
+                    let v = f64::from_bits(bits);
+                    assert_eq!(runs.lookup(v), size_of(c, v), "{c:?} at v = {v:e}");
+                }
+            }
+        }
     }
 
     #[test]
