@@ -8,8 +8,8 @@
 //! The tag store is one flat `Box<[u64]>` (structure-of-arrays), not a
 //! `Vec` of per-set `Vec`s: every access is a single indexed load from one
 //! contiguous allocation, the direct-mapped sweep loop vectorizes, and
-//! exporting a state for the replay memo (see [`crate::replay`]) is a
-//! plain `clone` of the slice.
+//! the replay memo (see [`crate::replay`]) hashes and compares a state
+//! straight from the slice.
 
 use crate::addr::Addr;
 
@@ -266,6 +266,37 @@ impl Cache {
         misses
     }
 
+    /// Touches every line of `lines`, in order, exactly like one
+    /// [`Cache::access_line`] call per entry; returns the misses. The
+    /// line-list counterpart of [`Cache::access_range`]: on a
+    /// direct-mapped cache with a power-of-two set count each line is
+    /// one branch-free compare-count-store on its slot (repeats and
+    /// aliases see the stores before them, as the per-line walk does)
+    /// and the counters take one bulk add; other geometries walk per
+    /// line.
+    pub fn access_lines(&mut self, lines: &[u64], kind: AccessKind) -> u64 {
+        if self.ways != 1 || !self.pow2_sets {
+            let mut misses = 0;
+            for &line in lines {
+                misses += u64::from(!self.access_line(line, kind));
+            }
+            return misses;
+        }
+        let tags = &mut self.tags[..];
+        // One way per set: the slot count is the set count, so this is
+        // `set_mask` in a form the bounds check below can see through.
+        let mask = tags.len().wrapping_sub(1);
+        let mut misses = 0u64;
+        for &line in lines {
+            if let Some(slot) = tags.get_mut(line as usize & mask) {
+                misses += u64::from(*slot != line);
+                *slot = line;
+            }
+        }
+        self.record_bulk(lines.len() as u64 - misses, misses, kind);
+        misses
+    }
+
     /// The flattened tag array for the replay memo: one `u64` per way,
     /// sets in order, ways MRU-first, invalid ways as `u64::MAX`.
     pub(crate) fn export_tags(&self) -> &[u64] {
@@ -455,6 +486,45 @@ mod tests {
             assert_eq!(m, w);
             assert_eq!(bulk.stats(), walk.stats());
             assert_eq!(bulk.export_tags(), walk.export_tags());
+        }
+    }
+
+    /// `access_lines` against per-line `access_line` on the tag array
+    /// itself, for 1-, 2- and 4-way geometries: seeded lists with
+    /// repeats, runs that wrap the array, and slots left never filled.
+    #[test]
+    fn access_lines_matches_per_line_walk() {
+        let mut x = 0x5eed_u64;
+        for ways in [1u32, 2, 4] {
+            let cfg = CacheConfig {
+                size_bytes: 8192,
+                line_size: 32,
+                associativity: ways,
+            };
+            let mut bulk = Cache::new(cfg);
+            let mut walk = Cache::new(cfg);
+            for step in 0..200u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let start = x % 1024;
+                let lines: Vec<u64> = match step % 3 {
+                    0 => (start..start + x % 300).collect(),
+                    1 => (0..x % 64).map(|i| start + i / 3).collect(),
+                    _ => (0..x % 97).map(|i| (start * 7 + i * i * 31) % 1024).collect(),
+                };
+                let m = bulk.access_lines(&lines, AccessKind::InstrFetch);
+                let w = lines
+                    .iter()
+                    .filter(|&&l| !walk.access_line(l, AccessKind::InstrFetch))
+                    .count() as u64;
+                assert_eq!(m, w, "{ways}-way step {step}");
+                assert_eq!(bulk.stats(), walk.stats(), "{ways}-way step {step}");
+                assert_eq!(bulk.export_tags(), walk.export_tags(), "{ways}-way step {step}");
+                if step == 0 {
+                    assert!(bulk.export_tags().contains(&INVALID), "cold slots are compared too");
+                }
+            }
         }
     }
 

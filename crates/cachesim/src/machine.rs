@@ -232,7 +232,8 @@ pub struct Machine {
     /// Code-footprint replay memo (I-cache ++ ITLB states), created
     /// lazily on the first [`Machine::fetch_code_footprint`] call.
     replay: Option<ReplayCache>,
-    /// Scratch buffer for assembling combined state keys.
+    /// Scratch buffer for assembling combined state keys (only machines
+    /// with an ITLB need one; see [`Machine::intern_live`]).
     key_buf: Vec<u64>,
     /// Master switch for the memoizer (tests and benches compare
     /// memoized against plain simulation with this).
@@ -318,14 +319,18 @@ impl Machine {
         }
     }
 
-    /// Assembles the current combined key (I-cache tags ++ ITLB entries)
-    /// into `key_buf`.
-    fn build_key(&mut self) {
+    /// Interns the arrays' current combined state (I-cache tags ++ ITLB
+    /// entries). Without an ITLB the tag array is the whole key and is
+    /// interned where it sits; with one, the two are assembled in
+    /// `key_buf` first.
+    fn intern_live(&mut self, replay: &mut ReplayCache) -> Option<u32> {
+        let Some(tlb) = &self.itlb else {
+            return replay.intern(self.icache.export_tags());
+        };
         self.key_buf.clear();
         self.key_buf.extend_from_slice(self.icache.export_tags());
-        if let Some(tlb) = &self.itlb {
-            tlb.export_entries(&mut self.key_buf);
-        }
+        tlb.export_entries(&mut self.key_buf);
+        replay.intern(&self.key_buf)
     }
 
     /// The I-cache and ITLB counters, for diffing around a walk.
@@ -409,8 +414,7 @@ impl Machine {
                 let interned = if replay.saturated() {
                     None
                 } else {
-                    self.build_key();
-                    replay.intern(&self.key_buf)
+                    self.intern_live(replay)
                 };
                 let Some(t) = interned else {
                     replay.stats_mut().bypasses += 1;
@@ -441,8 +445,7 @@ impl Machine {
             stall: self.stall_cycles - s0,
             next: 0,
         };
-        self.build_key();
-        if let Some(next) = replay.intern(&self.key_buf) {
+        if let Some(next) = self.intern_live(replay) {
             // analyze::allow(alloc-path, reason = "replay-memo warm-up insert; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
             replay.insert(cur, fid, Transition { next, ..tr });
             replay.cur = Some(next);
@@ -450,9 +453,18 @@ impl Machine {
         ret
     }
 
-    /// Per-line code fetch of `lines` through the full (non-memoized)
-    /// path. Callers must have materialized any live memo state first.
+    /// Code fetch of `lines` through the full (non-memoized) path.
+    /// Callers must have materialized any live memo state first. With no
+    /// ITLB, no built-in L2 and no next-line prefetch a miss does nothing
+    /// but stall, so the list is one [`Cache::access_lines`] and one
+    /// stall charge; otherwise each line refills, fills or prefetches
+    /// on its own.
     fn fetch_lines_walk(&mut self, lines: &[u64]) -> u64 {
+        if self.itlb.is_none() && self.l2.is_none() && !self.cfg.next_line_prefetch {
+            let misses = self.icache.access_lines(lines, AccessKind::InstrFetch);
+            self.stall_cycles += misses * self.cfg.read_miss_penalty;
+            return misses;
+        }
         let mut misses = 0;
         for &line in lines {
             if !self.fetch_line_inner(line) {
@@ -546,9 +558,10 @@ impl Machine {
 
     /// [`Machine::fetch_code_line`] without the memo sync: the walk body
     /// shared by the public per-line API and the memo-miss recorder.
-    /// `#[inline]` because [`Machine::fetch_lines_walk`]'s loop is the
-    /// whole cost of a memo miss: left to the inliner the body stayed a
-    /// call per line and the walk measured 3.8 → 5.3 ns/line.
+    /// `#[inline]` because [`Machine::fetch_lines_walk`]'s per-line loop
+    /// is the whole cost of a memo miss on machines with an ITLB, an L2
+    /// or prefetch: left to the inliner the body stayed a call per line
+    /// and the walk measured 3.8 → 5.3 ns/line.
     #[inline]
     fn fetch_line_inner(&mut self, line: u64) -> bool {
         if let Some(tlb) = &mut self.itlb {

@@ -64,6 +64,9 @@ pub struct RandomPlacement {
     rng: StdRng,
     window: Region,
     align: u64,
+    /// Everything placed so far, sorted by base. The regions are disjoint
+    /// and non-empty, so their ends are sorted too and a candidate that
+    /// overlaps any of them overlaps one of its two neighbours.
     placed: Vec<Region>,
 }
 
@@ -93,8 +96,11 @@ impl RandomPlacement {
             let slot = self.rng.random_range(0..slots);
             let base = self.window.base + slot * self.align;
             let candidate = Region::new(base, len);
-            if !self.placed.iter().any(|r| r.overlaps(&candidate)) {
-                self.placed.push(candidate);
+            let at = self.placed.partition_point(|r| r.base < base);
+            let before = at.checked_sub(1).and_then(|i| self.placed.get(i));
+            let clash = |r: Option<&Region>| r.is_some_and(|r| r.overlaps(&candidate));
+            if !clash(before) && !clash(self.placed.get(at)) {
+                self.placed.insert(at, candidate);
                 return candidate;
             }
         }
@@ -109,11 +115,6 @@ impl RandomPlacement {
     /// Places one segment per entry of `sizes`, in order.
     pub fn place_all(&mut self, sizes: &[u64]) -> Vec<Region> {
         sizes.iter().map(|&s| self.place(s)).collect()
-    }
-
-    /// Everything placed so far.
-    pub fn placed(&self) -> &[Region] {
-        &self.placed
     }
 }
 

@@ -19,8 +19,16 @@
 //! graph of every shipped workload keeps growing, so a memo over it
 //! records and never replays (DESIGN.md §5.6).
 //!
+//! Interning a state hashes its key once, word-wise (see [`hash_words`]),
+//! and stores it once: the map goes from that `u64` hash to the first
+//! state carrying it, states with equal hashes are chained through their
+//! entries, and the entry owns the only copy of the key. Growing the map
+//! re-hashes `u64`s, never keys. Without an ITLB the key is the I-cache
+//! tag array itself and is interned where it sits.
+//!
 //! Correctness notes:
-//! * Keys are **exact** tag states (not hashes of them), so a lookup hit
+//! * States are **exact** tag states: a hash only picks the chain, and
+//!   every candidate on it is compared word for word, so a lookup hit
 //!   can never be a collision.
 //! * Between memoized sweeps the backing tag arrays are allowed to go
 //!   stale; [`ReplayCache::cur`] remembers which interned state is live.
@@ -45,10 +53,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[allow(clippy::disallowed_types)]
 type FxMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A fixed-seed multiply-rotate hasher (the rustc `FxHash` construction).
-/// Deterministic across processes and platforms — unlike `RandomState` —
-/// and much cheaper than SipHash on the multi-kilobyte state keys the
-/// interner hashes on every memo miss.
+/// A fixed-seed multiply-rotate hasher (the rustc `FxHash` construction)
+/// for the interner's `u64` key hashes: one multiply per key.
+/// Deterministic across processes and platforms — unlike `RandomState`.
 #[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,
@@ -56,34 +63,46 @@ pub(crate) struct FxHasher {
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
+/// One FxHash step: fold `word` into `hash`.
+#[inline]
+fn fx_add(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
 }
 
 impl Hasher for FxHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
+        for &b in bytes {
+            self.hash = fx_add(self.hash, u64::from(b));
         }
     }
     #[inline]
     fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
+        self.hash = fx_add(self.hash, i);
     }
     #[inline]
     fn finish(&self) -> u64 {
         self.hash
     }
+}
+
+/// Hashes a state key word by word: four independent FxHash lanes over
+/// consecutive words, so a 256-word (2 KB) key is four 64-step multiply
+/// chains the CPU overlaps instead of one 256-step chain, then the
+/// length, the lanes and the tail words fold into one. No byte path.
+#[inline]
+fn hash_words(key: &[u64]) -> u64 {
+    let (quads, tail) = key.as_chunks::<4>();
+    let mut lanes = [0u64; 4];
+    for quad in quads {
+        for (lane, &w) in lanes.iter_mut().zip(quad) {
+            *lane = fx_add(*lane, w);
+        }
+    }
+    lanes
+        .iter()
+        .chain(tail)
+        .fold(key.len() as u64, |h, &w| fx_add(h, w))
 }
 
 /// The memoized outcome of one sweep from one state: the counter deltas
@@ -114,15 +133,19 @@ pub(crate) struct Transition {
 struct StateEntry {
     /// The combined tag state: cache tags (sets in order, ways
     /// MRU-first) followed by TLB entries (MRU-first, `u64::MAX`-padded),
-    /// when a TLB is part of the key.
+    /// when a TLB is part of the key. The only copy of it.
     key: Box<[u64]>,
+    /// The next state whose key hashes to the same `u64`, if any.
+    same_hash: Option<u32>,
     /// `(footprint id, outcome)`, sorted by footprint id.
     transitions: Vec<(u32, Transition)>,
 }
 
-/// Total bytes of interned state keys a single replay cache may hold
-/// (counting the interner's duplicate copy). Beyond this the memoizer
-/// stops learning new states and falls back to plain simulation.
+/// Sizes the state table: at most `MAX_STATE_BYTES / (16 · key words)`
+/// states, two key widths per state — a state-count cap kept at its old
+/// size so counts do not move (the keys, stored once, fill half of it).
+/// Beyond the cap the memoizer stops learning new states and falls back
+/// to plain simulation.
 const MAX_STATE_BYTES: usize = 48 << 20;
 
 /// A transition table over interned cache(+TLB) states.
@@ -132,8 +155,9 @@ const MAX_STATE_BYTES: usize = 48 << 20;
 pub struct ReplayCache {
     /// Interned states; index = token.
     states: Vec<StateEntry>,
-    /// Exact-state interning map (fixed-seed hasher, see [`FxHasher`]).
-    intern: FxMap<Box<[u64]>, u32>,
+    /// [`hash_words`] of a key → the first state with that hash (the
+    /// rest chain through [`StateEntry::same_hash`]).
+    intern: FxMap<u64, u32>,
     /// Registered code footprints; index = footprint id.
     footprints: Vec<Vec<u64>>,
     /// `(ptr, len)` of the slice each footprint was registered from.
@@ -196,8 +220,20 @@ impl ReplayCache {
     /// when the state is new but the table is full (the caller then
     /// bypasses the memo for this sweep).
     pub(crate) fn intern(&mut self, key: &[u64]) -> Option<u32> {
-        if let Some(&t) = self.intern.get(key) {
-            return Some(t);
+        self.intern_hashed(hash_words(key), key)
+    }
+
+    /// [`ReplayCache::intern`] with the key's hash `h` given: walks the
+    /// chain of states hashed to `h`, comparing full keys, and appends a
+    /// new state (its key's one copy) when none matches.
+    fn intern_hashed(&mut self, h: u64, key: &[u64]) -> Option<u32> {
+        let first = self.intern.get(&h).copied();
+        let mut at = first;
+        while let Some(entry) = at.and_then(|t| self.states.get(t as usize)) {
+            if *entry.key == *key {
+                return at;
+            }
+            at = entry.same_hash;
         }
         if self.max_states == 0 {
             // First state fixes the key width and therefore the cap.
@@ -207,14 +243,21 @@ impl ReplayCache {
             return None;
         }
         let t = self.states.len() as u32;
-        let boxed: Box<[u64]> = key.into();
+        let same_hash = match first.and_then(|f| self.states.get_mut(f as usize)) {
+            // Splice in behind the first state with this hash.
+            Some(head) => head.same_hash.replace(t),
+            None => {
+                // analyze::allow(alloc-path, reason = "replay-memo warm-up path; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
+                self.intern.insert(h, t);
+                None
+            }
+        };
         // analyze::allow(alloc-path, reason = "replay-memo warm-up path; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
         self.states.push(StateEntry {
-            key: boxed.clone(),
+            key: key.into(),
+            same_hash,
             transitions: Vec::new(),
         });
-        // analyze::allow(alloc-path, reason = "replay-memo warm-up path; steady state is a memo hit (hit rate CI-gated, tests/alloc.rs pins zero steady-state allocs)")
-        self.intern.insert(boxed, t);
         Some(t)
     }
 
@@ -351,5 +394,56 @@ mod tests {
         b.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_eq!(a.finish(), b.finish());
         assert_ne!(a.finish(), 0);
+    }
+
+    /// The lane hash sees every word, its position and the length: a
+    /// change in any one word of a 2 KB key (any lane, or the tail) moves
+    /// it, as do swapping words between lanes and trailing zeros.
+    #[test]
+    fn hash_words_covers_every_word() {
+        for len in [0usize, 1, 3, 4, 5, 8, 11, 256, 258] {
+            let key: Vec<u64> = (0..len as u64).map(|i| i * 0x9e37 + 1).collect();
+            let h = hash_words(&key);
+            assert_eq!(h, hash_words(&key.clone()), "deterministic");
+            for i in 0..len {
+                let mut other = key.clone();
+                other[i] ^= 1 << (i % 64);
+                assert_ne!(hash_words(&other), h, "len {len}: word {i} ignored");
+            }
+            if len >= 2 {
+                let mut swapped = key.clone();
+                swapped.swap(0, 1);
+                assert_ne!(hash_words(&swapped), h, "len {len}: lanes interchangeable");
+            }
+            let mut longer = key.clone();
+            longer.push(0);
+            assert_ne!(hash_words(&longer), h, "len {len}: trailing zero ignored");
+        }
+    }
+
+    /// Distinct keys forced onto one hash share a chain: each gets its
+    /// own token, re-interning any of them finds it, a key on another
+    /// hash is unaffected, and the state cap still binds mid-chain.
+    #[test]
+    fn equal_hashes_chain_to_distinct_states() {
+        let mut r = ReplayCache {
+            max_states: 5,
+            ..ReplayCache::default()
+        };
+        let keys: [&[u64]; 4] = [&[1, 2], &[3, 4], &[5, 6], &[7, 8]];
+        let tokens: Vec<u32> = keys
+            .iter()
+            .map(|k| r.intern_hashed(42, k).unwrap())
+            .collect();
+        assert_eq!(tokens, [0, 1, 2, 3], "every colliding key is a new state");
+        assert_eq!(r.intern_hashed(7, &[1, 2]), Some(4), "another hash, another chain");
+        for (k, &t) in keys.iter().zip(&tokens).rev() {
+            assert_eq!(r.intern_hashed(42, k), Some(t), "re-intern finds its token");
+            assert_eq!(r.state(t), *k);
+        }
+        assert!(r.saturated());
+        assert_eq!(r.intern_hashed(42, &[9, 9]), None, "cap binds on a chain");
+        assert_eq!(r.intern_hashed(42, &[5, 6]), Some(2), "known chained state resolves");
+        assert_eq!(r.report().states, 5);
     }
 }

@@ -13,8 +13,13 @@ pub struct ReplayStats {
     pub hits: u64,
     /// Footprint fetches simulated line by line and recorded.
     pub misses: u64,
-    /// Footprint fetches that bypassed the memo entirely (machine
-    /// configuration not eligible, or a footprint-id collision).
+    /// Footprint fetches that bypassed the memo and were walked without
+    /// being recorded: the memoizer was switched off
+    /// (`memoizer-disabled`), the machine configuration is not eligible
+    /// (`unified-cache`, `l2-configured`), the footprint id collided
+    /// (`footprint-collision`), or the live state was new and the state
+    /// table was full (`state-table-full`). See
+    /// [`crate::Machine::replay_bypass_reason`].
     pub bypasses: u64,
 }
 

@@ -16,6 +16,14 @@
 //! one hit. (The duplex rows are that commit's code-memo counts — it also
 //! ran a data-sweep memo on those machines, since removed, whose counts
 //! were summed in.)
+//!
+//! The script above warms one machine, so after the first laps nearly
+//! every sweep is a memo hit. The paper's own unit of work is the other
+//! shape — a fresh random placement per run — where a few messages per
+//! machine make memo misses a large share of all sweeps: the `cold_*`
+//! tests build many fresh `paper_stack` placements, each driven briefly
+//! through a memoized and a memoizer-disabled engine, on the plain, TLB
+//! and prefetch machines.
 
 use cachesim::{MachineConfig, MachineStats, ReplayStats};
 use ldlp::synth::{paper_stack, stack_with, MessagePool};
@@ -113,6 +121,86 @@ fn replay_stats(hits: u64, misses: u64, bypasses: u64) -> ReplayStats {
         misses,
         bypasses,
     }
+}
+
+/// Placements per machine configuration in the `cold_*` tests.
+const PLACEMENTS: u64 = 60;
+
+/// `PLACEMENTS` fresh `paper_stack` placements of `cfg`, each with its
+/// own message pool and discipline, 12 batches apiece through a memoized
+/// and a walked engine that must agree after every batch. Returns the
+/// memoized side's replay counts and its `[I-misses, D-misses, cycles]`,
+/// each summed over the placements. The tests pin both to what the
+/// full-scan placement, the per-line walk and the two-copy interner
+/// produced for the same script, so the neighbour-test placement, the
+/// line-list walk (which both engines share) and the one-hash interner
+/// are held to the same layouts, the same simulated numbers and the same
+/// memo decisions.
+fn cold_placements(cfg: MachineConfig) -> (ReplayStats, [u64; 3]) {
+    let disciplines = [
+        Discipline::Conventional,
+        Discipline::Ilp,
+        Discipline::Ldlp(BatchPolicy::DCacheFit),
+    ];
+    let mut rng = XorShift(0x5eed_c01d);
+    let mut total = replay_stats(0, 0, 0);
+    let mut sim = [0; 3];
+    let (mut out_memo, mut out_walk): (Vec<Completion>, Vec<Completion>) = (Vec::new(), Vec::new());
+    for seed in 0..PLACEMENTS {
+        let discipline = disciplines[(seed % 3) as usize];
+        let [mut memo, mut walk] = [true, false].map(|replay| {
+            let (mut machine, rx) = paper_stack(cfg, seed);
+            machine.set_replay_enabled(replay);
+            StackEngine::new(machine, rx, discipline)
+        });
+        let mut pool = MessagePool::new(64, 1536, seed);
+        let mut id = 0;
+        for b in 0..12 {
+            let batch: Vec<SimMessage> = (0..1 + rng.next() % 16)
+                .map(|_| {
+                    id += 1;
+                    pool.make_message(id, LENGTHS[(rng.next() % LENGTHS.len() as u64) as usize])
+                })
+                .collect();
+            memo.process_batch_into(&batch, &mut out_memo);
+            walk.process_batch_into(&batch, &mut out_walk);
+            let at = format!("{discipline:?} placement {seed} batch {b}");
+            assert_eq!(out_memo, out_walk, "{at}");
+            assert_eq!(
+                counters(memo.machine().stats()),
+                counters(walk.machine().stats()),
+                "{at}"
+            );
+        }
+        let (m, w) = (memo.machine().replay_stats(), walk.machine().replay_stats());
+        assert_eq!(w, replay_stats(0, 0, m.accesses()), "the walked side bypasses every sweep");
+        total.hits += m.hits;
+        total.misses += m.misses;
+        total.bypasses += m.bypasses;
+        let (imiss, dmiss) = memo.machine().miss_counts();
+        for (sum, x) in sim.iter_mut().zip([imiss, dmiss, memo.machine().cycles()]) {
+            *sum += x;
+        }
+    }
+    (total, sim)
+}
+
+#[test]
+fn cold_synthetic() {
+    let got = cold_placements(MachineConfig::synthetic_benchmark());
+    assert_eq!(got, (replay_stats(30360, 590, 0), [4205116, 218626, 139530220]));
+}
+
+#[test]
+fn cold_alpha_tlbs() {
+    let got = cold_placements(MachineConfig::synthetic_benchmark().with_alpha_tlbs());
+    assert_eq!(got, (replay_stats(30170, 780, 0), [4205116, 218626, 139773940]));
+}
+
+#[test]
+fn cold_prefetch() {
+    let got = cold_placements(MachineConfig::synthetic_benchmark().with_prefetch());
+    assert_eq!(got, (replay_stats(30353, 597, 0), [4205699, 218626, 97490240]));
 }
 
 #[test]
