@@ -36,7 +36,7 @@ pub enum FileRole {
     Bin,
     /// Integration tests under `tests/`.
     Test,
-    /// Criterion-style benches under `benches/`.
+    /// Cargo benches under `benches/`.
     Bench,
 }
 

@@ -9,7 +9,7 @@
 //! outgrowing caches.
 
 use bench::sweep::seed_average;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use cachesim::{CacheConfig, MachineConfig};
 use ldlp::synth::stack_sequential;
 use ldlp::{BatchPolicy, Discipline, StackEngine};
@@ -43,7 +43,7 @@ fn run(
         // for that experiment).
         let (m, stack) = stack_sequential(machine(cache_kb), layers, code_bytes, 256);
         let mut engine = StackEngine::new(m, stack, discipline);
-        let report = run_sim(
+        run_sim(
             &mut engine,
             &arrivals,
             &SimConfig {
@@ -51,9 +51,7 @@ fn run(
                 pool_seed: seed,
                 ..SimConfig::default()
             },
-        );
-        perf::note_machine(engine.machine());
-        report
+        )
     })
 }
 
@@ -136,5 +134,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "ablation_cachesize", opts.effective_threads());
 }

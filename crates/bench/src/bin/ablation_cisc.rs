@@ -8,7 +8,7 @@
 //! 0.45x code size) and compares the LDLP speedup on both architectures.
 
 use bench::sweep::poisson_sweep;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 
 fn main() {
@@ -85,5 +85,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "ablation_cisc", opts.effective_threads());
 }

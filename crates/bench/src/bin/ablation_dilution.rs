@@ -8,7 +8,7 @@
 //! the measured dilution, quantifying what outlining buys each schedule.
 
 use bench::sweep::seed_average;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 use layout::outline::{outline, HotColdFunction};
 use ldlp::synth::stack_with;
@@ -34,9 +34,7 @@ fn run(code_bytes: u64, discipline: Discipline, rate: f64, opts: &RunOpts) -> Si
             duration_s: opts.duration_s,
             ..SimConfig::default()
         };
-        let report = run_sim(&mut engine, &arrivals, &cfg);
-        perf::note_machine(engine.machine());
-        report
+        run_sim(&mut engine, &arrivals, &cfg)
     })
 }
 
@@ -142,5 +140,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "ablation_dilution", opts.effective_threads());
 }

@@ -6,7 +6,7 @@
 //! `ldlp::blocking`.
 
 use bench::sweep::seed_average;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 use ldlp::blocking::BlockingModel;
 use ldlp::synth::paper_stack;
@@ -24,9 +24,7 @@ fn run(policy: BatchPolicy, rate: f64, opts: &RunOpts) -> SimReport {
             duration_s: opts.duration_s,
             ..SimConfig::default()
         };
-        let report = run_sim(&mut engine, &arrivals, &cfg);
-        perf::note_machine(engine.machine());
-        report
+        run_sim(&mut engine, &arrivals, &cfg)
     })
 }
 
@@ -95,5 +93,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "ablation_policy", opts.effective_threads());
 }

@@ -12,7 +12,7 @@
 //! attack the same cost from opposite ends.
 
 use bench::sweep::seed_average;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 use ldlp::synth::paper_stack;
 use ldlp::{BatchPolicy, Discipline, StackEngine};
@@ -25,16 +25,14 @@ fn run(cfg: MachineConfig, d: Discipline, rate: f64, opts: &RunOpts) -> SimRepor
         let arrivals = PoissonSource::new(rate, 552, seed).take_until(opts.duration_s);
         let (m, layers) = paper_stack(cfg, seed);
         let mut engine = StackEngine::new(m, layers, d);
-        let report = run_sim(
+        run_sim(
             &mut engine,
             &arrivals,
             &SimConfig {
                 duration_s: opts.duration_s,
                 ..SimConfig::default()
             },
-        );
-        perf::note_machine(engine.machine());
-        report
+        )
     })
 }
 
@@ -108,5 +106,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "ablation_prefetch", opts.effective_threads());
 }

@@ -11,7 +11,7 @@
 //! TLBs enabled.
 
 use bench::sweep::per_seed;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 use ldlp::synth::stack_with;
 use ldlp::{BatchPolicy, Discipline, StackEngine};
@@ -36,7 +36,6 @@ fn run(discipline: Discipline, rate: f64, opts: &RunOpts) -> (f64, f64, f64) {
                 ..SimConfig::default()
             },
         );
-        perf::note_machine(engine.machine());
         let s = engine.machine().stats();
         let n = r.completed.max(1) as f64;
         (
@@ -117,5 +116,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "ablation_tlb", opts.effective_threads());
 }

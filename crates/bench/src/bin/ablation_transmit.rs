@@ -10,7 +10,7 @@
 //! full duplex working set, conventional vs. LDLP.
 
 use bench::sweep::seed_average;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 use ldlp::synth::{paper_stack, stack_with};
 use ldlp::{BatchPolicy, Discipline, StackEngine};
@@ -41,16 +41,14 @@ fn run(discipline: Discipline, duplex: bool, rate: f64, opts: &RunOpts) -> SimRe
     seed_average(opts, |seed| {
         let arrivals = PoissonSource::new(rate, 552, seed).take_until(opts.duration_s);
         let mut e = engine(discipline, seed, duplex);
-        let report = run_sim(
+        run_sim(
             &mut e,
             &arrivals,
             &SimConfig {
                 duration_s: opts.duration_s,
                 ..SimConfig::default()
             },
-        );
-        perf::note_machine(e.machine());
-        report
+        )
     })
 }
 
@@ -123,5 +121,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "ablation_transmit", opts.effective_threads());
 }

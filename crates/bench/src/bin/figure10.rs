@@ -19,7 +19,7 @@
 //! CI). Byte-identical for any `--threads` value.
 
 use bench::figure10::{figure10_rows, populations, sweep, variants, FIGURE10_HEADER, RATE};
-use bench::{perf, print_table, write_csv, RunOpts};
+use bench::{print_table, write_csv, RunOpts};
 
 fn main() {
     let mut opts = RunOpts::from_args();
@@ -79,5 +79,4 @@ fn main() {
         "figure10.csv"
     };
     write_csv(&opts.out_dir.join(name), &FIGURE10_HEADER, &rows);
-    perf::write_fragment(&opts.out_dir, "figure10", opts.effective_threads());
 }

@@ -21,7 +21,7 @@
 //! file in CI). Byte-identical for any `--threads` value.
 
 use bench::figure13::{cells, loads, sweep, FIGURE13_HEADER};
-use bench::{perf, print_table, write_csv, RunOpts};
+use bench::{print_table, write_csv, RunOpts};
 
 fn main() {
     let mut opts = RunOpts::from_args();
@@ -83,5 +83,4 @@ fn main() {
         "figure13.csv"
     };
     write_csv(&opts.out_dir.join(name), &FIGURE13_HEADER, &rows);
-    perf::write_fragment(&opts.out_dir, "figure13", opts.effective_threads());
 }

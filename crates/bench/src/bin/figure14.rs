@@ -17,7 +17,7 @@
 //! file in CI). Byte-identical for any `--threads` value.
 
 use bench::figure14::{core_counts, sweep_observed, FIGURE14_HEADER, FLOWS, RATE_MSG_S};
-use bench::{obs_io, perf, print_table, write_csv, RunOpts};
+use bench::{obs_io, print_table, write_csv, RunOpts};
 
 fn main() {
     let mut opts = RunOpts::from_args();
@@ -76,7 +76,6 @@ fn main() {
         "figure14.csv"
     };
     write_csv(&opts.out_dir.join(name), &FIGURE14_HEADER, &rows);
-    perf::write_fragment(&opts.out_dir, "figure14", opts.effective_threads());
     if let Some(rec) = recorder {
         obs_io::write_metrics(&opts.out_dir, &obs_io::run_meta("figure14", &opts), &rec);
     }

@@ -11,34 +11,15 @@
 //! as the winning technique (its data loops touch the message once
 //! instead of once per layer).
 
+use bench::figure4_regimes::{run_cell, BYTE_RATE, MSG_BYTES};
 use bench::sweep::seed_average;
-use bench::{f, perf, print_table, write_csv, RunOpts};
-use cachesim::MachineConfig;
-use ldlp::synth::paper_stack;
-use ldlp::{BatchPolicy, Discipline, StackEngine};
+use bench::{f, print_table, write_csv, RunOpts};
+use ldlp::{BatchPolicy, Discipline};
 use simnet::stats::SimReport;
-use simnet::traffic::{PoissonSource, TrafficSource};
-use simnet::{run_sim, SimConfig};
-
-/// Offered load in bytes/second — 552-byte messages at 5000 msg/s.
-const BYTE_RATE: f64 = 552.0 * 5000.0;
 
 fn run(discipline: Discipline, msg_bytes: u32, opts: &RunOpts) -> SimReport {
-    let rate = (BYTE_RATE / msg_bytes as f64).min(20_000.0);
     seed_average(opts, |seed| {
-        let arrivals = PoissonSource::new(rate, msg_bytes, seed).take_until(opts.duration_s);
-        let (m, layers) = paper_stack(MachineConfig::synthetic_benchmark(), seed);
-        let mut engine = StackEngine::new(m, layers, discipline);
-        let cfg = SimConfig {
-            duration_s: opts.duration_s,
-            pool_bufs: 32,
-            pool_buf_bytes: 17 * 1024,
-            pool_seed: seed,
-            ..SimConfig::default()
-        };
-        let report = run_sim(&mut engine, &arrivals, &cfg);
-        perf::note_machine(engine.machine());
-        report
+        run_cell(discipline, msg_bytes, seed, opts.duration_s).0
     })
 }
 
@@ -53,7 +34,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for msg in [64u32, 256, 552, 1024, 4096, 16384] {
+    for msg in MSG_BYTES {
         let conv = run(Discipline::Conventional, msg, &opts);
         let ilp = run(Discipline::Ilp, msg, &opts);
         let ldlp = run(Discipline::Ldlp(BatchPolicy::DCacheFit), msg, &opts);
@@ -134,5 +115,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "figure4_regimes", opts.effective_threads());
 }

@@ -8,7 +8,7 @@
 
 use bench::figures::{figure5_rows, FIGURE5_HEADER};
 use bench::sweep::{poisson_sweep_observed, traced_poisson_runs};
-use bench::{f, figure5_rates, obs_io, perf, print_table, write_csv, RunOpts};
+use bench::{f, figure5_rates, obs_io, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 
 fn main() {
@@ -59,7 +59,6 @@ fn main() {
          (the paper's Figure 2/4 argument for small messages)."
     );
     write_csv(&opts.out_dir.join("figure5.csv"), &FIGURE5_HEADER, &csv);
-    perf::write_fragment(&opts.out_dir, "figure5", opts.effective_threads());
     if let Some(rec) = recorder {
         obs_io::write_metrics(&opts.out_dir, &obs_io::run_meta("figure5", &opts), &rec);
     }

@@ -8,7 +8,7 @@
 
 use bench::figures::{figure6_rows, FIGURE6_HEADER};
 use bench::sweep::{poisson_sweep_observed, traced_poisson_runs};
-use bench::{f, figure5_rates, obs_io, perf, print_table, write_csv, RunOpts};
+use bench::{f, figure5_rates, obs_io, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 
 fn main() {
@@ -50,7 +50,6 @@ fn main() {
         &rows,
     );
     write_csv(&opts.out_dir.join("figure6.csv"), &FIGURE6_HEADER, &csv);
-    perf::write_fragment(&opts.out_dir, "figure6", opts.effective_threads());
     if let Some(rec) = recorder {
         obs_io::write_metrics(&opts.out_dir, &obs_io::run_meta("figure6", &opts), &rec);
     }

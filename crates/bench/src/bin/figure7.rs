@@ -9,7 +9,7 @@
 
 use bench::figures::{figure7_rows, FIGURE7_HEADER};
 use bench::sweep::{clock_sweep_observed, traced_clock_runs};
-use bench::{f, figure7_clocks, obs_io, perf, print_table, write_csv, RunOpts};
+use bench::{f, figure7_clocks, obs_io, print_table, write_csv, RunOpts};
 use cachesim::MachineConfig;
 
 fn main() {
@@ -54,7 +54,6 @@ fn main() {
         &rows,
     );
     write_csv(&opts.out_dir.join("figure7.csv"), &FIGURE7_HEADER, &csv);
-    perf::write_fragment(&opts.out_dir, "figure7", opts.effective_threads());
     if let Some(rec) = recorder {
         obs_io::write_metrics(&opts.out_dir, &obs_io::run_meta("figure7", &opts), &rec);
     }

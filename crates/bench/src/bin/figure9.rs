@@ -15,7 +15,7 @@
 //! CI). Byte-identical for any `--threads` value.
 
 use bench::figure9::{core_counts, rates, sweep_observed, traced_runs, FIGURE9_HEADER};
-use bench::{obs_io, perf, print_table, write_csv, RunOpts};
+use bench::{obs_io, print_table, write_csv, RunOpts};
 
 fn main() {
     let mut opts = RunOpts::from_args();
@@ -74,7 +74,6 @@ fn main() {
         "figure9.csv"
     };
     write_csv(&opts.out_dir.join(name), &FIGURE9_HEADER, &rows);
-    perf::write_fragment(&opts.out_dir, "figure9", opts.effective_threads());
     if let Some(rec) = recorder {
         obs_io::write_metrics(&opts.out_dir, &obs_io::run_meta("figure9", &opts), &rec);
     }

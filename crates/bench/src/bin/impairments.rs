@@ -15,7 +15,7 @@ use bench::impairments::{
     grid, impairment_sweep, impairments_rows, observed_cell, HOLD_S, IMPAIRMENTS_HEADER,
     OBSERVED_CELL, PAIRS_PER_S,
 };
-use bench::{f, obs_io, perf, print_table, write_csv, RunOpts};
+use bench::{f, obs_io, print_table, write_csv, RunOpts};
 
 fn main() {
     let mut opts = RunOpts::from_args();
@@ -79,7 +79,6 @@ fn main() {
         "impairments.csv"
     };
     write_csv(&opts.out_dir.join(name), &IMPAIRMENTS_HEADER, &rows);
-    perf::write_fragment(&opts.out_dir, "impairments", opts.effective_threads());
 
     if opts.trace || opts.metrics {
         // One observed rerun of the representative cell: the signalling

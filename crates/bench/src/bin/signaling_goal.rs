@@ -8,7 +8,7 @@
 //! 500 MHz 1996 workstation model.
 
 use bench::sweep::seed_average;
-use bench::{f, perf, print_table, write_csv, RunOpts};
+use bench::{f, print_table, write_csv, RunOpts};
 use ldlp::{BatchPolicy, Discipline, StackEngine};
 use signaling::workload::{call_arrivals, goal_machine, signaling_stack, SIGNALING_LAYERS};
 use simnet::stats::SimReport;
@@ -23,9 +23,7 @@ fn run(discipline: Discipline, pairs_per_s: f64, opts: &RunOpts) -> SimReport {
             duration_s: opts.duration_s,
             ..SimConfig::default()
         };
-        let report = run_sim(&mut engine, &arrivals, &cfg);
-        perf::note_machine(engine.machine());
-        report
+        run_sim(&mut engine, &arrivals, &cfg)
     })
 }
 
@@ -113,5 +111,4 @@ fn main() {
         ],
         &csv,
     );
-    perf::write_fragment(&opts.out_dir, "signaling_goal", opts.effective_threads());
 }

@@ -1,9 +1,9 @@
 //! # bench — experiment harnesses
 //!
 //! One binary per table and figure of the paper (see DESIGN.md's
-//! per-experiment index), plus Criterion microbenchmarks of the real code
-//! paths. Each binary prints the paper's rows/series as an aligned table
-//! and writes a CSV into `results/`.
+//! per-experiment index), listed in [`EXPERIMENTS`]. Each binary prints
+//! the paper's rows/series as an aligned table and writes a CSV into
+//! `results/`.
 //!
 //! Common flags for the simulation figures:
 //!
@@ -189,6 +189,35 @@ pub fn f(v: f64, d: usize) -> String {
     format!("{v:.d$}")
 }
 
+/// Every experiment binary under `src/bin/` except `all_experiments`
+/// itself, in the order `all_experiments` runs them.
+pub const EXPERIMENTS: [&str; 24] = [
+    "table1",
+    "figure1",
+    "table3",
+    "figure5",
+    "figure6",
+    "figure7",
+    "figure8",
+    "figure9",
+    "figure10",
+    "figure13",
+    "figure14",
+    "figure4_regimes",
+    "signaling_goal",
+    "impairments",
+    "trace_replay",
+    "dynamics",
+    "ablation_cisc",
+    "ablation_dilution",
+    "ablation_policy",
+    "ablation_cachesize",
+    "ablation_transmit",
+    "ablation_tlb",
+    "ablation_layout",
+    "ablation_prefetch",
+];
+
 /// The arrival-rate grid of Figures 5 and 6 (messages/second).
 pub fn figure5_rates() -> Vec<f64> {
     (1..=20).map(|i| i as f64 * 500.0).collect()
@@ -213,17 +242,27 @@ mod tests {
     }
 
     #[test]
-    fn float_formatting() {
-        assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(f(10.0, 0), "10");
+    fn every_experiment_binary_is_in_the_suite() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+            .expect("read src/bin")
+            .map(|entry| entry.expect("src/bin entry").path())
+            .filter_map(|p| Some(p.file_stem()?.to_str()?.to_string()))
+            .filter(|name| name != "all_experiments")
+            .collect();
+        on_disk.sort();
+        let mut listed = EXPERIMENTS.to_vec();
+        listed.sort();
+        assert_eq!(
+            on_disk, listed,
+            "EXPERIMENTS must name every binary all_experiments runs"
+        );
     }
 
     #[test]
-    fn perf_fragment_round_trips() {
-        let text = perf::fragment_json("figure5", 8);
-        assert_eq!(perf::json_u64(&text, "threads"), Some(8));
-        assert!(perf::json_u64(&text, "replay_hits").is_some());
-        assert_eq!(perf::json_u64(&text, "no_such_key"), None);
+    fn float_formatting() {
+        assert_eq!(f(1.23456, 2), "1.23");
+        assert_eq!(f(10.0, 0), "10");
     }
 
     #[test]
@@ -306,116 +345,6 @@ mod tests {
     }
 }
 
-pub mod perf {
-    //! Process-wide apparatus-performance counters and the per-binary
-    //! perf fragment consumed by `all_experiments`.
-    //!
-    //! Every simulation run harvests its machine's footprint-replay
-    //! counters into process-wide atomics; a binary then writes one JSON
-    //! fragment (`results/perf/<name>.json`) which `all_experiments`
-    //! merges — together with the wall time it measured for the child —
-    //! into `results/perf_summary.json`.
-
-    use std::path::Path;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
-
-    static HITS: AtomicU64 = AtomicU64::new(0);
-    static MISSES: AtomicU64 = AtomicU64::new(0);
-    static BYPASSES: AtomicU64 = AtomicU64::new(0);
-    /// First bypass reason any harvested machine reported. Stays unset
-    /// when every machine replayed cleanly, so the fragment's
-    /// `bypass_reason` is `null` exactly when `replay_bypasses` is an
-    /// honest zero.
-    static BYPASS_REASON: OnceLock<&'static str> = OnceLock::new();
-
-    /// Folds one machine's replay counters into the process totals.
-    pub fn note_replay(s: &cachesim::ReplayStats) {
-        HITS.fetch_add(s.hits, Ordering::Relaxed);
-        MISSES.fetch_add(s.misses, Ordering::Relaxed);
-        BYPASSES.fetch_add(s.bypasses, Ordering::Relaxed);
-    }
-
-    /// Folds one machine's replay counters *and* its bypass reason into
-    /// the process totals. Prefer this over [`note_replay`] whenever the
-    /// machine itself is at hand: a config the memoizer can never serve
-    /// (unified cache, board cache) then shows up in the perf fragment
-    /// as a named reason instead of a silent zero.
-    pub fn note_machine(m: &cachesim::Machine) {
-        note_replay(&m.replay_stats());
-        if let Some(why) = m.replay_bypass_reason().or_else(|| m.replay_ineligibility()) {
-            let _ = BYPASS_REASON.set(why);
-        }
-    }
-
-    /// The first bypass reason harvested so far, if any.
-    pub fn bypass_reason() -> Option<&'static str> {
-        BYPASS_REASON.get().copied()
-    }
-
-    /// The process-wide replay totals accumulated so far.
-    pub fn replay_totals() -> cachesim::ReplayStats {
-        cachesim::ReplayStats {
-            hits: HITS.load(Ordering::Relaxed),
-            misses: MISSES.load(Ordering::Relaxed),
-            bypasses: BYPASSES.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Renders the fragment JSON for a binary.
-    pub fn fragment_json(name: &str, threads: usize) -> String {
-        let t = replay_totals();
-        let reason = match bypass_reason() {
-            Some(why) => format!("\"{why}\""),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\n  \"name\": \"{}\",\n  \"threads\": {},\n  \"replay_hits\": {},\n  \
-             \"replay_misses\": {},\n  \"replay_bypasses\": {},\n  \"bypass_reason\": {},\n  \
-             \"replay_hit_rate\": {:.4}\n}}\n",
-            name,
-            threads,
-            t.hits,
-            t.misses,
-            t.bypasses,
-            reason,
-            t.hit_rate()
-        )
-    }
-
-    /// Writes `OUT_DIR/perf/<name>.json` with this process's replay
-    /// totals and thread count.
-    pub fn write_fragment(out_dir: &Path, name: &str, threads: usize) {
-        let dir = out_dir.join("perf");
-        std::fs::create_dir_all(&dir).expect("create perf directory");
-        std::fs::write(dir.join(format!("{name}.json")), fragment_json(name, threads))
-            .expect("write perf fragment");
-    }
-
-    /// Pulls an integer field out of a fragment (good enough for the
-    /// JSON this module itself writes).
-    pub fn json_u64(text: &str, key: &str) -> Option<u64> {
-        let pat = format!("\"{key}\":");
-        let at = text.find(&pat)? + pat.len();
-        let rest = text[at..].trim_start();
-        let end = rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
-    /// Pulls a string field out of a fragment; `None` for a `null`
-    /// value or an absent key (same caveats as [`json_u64`]).
-    pub fn json_str(text: &str, key: &str) -> Option<String> {
-        let pat = format!("\"{key}\":");
-        let at = text.find(&pat)? + pat.len();
-        let rest = text[at..].trim_start();
-        let inner = rest.strip_prefix('"')?;
-        let end = inner.find('"')?;
-        inner.get(..end).map(str::to_string)
-    }
-}
-
 pub mod sweep {
     //! Shared sweep runners for the simulation figures.
     //!
@@ -487,7 +416,6 @@ pub mod sweep {
             ..SimConfig::default()
         };
         let report = run_sim(&mut engine, arrivals, &sim_cfg);
-        crate::perf::note_machine(engine.machine());
         (report, engine.take_sink())
     }
 
@@ -712,6 +640,46 @@ pub mod sweep {
                 (name, sink.into_recorder().expect("sink was attached"))
             })
             .collect()
+    }
+}
+
+pub mod figure4_regimes {
+    //! Figure 4's regime boundary: the message size swept at a fixed
+    //! offered *byte* rate, all three disciplines.
+
+    use cachesim::MachineConfig;
+    use ldlp::synth::paper_stack;
+    use ldlp::{Discipline, StackEngine};
+    use simnet::stats::SimReport;
+    use simnet::traffic::{PoissonSource, TrafficSource};
+    use simnet::{run_sim, SimConfig};
+
+    /// Offered load in bytes/second — 552-byte messages at 5000 msg/s.
+    pub const BYTE_RATE: f64 = 552.0 * 5000.0;
+
+    /// The message sizes swept, bytes.
+    pub const MSG_BYTES: [u32; 6] = [64, 256, 552, 1024, 4096, 16384];
+
+    /// One (discipline, message size, seed) run. The engine is returned
+    /// with the report so its machine's counters can be read.
+    pub fn run_cell(
+        discipline: Discipline,
+        msg_bytes: u32,
+        seed: u64,
+        duration_s: f64,
+    ) -> (SimReport, StackEngine) {
+        let rate = (BYTE_RATE / msg_bytes as f64).min(20_000.0);
+        let arrivals = PoissonSource::new(rate, msg_bytes, seed).take_until(duration_s);
+        let (m, layers) = paper_stack(MachineConfig::synthetic_benchmark(), seed);
+        let mut engine = StackEngine::new(m, layers, discipline);
+        let cfg = SimConfig {
+            duration_s,
+            pool_bufs: 32,
+            pool_buf_bytes: 17 * 1024,
+            pool_seed: seed,
+            ..SimConfig::default()
+        };
+        (run_sim(&mut engine, &arrivals, &cfg), engine)
     }
 }
 
@@ -1101,7 +1069,6 @@ pub mod impairments {
             ..SimConfig::default()
         };
         let report = run_sim_impaired(&mut engine, deliveries, &sim_cfg, net);
-        crate::perf::note_machine(engine.machine());
         assert!(
             report.conservation_holds(),
             "conservation violated: {report:?}"
@@ -1428,7 +1395,6 @@ pub mod figure9 {
         }
         sim.run(&arrivals);
         let out = sim.outcome(ImpairCounters::default());
-        crate::perf::note_replay(&out.replay);
         // Empty when not observing: no sinks were attached.
         let rec = merge_recorders(sim.take_recorders().into_iter().map(|(_, rec)| Some(rec)));
         (
@@ -1535,8 +1501,6 @@ pub mod figure9 {
             let mut sim = SmpSim::new(&cfg);
             sim.set_sinks(true);
             sim.run(&arrivals);
-            let outcome = sim.outcome(ImpairCounters::default());
-            crate::perf::note_replay(&outcome.replay);
             for (name, rec) in sim.take_recorders() {
                 out.push((
                     format!("{}-{}/{}", v.discipline_label, v.dispatch_label, name),
@@ -1942,7 +1906,6 @@ pub mod figure10 {
             ..SimConfig::default()
         };
         let report = run_sim_lookup(&mut engine, &arrivals, &flow_ids, &sim_cfg, &mut lookup);
-        crate::perf::note_machine(engine.machine());
         let stats = lookup.cache_stats();
         (
             report,
@@ -2482,7 +2445,6 @@ pub mod figure13 {
         let mut sim = SmpSim::new(&cfg);
         sim.run_closed(&mut pop, WEIGHTS);
         let out = sim.outcome(pop.channel_counters());
-        crate::perf::note_replay(&out.replay);
         assert!(
             out.report.conservation_holds(),
             "figure13 cell violates conservation: load={} variant={} admission={} budget={}",
@@ -2787,7 +2749,6 @@ pub mod figure14 {
         }
         sim.run(&arrivals);
         let out = sim.outcome(ImpairCounters::default());
-        crate::perf::note_replay(&out.replay);
         assert!(
             out.report.conservation_holds(),
             "figure14 cell violates conservation: cores={cores} variant={}",
