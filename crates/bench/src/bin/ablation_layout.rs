@@ -1,159 +1,5 @@
-//! Ablation A7: layout sensitivity (paper Section 4's methodology note).
-//!
-//! "Because the caches are not fully associative, the number of conflict
-//! misses depends on the way the program is laid out in memory" — the
-//! paper randomizes placement and averages. This ablation quantifies how
-//! much layout matters: the Figure-1 function inventory placed randomly,
-//! sequentially (link order), greedily (Cord-style colouring), and by
-//! simulated annealing, scored by within-layer cache conflicts and by the
-//! simulated per-message miss cost of one receive path.
-
-use bench::sweep::per_seed;
-use bench::{print_table, write_csv, RunOpts};
-use cachesim::{CacheConfig, Machine, MachineConfig, Region};
-use layout::anneal::{anneal_place, AnnealConfig};
-use layout::conflict::conflict_score;
-use layout::place::{greedy_place, random_place, sequential_place, PlacedFunction};
-use netstack::footprint::FUNCTIONS;
-
-/// The Figure-1 inventory as (size, group = Table-1 layer) pairs.
-fn inventory() -> Vec<(u64, u32)> {
-    FUNCTIONS
-        .iter()
-        .map(|s| (s.touched_lines().max(1) * 32, s.layer as u32))
-        .collect()
-}
-
-/// Within-layer excess conflict lines summed over layers.
-fn layer_conflicts(placed: &[PlacedFunction], cfg: &CacheConfig) -> u64 {
-    let mut groups: std::collections::BTreeMap<u32, Vec<Region>> = Default::default();
-    for p in placed {
-        groups.entry(p.group).or_default().push(p.region);
-    }
-    groups
-        .values()
-        .map(|rs| conflict_score(rs, cfg).excess_lines)
-        .sum()
-}
-
-/// Simulated I-cache misses for (a) one conventional receive path (all
-/// functions fetched once, in order) and (b) one LDLP layer pass: each
-/// layer's functions fetched repeatedly, as a blocked batch does. The
-/// second number is where self-conflicts hurt — a conflict-free layer
-/// stays resident for the whole batch.
-fn path_misses(placed: &[PlacedFunction], machine_cfg: MachineConfig) -> (u64, u64) {
-    let mut m = Machine::new(machine_cfg);
-    let before = m.stats().icache.misses;
-    for p in placed {
-        m.fetch_code(p.region);
-    }
-    let cold = m.stats().icache.misses - before;
-
-    // LDLP pass: per layer, fetch its functions for a 14-message batch;
-    // count only the re-fetches after the first message.
-    let mut groups: std::collections::BTreeMap<u32, Vec<Region>> = Default::default();
-    for p in placed {
-        groups.entry(p.group).or_default().push(p.region);
-    }
-    let mut batch_refetches = 0;
-    for regions in groups.values() {
-        m.flush_caches();
-        for r in regions {
-            m.fetch_code(*r);
-        }
-        let before = m.stats().icache.misses;
-        for _ in 1..14 {
-            for r in regions {
-                m.fetch_code(*r);
-            }
-        }
-        batch_refetches += m.stats().icache.misses - before;
-    }
-    (cold, batch_refetches)
-}
+//! Ablation A7: code-layout sensitivity — see [`bench::ablation_layout`].
 
 fn main() {
-    let opts = RunOpts::from_args();
-    let sizes = inventory();
-    let cache = CacheConfig::direct_mapped(8192, 32);
-    let machine = MachineConfig::dec3000_400();
-    println!(
-        "Layout sensitivity of the Figure-1 inventory ({} functions,\n\
-         {} KB of touched code) in an 8 KB direct-mapped I-cache:\n",
-        sizes.len(),
-        sizes.iter().map(|s| s.0).sum::<u64>() / 1024
-    );
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-
-    // Random: average over seeds (reported as one row).
-    let mut rand_conf = 0u64;
-    let mut rand_cold = 0u64;
-    let mut rand_steady = 0u64;
-    for (conf, cold, steady) in per_seed(&opts, |seed| {
-        let placed = random_place(&sizes, Region::new(0, 4 << 20), &cache, seed);
-        let (c, s) = path_misses(&placed, machine);
-        (layer_conflicts(&placed, &cache), c, s)
-    }) {
-        rand_conf += conf;
-        rand_cold += cold;
-        rand_steady += steady;
-    }
-    rows.push(vec![
-        format!("random (avg of {})", opts.seeds),
-        (rand_conf / opts.seeds).to_string(),
-        (rand_cold / opts.seeds).to_string(),
-        (rand_steady / opts.seeds).to_string(),
-    ]);
-    csv.push(vec![
-        "random".to_string(),
-        (rand_conf / opts.seeds).to_string(),
-        (rand_cold / opts.seeds).to_string(),
-        (rand_steady / opts.seeds).to_string(),
-    ]);
-
-    {
-        let mut eval = |name: &str, placed: Vec<PlacedFunction>| {
-            let conflicts = layer_conflicts(&placed, &cache);
-            let (cold, steady) = path_misses(&placed, machine);
-            rows.push(vec![
-                name.to_string(),
-                conflicts.to_string(),
-                cold.to_string(),
-                steady.to_string(),
-            ]);
-            csv.push(vec![
-                name.to_string(),
-                conflicts.to_string(),
-                cold.to_string(),
-                steady.to_string(),
-            ]);
-        };
-
-        eval("sequential (link order)", sequential_place(&sizes, 0x1000, &cache));
-        eval("greedy (Cord-style)", greedy_place(&sizes, 0x1000, &cache, 1));
-        eval(
-            "annealed",
-            anneal_place(&sizes, 0x1000, &cache, 1, AnnealConfig::default()),
-        );
-    }
-
-    print_table(
-        &["placement", "layer conflicts", "cold misses", "LDLP batch refetches"],
-        &rows,
-    );
-    println!(
-        "\nCold misses are layout-independent (the working set is ~3.7x the\n\
-         cache either way), but LDLP's payoff depends on each layer staying\n\
-         resident for its whole batch: random placement's within-layer\n\
-         conflicts re-fetch lines on every message of the batch, while any\n\
-         packed layout keeps them at zero — the paper's 'no self-conflicts\n\
-         within a layer' assumption, and what Cord-style tools buy you."
-    );
-    write_csv(
-        &opts.out_dir.join("ablation_layout.csv"),
-        &["placement", "layer_conflicts", "cold_misses", "ldlp_batch_refetches"],
-        &csv,
-    );
+    bench::harness::main("ablation_layout");
 }

@@ -1,124 +1,5 @@
-//! Ablation A5: transmit-side LDLP — the extension the paper names but
-//! does not evaluate ("The techniques presented are also applicable to
-//! transmit-side processing").
-//!
-//! The receive-and-acknowledge path is duplex: each received message
-//! climbs five layers, then its 58-byte ACK descends three output layers
-//! (tcp_output / ip_output / ether_output in the traced stack). This
-//! ablation compares rx-only LDLP (replies interleaved conventionally is
-//! not expressible — replies always follow the schedule) against the
-//! full duplex working set, conventional vs. LDLP.
-
-use bench::sweep::seed_average;
-use bench::{f, print_table, write_csv, RunOpts};
-use cachesim::MachineConfig;
-use ldlp::synth::{paper_stack, stack_with};
-use ldlp::{BatchPolicy, Discipline, StackEngine};
-use simnet::stats::SimReport;
-use simnet::traffic::{PoissonSource, TrafficSource};
-use simnet::{run_sim, SimConfig};
-
-/// Builds an engine; `duplex` adds three 4-KB transmit layers and a
-/// 58-byte reply per message (the ACK path).
-fn engine(discipline: Discipline, seed: u64, duplex: bool) -> StackEngine {
-    let (m, rx) = paper_stack(MachineConfig::synthetic_benchmark(), seed);
-    let e = StackEngine::new(m, rx, discipline);
-    if duplex {
-        let (_, tx) = stack_with(
-            MachineConfig::synthetic_benchmark(),
-            seed ^ 0x7a,
-            3,
-            4 * 1024,
-            256,
-        );
-        e.with_tx(tx, 58)
-    } else {
-        e
-    }
-}
-
-fn run(discipline: Discipline, duplex: bool, rate: f64, opts: &RunOpts) -> SimReport {
-    seed_average(opts, |seed| {
-        let arrivals = PoissonSource::new(rate, 552, seed).take_until(opts.duration_s);
-        let mut e = engine(discipline, seed, duplex);
-        run_sim(
-            &mut e,
-            &arrivals,
-            &SimConfig {
-                duration_s: opts.duration_s,
-                ..SimConfig::default()
-            },
-        )
-    })
-}
+//! Ablation A5: transmit-side LDLP — see [`bench::ablation_transmit`].
 
 fn main() {
-    let opts = RunOpts::from_args();
-    println!(
-        "Ablation: transmit-side LDLP. rx = 5 x 6 KB layers; duplex adds a\n\
-         58-byte reply descending 3 x 4 KB output layers (42 KB total\n\
-         working set). {} seeds x {}s.\n",
-        opts.seeds, opts.duration_s
-    );
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for rate in [2000.0, 4000.0, 6000.0, 8000.0] {
-        let conv_rx = run(Discipline::Conventional, false, rate, &opts);
-        let ldlp_rx = run(Discipline::Ldlp(BatchPolicy::DCacheFit), false, rate, &opts);
-        let conv_dx = run(Discipline::Conventional, true, rate, &opts);
-        let ldlp_dx = run(Discipline::Ldlp(BatchPolicy::DCacheFit), true, rate, &opts);
-        rows.push(vec![
-            f(rate, 0),
-            f(conv_rx.mean_imiss, 0),
-            f(ldlp_rx.mean_imiss, 0),
-            f(conv_dx.mean_imiss, 0),
-            f(ldlp_dx.mean_imiss, 0),
-            f(conv_dx.mean_latency_us, 0),
-            f(ldlp_dx.mean_latency_us, 0),
-        ]);
-        csv.push(vec![
-            f(rate, 0),
-            f(conv_rx.mean_imiss, 2),
-            f(ldlp_rx.mean_imiss, 2),
-            f(conv_rx.mean_latency_us, 2),
-            f(ldlp_rx.mean_latency_us, 2),
-            f(conv_dx.mean_imiss, 2),
-            f(ldlp_dx.mean_imiss, 2),
-            f(conv_dx.mean_latency_us, 2),
-            f(ldlp_dx.mean_latency_us, 2),
-        ]);
-    }
-    print_table(
-        &[
-            "rate",
-            "rx conv I",
-            "rx LDLP I",
-            "duplex conv I",
-            "duplex LDLP I",
-            "duplex conv lat",
-            "duplex LDLP lat",
-        ],
-        &rows,
-    );
-    println!(
-        "\nThe ACK path grows the per-message working set by 40%, so the duplex\n\
-         conventional schedule saturates even earlier — and blocked transmit\n\
-         processing recovers it, confirming the paper's conjecture that the\n\
-         technique applies on the transmit side."
-    );
-    write_csv(
-        &opts.out_dir.join("ablation_transmit.csv"),
-        &[
-            "rate",
-            "rx_conv_imiss",
-            "rx_ldlp_imiss",
-            "rx_conv_lat_us",
-            "rx_ldlp_lat_us",
-            "duplex_conv_imiss",
-            "duplex_ldlp_imiss",
-            "duplex_conv_lat_us",
-            "duplex_ldlp_lat_us",
-        ],
-        &csv,
-    );
+    bench::harness::main("ablation_transmit");
 }

@@ -1,39 +1,31 @@
-//! Regenerates every table and figure into `results/` by invoking each
-//! experiment binary ([`bench::EXPERIMENTS`]) in sequence, timing each
-//! one, and writing the suite total and per-binary wall times to
-//! `results/perf_summary.json`.
+//! Regenerates every table and figure into `results/` by running each
+//! [`bench::EXPERIMENTS`] entry in this process, in order, timing each
+//! one, and writing the suite total and per-experiment wall times to
+//! `results/perf_summary.json`. Flags apply to every entry, over each
+//! entry's own defaults.
 
 // Wall-clock timing is this binary's purpose: it reports how long each
 // experiment took, never feeds the clock into simulated results.
 #![allow(clippy::disallowed_methods)]
 
-use std::process::Command;
 use std::time::Instant;
 
-use bench::{RunOpts, EXPERIMENTS};
+use bench::harness::{flags, write_files, EXPERIMENTS};
 
 fn main() {
-    let opts = RunOpts::from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = opts.effective_threads();
-    let exe_dir = std::env::current_exe()
-        .expect("own path")
-        .parent()
-        .expect("bin dir")
-        .to_path_buf();
+    let flags = flags();
+    let threads = flags.opts.effective_threads();
+    let out_dir = &flags.opts.out_dir;
     let total_start = Instant::now();
     let mut entries = Vec::new();
-    for bin in EXPERIMENTS {
-        println!("\n=== {bin} ===\n");
+    for e in &EXPERIMENTS {
+        println!("\n=== {} ===\n", e.name);
         let start = Instant::now();
-        let status = Command::new(exe_dir.join(bin))
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        assert!(status.success(), "{bin} failed with {status}");
+        e.drive(&flags);
         let wall_s = start.elapsed().as_secs_f64();
         entries.push(format!(
-            "    {{\"name\": \"{bin}\", \"wall_s\": {wall_s:.3}}}"
+            "    {{\"name\": \"{}\", \"wall_s\": {wall_s:.3}}}",
+            e.name
         ));
     }
     let total_s = total_start.elapsed().as_secs_f64();
@@ -43,12 +35,10 @@ fn main() {
          \"binaries\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
-    let path = opts.out_dir.join("perf_summary.json");
-    std::fs::create_dir_all(&opts.out_dir).expect("output dir");
-    std::fs::write(&path, summary).expect("write perf summary");
+    write_files(out_dir, &[("perf_summary.json".into(), summary)]);
     println!(
         "\nAll experiments regenerated into {} in {total_s:.1}s ({threads} worker threads).",
-        opts.out_dir.display()
+        out_dir.display()
     );
-    println!("wrote {}", path.display());
+    println!("wrote {}", out_dir.join("perf_summary.json").display());
 }

@@ -1,93 +1,5 @@
-//! Figure 1 + Table 2: the phases of the receive-and-acknowledge path and
-//! the map of active code.
-//!
-//! Prints the per-phase reference footers of Figure 1 (write/read/code
-//! bytes and references) followed by the per-function coverage map.
-
-use bench::{write_csv, RunOpts};
-use memtrace::{figmap, phases};
-use netstack::footprint::build_receive_ack_trace;
-
-/// (bytes, references) for one class of accesses in one phase.
-type BytesRefs = (u64, u64);
-
-/// The paper's Figure 1 column footers: (phase, write bytes/refs, read
-/// bytes/refs, code bytes/refs).
-const PAPER_FOOTERS: [(&str, BytesRefs, BytesRefs, BytesRefs); 3] = [
-    ("entry", (1056, 89), (1856, 121), (3008, 564)),
-    ("pkt intr", (6848, 1585), (18496, 6251), (13664, 43138)),
-    ("exit", (7328, 1089), (10752, 2103), (18240, 10518)),
-];
+//! Figure 1 + Table 2: receive-path phases and the active-code map — see [`bench::figure1`].
 
 fn main() {
-    let opts = RunOpts::from_args();
-    let trace = build_receive_ack_trace();
-    let summaries = phases::phase_summaries(&trace);
-
-    println!("Figure 1 / Table 2: phases of the TCP receive & acknowledge path\n");
-    println!("Per-phase reference summaries (paper's published footers in parentheses):\n");
-    let mut csv = Vec::new();
-    for (s, paper) in summaries.iter().zip(PAPER_FOOTERS.iter()) {
-        println!("{}:", s.name);
-        println!(
-            "  Write: {:>6} bytes {:>6} refs   (paper: {} bytes {} refs)",
-            s.write.bytes, s.write.refs, paper.1 .0, paper.1 .1
-        );
-        println!(
-            "  Read:  {:>6} bytes {:>6} refs   (paper: {} bytes {} refs)",
-            s.read.bytes, s.read.refs, paper.2 .0, paper.2 .1
-        );
-        println!(
-            "  Code:  {:>6} bytes {:>6} refs   (paper: {} bytes {} refs)",
-            s.code.bytes, s.code.refs, paper.3 .0, paper.3 .1
-        );
-        csv.push(vec![
-            s.name.clone(),
-            s.write.bytes.to_string(),
-            s.write.refs.to_string(),
-            s.read.bytes.to_string(),
-            s.read.refs.to_string(),
-            s.code.bytes.to_string(),
-            s.code.refs.to_string(),
-        ]);
-    }
-
-    println!("\nActive-code map (bar = fraction of the function executed per phase):\n");
-    let coverage = figmap::function_coverage(&trace);
-    print!("{}", figmap::render(&trace, &coverage));
-
-    write_csv(
-        &opts.out_dir.join("figure1_phases.csv"),
-        &[
-            "phase",
-            "write_bytes",
-            "write_refs",
-            "read_bytes",
-            "read_refs",
-            "code_bytes",
-            "code_refs",
-        ],
-        &csv,
-    );
-    let cov_rows: Vec<Vec<String>> = coverage
-        .iter()
-        .filter(|c| c.touched_total > 0)
-        .map(|c| {
-            let mut row = vec![c.name.clone(), c.size.to_string(), c.touched_total.to_string()];
-            row.extend(c.touched_per_phase.iter().map(|t| t.to_string()));
-            row
-        })
-        .collect();
-    write_csv(
-        &opts.out_dir.join("figure1_coverage.csv"),
-        &["function", "size", "touched", "entry", "pkt_intr", "exit"],
-        &cov_rows,
-    );
-
-    // A browsable Figure-1 lookalike.
-    let svg = figmap::render_svg(&trace, &coverage);
-    let svg_path = opts.out_dir.join("figure1_map.svg");
-    std::fs::create_dir_all(&opts.out_dir).expect("output dir");
-    std::fs::write(&svg_path, svg).expect("write svg");
-    println!("wrote {}", svg_path.display());
+    bench::harness::main("figure1");
 }

@@ -1,80 +1,5 @@
-//! Table 1: working-set sizes in the NetBSD TCP receive-and-acknowledge
-//! path, by layer, split into code / read-only data / mutable data.
-//!
-//! Regenerates the table from the instrumented stack's reference trace and
-//! prints it beside the paper's published values.
-
-use bench::{print_table, write_csv, RunOpts};
-use memtrace::workingset::working_set;
-use netstack::footprint::{
-    build_receive_ack_trace, Layer, PAPER_CODE_BYTES, PAPER_MUT_BYTES, PAPER_RO_BYTES,
-};
+//! Table 1: working-set sizes by layer — see [`bench::table1`].
 
 fn main() {
-    let opts = RunOpts::from_args();
-    let trace = build_receive_ack_trace();
-    trace.validate().expect("trace is well-formed");
-    let ws = working_set(&trace, 32);
-
-    println!("Table 1: Working-set sizes, TCP receive & acknowledge path");
-    println!("(bytes at 32-byte cache-line granularity; paper values in parentheses)\n");
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for (li, row) in ws.rows.iter().enumerate() {
-        rows.push(vec![
-            Layer::NAMES[li].to_string(),
-            format!("{} ({})", row.code.bytes, PAPER_CODE_BYTES[li]),
-            format!("{} ({})", row.ro_data.bytes, PAPER_RO_BYTES[li]),
-            format!("{} ({})", row.mut_data.bytes, PAPER_MUT_BYTES[li]),
-        ]);
-        csv.push(vec![
-            Layer::NAMES[li].to_string(),
-            row.code.bytes.to_string(),
-            row.ro_data.bytes.to_string(),
-            row.mut_data.bytes.to_string(),
-            PAPER_CODE_BYTES[li].to_string(),
-            PAPER_RO_BYTES[li].to_string(),
-            PAPER_MUT_BYTES[li].to_string(),
-        ]);
-    }
-    rows.push(vec![
-        "Total".to_string(),
-        format!(
-            "{} ({})",
-            ws.total.code.bytes,
-            PAPER_CODE_BYTES.iter().sum::<u64>()
-        ),
-        format!(
-            "{} ({})",
-            ws.total.ro_data.bytes,
-            PAPER_RO_BYTES.iter().sum::<u64>()
-        ),
-        format!(
-            "{} ({})",
-            ws.total.mut_data.bytes,
-            PAPER_MUT_BYTES.iter().sum::<u64>()
-        ),
-    ]);
-    print_table(&["Description", "Code", "RO Data", "Mut Data"], &rows);
-
-    println!(
-        "\nNote: the paper prints a code total of 30592; its per-layer rows sum\n\
-         to 30304 (the published table has a 288-byte discrepancy). This\n\
-         reproduction matches the per-layer rows exactly."
-    );
-
-    write_csv(
-        &opts.out_dir.join("table1.csv"),
-        &[
-            "layer",
-            "code_bytes",
-            "ro_bytes",
-            "mut_bytes",
-            "paper_code",
-            "paper_ro",
-            "paper_mut",
-        ],
-        &csv,
-    );
+    bench::harness::main("table1");
 }

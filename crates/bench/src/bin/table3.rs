@@ -1,95 +1,5 @@
-//! Table 3: effect of cache-line size on the working set of the TCP/IP
-//! trace. Percentage changes are relative to the 32-byte baseline, for
-//! bytes (lines x line size) and line counts, per class.
-
-use bench::{print_table, write_csv, RunOpts};
-use memtrace::workingset::line_size_sweep;
-use netstack::footprint::build_receive_ack_trace;
-
-/// The paper's Table 3: per line size, (code, ro, mut) x (d_bytes%, d_lines%).
-const PAPER: [(u64, [i32; 6]); 4] = [
-    (64, [17, -41, 44, -28, 55, -22]),
-    (16, [-13, 73, -31, 38, -38, 23]),
-    (8, [-20, 216, -55, 81, -56, 75]),
-    // The paper marks data columns N/A at 4 bytes (64-bit words).
-    (4, [-25, 500, 0, 0, 0, 0]),
-];
+//! Table 3: cache-line size vs. working set — see [`bench::table3`].
 
 fn main() {
-    let opts = RunOpts::from_args();
-    let trace = build_receive_ack_trace();
-    let rows = line_size_sweep(&trace, &[4, 8, 16, 32, 64], 32);
-
-    println!("Table 3: effect of cache-line size on working set (32-byte baseline)");
-    println!("(measured, with the paper's published deltas in parentheses; data");
-    println!("columns at 4 bytes are N/A in the paper — 64-bit word size)\n");
-
-    let pct = |v: f64| format!("{:+.0}%", v);
-    let mut table = Vec::new();
-    let mut csv = Vec::new();
-    for ls in [64u64, 32, 16, 8, 4] {
-        let r = rows.iter().find(|r| r.line_size == ls).expect("swept");
-        let paper = PAPER.iter().find(|(p, _)| *p == ls);
-        let cell = |v: f64, idx: usize| match paper {
-            Some((_, p)) if !(ls == 4 && idx >= 2) => format!("{} ({:+}%)", pct(v), p[idx]),
-            Some(_) => format!("{} (N/A)", pct(v)),
-            None => pct(v),
-        };
-        table.push(vec![
-            ls.to_string(),
-            cell(r.code.d_bytes_pct, 0),
-            cell(r.code.d_lines_pct, 1),
-            cell(r.ro_data.d_bytes_pct, 2),
-            cell(r.ro_data.d_lines_pct, 3),
-            cell(r.mut_data.d_bytes_pct, 4),
-            cell(r.mut_data.d_lines_pct, 5),
-        ]);
-        csv.push(vec![
-            ls.to_string(),
-            format!("{:.1}", r.code.d_bytes_pct),
-            format!("{:.1}", r.code.d_lines_pct),
-            format!("{:.1}", r.ro_data.d_bytes_pct),
-            format!("{:.1}", r.ro_data.d_lines_pct),
-            format!("{:.1}", r.mut_data.d_bytes_pct),
-            format!("{:.1}", r.mut_data.d_lines_pct),
-            r.code.lines.to_string(),
-            r.ro_data.lines.to_string(),
-            r.mut_data.lines.to_string(),
-        ]);
-    }
-    print_table(
-        &[
-            "Line",
-            "Code dB",
-            "Code dL",
-            "RO dB",
-            "RO dL",
-            "Mut dB",
-            "Mut dL",
-        ],
-        &table,
-    );
-    println!(
-        "\nDoubling the I-cache line to 64 bytes cuts code working-set lines by\n\
-         {:.0}% (paper: 41%) — 'large instruction cache line sizes are probably\n\
-         appropriate for protocol code' (Section 5.3).",
-        -rows.iter().find(|r| r.line_size == 64).expect("swept").code.d_lines_pct
-    );
-
-    write_csv(
-        &opts.out_dir.join("table3.csv"),
-        &[
-            "line_size",
-            "code_d_bytes_pct",
-            "code_d_lines_pct",
-            "ro_d_bytes_pct",
-            "ro_d_lines_pct",
-            "mut_d_bytes_pct",
-            "mut_d_lines_pct",
-            "code_lines",
-            "ro_lines",
-            "mut_lines",
-        ],
-        &csv,
-    );
+    bench::harness::main("table3");
 }

@@ -1,85 +1,5 @@
-//! Section 2.4's memory-traffic argument, made executable: replay the
-//! TCP receive-and-acknowledge trace through the cache model, packet
-//! after packet, and measure what is actually fetched from off the CPU.
-//!
-//! The paper: "few lines will remain in the cache between successive
-//! iterations of the receive & acknowledge path ... about 35 KB of code
-//! and read-only data is fetched and discarded" per packet on an 8 KB
-//! machine, vs ~2.2 KB of message movement.
-
-use bench::{f, print_table, write_csv, RunOpts};
-use cachesim::{CacheConfig, MachineConfig};
-use memtrace::replay::replay_steady;
-use netstack::footprint::{build_receive_ack_trace, MESSAGE_SIZE};
+//! Section 2.4's per-packet memory traffic, replayed — see [`bench::trace_replay`].
 
 fn main() {
-    let opts = RunOpts::from_args();
-    let trace = build_receive_ack_trace();
-    println!(
-        "Replaying the receive & acknowledge trace ({} references) through\n\
-         direct-mapped caches, 5 packets back to back:\n",
-        trace.refs.len()
-    );
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for cache_kb in [8u64, 16, 32, 64] {
-        let cfg = MachineConfig {
-            icache: CacheConfig::direct_mapped(cache_kb * 1024, 32),
-            dcache: Some(CacheConfig::direct_mapped(cache_kb * 1024, 32)),
-            ..MachineConfig::dec3000_400()
-        };
-        let (cold, steady) = replay_steady(&trace, cfg, 5);
-        // Message movement per packet: device->mbuf, checksum, mbuf->user
-        // (the paper's ~2.2 KB of primary-cache IO for the contents).
-        let msg_io = 4 * MESSAGE_SIZE;
-        rows.push(vec![
-            format!("{cache_kb}KB"),
-            cold.total_misses().to_string(),
-            f(cold.miss_bytes as f64 / 1024.0, 1),
-            steady.total_misses().to_string(),
-            f(steady.miss_bytes as f64 / 1024.0, 1),
-            f(steady.miss_bytes as f64 / msg_io as f64, 1),
-        ]);
-        csv.push(vec![
-            cache_kb.to_string(),
-            cold.imisses.to_string(),
-            cold.dmisses.to_string(),
-            steady.imisses.to_string(),
-            steady.dmisses.to_string(),
-            steady.miss_bytes.to_string(),
-        ]);
-    }
-    print_table(
-        &[
-            "cache",
-            "cold misses",
-            "cold KB",
-            "steady misses",
-            "steady KB",
-            "x message IO",
-        ],
-        &rows,
-    );
-    println!(
-        "\nAt 8 KB the whole ~{:.0} KB working set is refetched for every packet\n\
-         even in steady state (the measured traffic exceeds it: direct-mapped\n\
-         conflicts within one pass, plus per-packet message, stack and device\n\
-         traffic) — 26x the message-content movement, comfortably covering\n\
-         the paper's 'ten times longer fetching protocol code'. At 64 KB the\n\
-         path becomes cache-resident and per-packet traffic collapses.",
-        (30304 + 5088 + 3648) as f64 / 1024.0
-    );
-    write_csv(
-        &opts.out_dir.join("trace_replay.csv"),
-        &[
-            "cache_kb",
-            "cold_imisses",
-            "cold_dmisses",
-            "steady_imisses",
-            "steady_dmisses",
-            "steady_miss_bytes",
-        ],
-        &csv,
-    );
+    bench::harness::main("trace_replay");
 }

@@ -1,266 +1,138 @@
-//! Regression tests for the parallel sweep runner: the figure 5/6/7 CSV
-//! text produced from a multi-threaded sweep must be byte-identical to
-//! the serial (`--threads 1`) reference on a reduced grid.
+//! Every experiment's output is byte-identical for any worker count:
+//! each `bench::EXPERIMENTS` entry runs at reduced options (2 seeds ×
+//! 0.05 s, `--smoke`, `--metrics`) on 1, 2 and 8 threads, and every file
+//! a run would write — CSVs, SVG and metrics JSON — must match the
+//! serial run's. The entries whose grids exercise a scheduling-sensitive
+//! path have a test of their own; one table-driven test walks the rest.
 
-use bench::figures::{
-    figure5_rows, figure6_rows, figure7_rows, FIGURE5_HEADER, FIGURE6_HEADER, FIGURE7_HEADER,
-};
-use bench::sweep::{clock_sweep, poisson_sweep};
-use bench::{csv_text, RunOpts};
-use cachesim::MachineConfig;
+use bench::harness::{experiment, Flags, EXPERIMENTS};
 
-fn reduced_opts(threads: usize) -> RunOpts {
-    RunOpts {
-        seeds: 3,
-        duration_s: 0.05,
-        threads: Some(threads),
-        ..RunOpts::default()
+/// The entries checked by a named test below.
+const NAMED: [&str; 8] =
+    ["figure5", "figure6", "figure7", "figure9", "figure10", "figure13", "figure14", "impairments"];
+
+/// Runs entry `name` at 1, 2 and 8 threads, asserts every file it writes
+/// is the same at each, and returns the serial run's files.
+fn invariant(name: &str) -> Vec<(String, String)> {
+    let e = experiment(name);
+    let files = |threads| {
+        let line = format!("--seeds 2 --duration 0.05 --smoke --metrics --threads {threads}");
+        let flags = Flags::parse(line.split_whitespace().map(String::from)).expect("flags");
+        let opts = e.opts(&flags);
+        e.artifacts(&opts, &(e.run)(&opts))
+    };
+    let serial = files(1);
+    for threads in [2, 8] {
+        let parallel = files(threads);
+        let same_names = parallel.iter().map(|f| &f.0).eq(serial.iter().map(|f| &f.0));
+        assert!(same_names, "{name}: the files written differ at {threads} threads");
+        for ((file, text), (_, serial_text)) in parallel.iter().zip(&serial) {
+            assert!(text == serial_text, "{name}: {file} differs between 1 and {threads} threads");
+        }
+    }
+    serial
+}
+
+/// [`invariant`], then: `name`'s smoke CSV has `rows` data rows and
+/// contains every one of `cells`. Returns the serial run's files.
+fn invariant_csv(name: &str, rows: usize, cells: &[&str]) -> Vec<(String, String)> {
+    let files = invariant(name);
+    let csv = &files.iter().find(|f| f.0 == format!("{name}_smoke.csv")).expect("the CSV").1;
+    assert_eq!(csv.lines().count(), rows + 1, "{name}: one row per grid point");
+    for cell in cells {
+        assert!(csv.contains(&format!(",{cell},")), "{name}: {cell} rows present");
+    }
+    files
+}
+
+#[test]
+fn every_experiment_is_thread_count_invariant() {
+    // A renamed entry must not slip out of both halves.
+    for name in NAMED {
+        experiment(name);
+    }
+    for e in EXPERIMENTS.iter().filter(|e| !NAMED.contains(&e.name)) {
+        invariant(e.name);
     }
 }
 
 #[test]
 fn poisson_sweep_csv_is_thread_count_invariant() {
-    let rates = [2000.0, 6000.0, 9000.0];
-    let cfg = MachineConfig::synthetic_benchmark();
-    let serial = poisson_sweep(&reduced_opts(1), cfg, &rates);
-    let parallel = poisson_sweep(&reduced_opts(4), cfg, &rates);
-
-    let fig5_serial = csv_text(&FIGURE5_HEADER, &figure5_rows(&serial));
-    let fig5_parallel = csv_text(&FIGURE5_HEADER, &figure5_rows(&parallel));
-    assert_eq!(fig5_serial, fig5_parallel, "figure5 CSV differs by thread count");
-
-    let fig6_serial = csv_text(&FIGURE6_HEADER, &figure6_rows(&serial));
-    let fig6_parallel = csv_text(&FIGURE6_HEADER, &figure6_rows(&parallel));
-    assert_eq!(fig6_serial, fig6_parallel, "figure6 CSV differs by thread count");
-
-    // Sanity: the reduced grid still produced real rows.
-    assert_eq!(fig5_serial.lines().count(), rates.len() + 1);
-    assert!(serial[0].conventional.mean_imiss > 0.0);
-}
-
-#[test]
-fn clock_sweep_csv_is_thread_count_invariant() {
-    let clocks = [20.0, 60.0];
-    let cfg = MachineConfig::synthetic_benchmark();
-    let serial = clock_sweep(&reduced_opts(1), cfg, &clocks);
-    let parallel = clock_sweep(&reduced_opts(4), cfg, &clocks);
-
-    let fig7_serial = csv_text(&FIGURE7_HEADER, &figure7_rows(&serial));
-    let fig7_parallel = csv_text(&FIGURE7_HEADER, &figure7_rows(&parallel));
-    assert_eq!(fig7_serial, fig7_parallel, "figure7 CSV differs by thread count");
-    assert_eq!(fig7_serial.lines().count(), clocks.len() + 1);
-}
-
-#[test]
-fn seed_average_is_thread_count_invariant() {
-    use bench::sweep::{run_once, seed_average};
-    use ldlp::Discipline;
-    use simnet::traffic::{PoissonSource, TrafficSource};
-
-    let run = |opts: &RunOpts| {
-        seed_average(opts, |seed| {
-            let arrivals = PoissonSource::new(4000.0, 552, seed).take_until(opts.duration_s);
-            run_once(
-                MachineConfig::synthetic_benchmark(),
-                Discipline::Conventional,
-                seed,
-                &arrivals,
-                opts.duration_s,
-            )
-        })
-    };
-    let serial = run(&reduced_opts(1));
-    let parallel = run(&reduced_opts(4));
-    // f64 averages must match exactly, not approximately: the reduction
-    // order is fixed by seed, not by completion.
-    assert_eq!(serial.mean_latency_us.to_bits(), parallel.mean_latency_us.to_bits());
-    assert_eq!(serial.mean_imiss.to_bits(), parallel.mean_imiss.to_bits());
-    assert_eq!(serial.drops, parallel.drops);
-}
-
-#[test]
-fn figure9_csv_is_thread_count_invariant() {
-    use bench::figure9::{figure9_rows, sweep, FIGURE9_HEADER};
-
-    // The smoke grid (2 rates × {1, 4} cores × 6 variants) exercises
-    // flow hashing, round-robin, and the layer-affinity pipeline with
-    // cross-core hand-offs — the cases where worker scheduling could
-    // leak into results if the multi-core event loop were not
-    // deterministic.
-    let run = |threads| {
-        let opts = RunOpts {
-            smoke: true,
-            ..reduced_opts(threads)
-        };
-        csv_text(&FIGURE9_HEADER, &figure9_rows(&sweep(&opts)))
-    };
-    let serial = run(1);
-    let two = run(2);
-    let eight = run(8);
-    assert_eq!(serial, two, "figure9 CSV differs between 1 and 2 threads");
-    assert_eq!(serial, eight, "figure9 CSV differs between 1 and 8 threads");
-    // Sanity: every (cell, variant) row is present and carries data.
-    assert_eq!(serial.lines().count(), 2 * 2 * 6 + 1);
-    assert!(serial.contains(",aff,"), "layer-affinity rows present");
-}
-
-#[test]
-fn figure10_csv_is_thread_count_invariant() {
-    use bench::figure10::{figure10_rows, sweep, FIGURE10_HEADER};
-
-    // The smoke grid (2 populations × 2 disciplines × 3 lookup schemes)
-    // exercises the flow-table probe charging and the seeded
-    // random-eviction cache — the paths where worker scheduling could
-    // leak into results if the lookup hook were not deterministic.
-    let run = |threads| {
-        let opts = RunOpts {
-            smoke: true,
-            ..reduced_opts(threads)
-        };
-        csv_text(&FIGURE10_HEADER, &figure10_rows(&sweep(&opts)))
-    };
-    let serial = run(1);
-    let two = run(2);
-    let eight = run(8);
-    assert_eq!(serial, two, "figure10 CSV differs between 1 and 2 threads");
-    assert_eq!(serial, eight, "figure10 CSV differs between 1 and 8 threads");
-    // Sanity: every (cell, variant) row is present and carries data.
-    assert_eq!(serial.lines().count(), 2 * 2 * 3 + 1);
-    assert!(serial.contains(",fifo,"), "FIFO-cache rows present");
-    assert!(serial.contains(",rand,"), "random-eviction rows present");
+    invariant_csv("figure5", bench::figure5_rates().len(), &[]);
 }
 
 #[test]
 fn metrics_json_is_thread_count_invariant() {
-    use bench::sweep::poisson_sweep_observed;
-
-    let rates = [2000.0, 9000.0];
-    let cfg = MachineConfig::synthetic_benchmark();
-    let run = |threads| {
-        let (_, rec) = poisson_sweep_observed(&reduced_opts(threads), cfg, &rates, true);
-        let rec = rec.expect("metrics recorder");
-        obs::metrics::metrics_json(&[("experiment", "determinism-test".into())], &rec)
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial, parallel, "metrics JSON differs by thread count");
+    let files = invariant_csv("figure6", bench::figure5_rates().len(), &[]);
     // The document really carries per-layer spans and value histograms.
-    assert!(serial.contains("\"ldlp/rx:"), "per-layer span entries");
-    assert!(serial.contains("\"ldlp/latency_us\""), "latency histogram");
-    assert!(serial.contains("\"conv/batch\""), "batch spans");
+    let metrics = &files.iter().find(|f| f.0 == "metrics.json").expect("metrics.json").1;
+    assert!(metrics.contains("\"ldlp/rx:"), "per-layer span entries");
+    assert!(metrics.contains("\"ldlp/latency_us\""), "latency histogram");
+    assert!(metrics.contains("\"conv/batch\""), "batch spans");
 }
 
 #[test]
-fn traced_run_produces_chrome_trace_events() {
-    use bench::sweep::traced_poisson_runs;
-
-    let cfg = MachineConfig::synthetic_benchmark();
-    let traced = traced_poisson_runs(&reduced_opts(1), cfg, 6000.0);
-    assert_eq!(traced.len(), 3, "conventional, ldlp, ilp");
-    for (name, rec) in &traced {
-        assert!(!rec.events().is_empty(), "{name} collected span events");
-    }
-    let parts: Vec<obs::TracePart> = traced
-        .iter()
-        .map(|(name, rec)| obs::TracePart {
-            process: name,
-            recorder: rec,
-            units_per_us: cfg.clock_mhz,
-        })
-        .collect();
-    let json = obs::trace::chrome_trace_json(&parts);
-    assert!(json.starts_with("{\"traceEvents\":["));
-    assert!(json.contains("\"ph\":\"X\""), "complete events present");
-    assert!(json.contains("ldlp/rx:"), "layer span names present");
+fn clock_sweep_csv_is_thread_count_invariant() {
+    invariant_csv("figure7", bench::figure7_clocks().len(), &[]);
 }
 
 #[test]
-fn impairment_sweep_csv_is_thread_count_invariant() {
-    use bench::impairments::{grid, impairment_sweep, impairments_rows, IMPAIRMENTS_HEADER};
-
-    let opts = |threads| RunOpts {
-        seeds: 1,
-        duration_s: 0.05,
-        threads: Some(threads),
-        smoke: true,
-        ..RunOpts::default()
-    };
-    let serial = impairment_sweep(&opts(1));
-    let parallel = impairment_sweep(&opts(4));
-
-    let text_serial = csv_text(&IMPAIRMENTS_HEADER, &impairments_rows(&serial));
-    let text_parallel = csv_text(&IMPAIRMENTS_HEADER, &impairments_rows(&parallel));
-    assert_eq!(
-        text_serial, text_parallel,
-        "impairments CSV differs by thread count"
-    );
-    assert_eq!(text_serial.lines().count(), grid(true).len() + 1);
-
-    // The lossy cells really did lose and recover: the zero-loss rows
-    // must show no retransmissions, the 10% rows must show plenty.
-    let clean = &serial[0];
-    assert_eq!(clean.recovery.retransmits, 0);
-    let lossy = serial
-        .iter()
-        .find(|p| p.cell.loss_pct == 10.0)
-        .expect("a 10% loss cell");
-    assert!(lossy.recovery.retransmits > 0);
-    assert!(lossy.conventional.goodput <= lossy.conventional.throughput);
-}
-
-#[test]
-fn figure14_csv_is_thread_count_invariant() {
-    use bench::figure14::{figure14_rows, sweep, FIGURE14_HEADER};
-
-    // The smoke grid ({1, 4} cores × {conv, ldlp, aff}) drives the
-    // mixed five-class stream through per-class accounting — the
-    // machine-stats delta attribution and class-sample percentile
-    // paths, where worker scheduling could leak into results if the
-    // per-class tallies were not reduced in deterministic order.
+fn seed_average_is_thread_count_invariant() {
+    // `poisson_sweep` averages each rate's `grid` jobs. The f64 averages
+    // must match exactly, not approximately: the reduction order is fixed
+    // by seed, not by completion.
+    let cfg = cachesim::MachineConfig::synthetic_benchmark();
     let run = |threads| {
-        let opts = RunOpts {
-            smoke: true,
-            ..reduced_opts(threads)
+        let opts = bench::RunOpts {
+            seeds: 3,
+            duration_s: 0.05,
+            threads: Some(threads),
+            ..Default::default()
         };
-        csv_text(&FIGURE14_HEADER, &figure14_rows(&sweep(&opts)))
+        bench::sweep::poisson_sweep(&opts, cfg, &[4000.0, 9000.0])
     };
-    let serial = run(1);
-    let two = run(2);
-    let eight = run(8);
-    assert_eq!(serial, two, "figure14 CSV differs between 1 and 2 threads");
-    assert_eq!(serial, eight, "figure14 CSV differs between 1 and 8 threads");
-    // Sanity: one row per (cell, class), and every class label shows up.
-    assert_eq!(serial.lines().count(), 2 * 3 * 5 + 1);
-    for label in ["sig", "rpc", "media", "dns", "agent"] {
-        assert!(serial.contains(&format!(",{label},")), "{label} rows present");
+    let (serial, parallel) = (run(1), run(4));
+    for (s, p) in serial.iter().zip(&parallel) {
+        let ilp = (s.ilp.as_ref().expect("ilp"), p.ilp.as_ref().expect("ilp"));
+        for (s, p) in [(&s.conventional, &p.conventional), (&s.ldlp, &p.ldlp), ilp] {
+            assert_eq!(s.mean_latency_us.to_bits(), p.mean_latency_us.to_bits());
+            assert_eq!(s.mean_imiss.to_bits(), p.mean_imiss.to_bits());
+            assert_eq!(s.drops, p.drops);
+        }
     }
+    assert!(serial.len() == 2 && serial[0].conventional.mean_imiss > 0.0);
+}
+
+#[test]
+fn figure9_csv_is_thread_count_invariant() {
+    // 2 rates × {1, 4} cores × 6 variants: flow hashing, round-robin and
+    // the layer-affinity pipeline's cross-core hand-offs.
+    invariant_csv("figure9", 2 * 2 * 6, &["aff"]);
+}
+
+#[test]
+fn figure10_csv_is_thread_count_invariant() {
+    // 2 populations × 2 disciplines × 3 lookup schemes: flow-table probe
+    // charging and the seeded random-eviction cache.
+    invariant_csv("figure10", 2 * 2 * 3, &["fifo", "rand"]);
 }
 
 #[test]
 fn figure13_csv_is_thread_count_invariant() {
-    use bench::figure13::{figure13_rows, sweep, FIGURE13_HEADER};
+    // 2 loads × 2 variants × 4 admission policies × 2 retry budgets: the
+    // closed loop's acknowledgement frontier, weighted-fair admission and
+    // the stall-the-producer hand-off.
+    invariant_csv("figure13", 2 * 2 * 4 * 2, &["wfq", "off"]);
+}
 
-    // The smoke grid (2 loads × 2 variants × 4 admission policies × 2
-    // retry budgets) exercises the closed-loop driver end to end: the
-    // client-event/acknowledgement frontier, weighted-fair admission,
-    // and the stall-the-producer hand-off path — the places where
-    // worker scheduling could leak into results if acknowledgement
-    // delivery were not causally ordered.
-    let run = |threads| {
-        let opts = RunOpts {
-            smoke: true,
-            ..reduced_opts(threads)
-        };
-        csv_text(&FIGURE13_HEADER, &figure13_rows(&sweep(&opts)))
-    };
-    let serial = run(1);
-    let two = run(2);
-    let eight = run(8);
-    assert_eq!(serial, two, "figure13 CSV differs between 1 and 2 threads");
-    assert_eq!(serial, eight, "figure13 CSV differs between 1 and 8 threads");
-    // Sanity: every cell is present and the grid carries both budgets
-    // and all four admission policies.
-    assert_eq!(serial.lines().count(), 2 * 2 * 4 * 2 + 1);
-    assert!(serial.contains(",wfq,"), "weighted-fair rows present");
-    assert!(serial.contains(",off,"), "unbudgeted-retry rows present");
+#[test]
+fn figure14_csv_is_thread_count_invariant() {
+    // {1, 4} cores × {conv, ldlp, aff} × 5 classes: per-class miss
+    // attribution and class-sample percentiles.
+    invariant_csv("figure14", 2 * 3 * 5, &["sig", "rpc", "media", "dns", "agent"]);
+}
+
+#[test]
+fn impairment_sweep_csv_is_thread_count_invariant() {
+    invariant_csv("impairments", bench::impairments::grid(true).len(), &[]);
 }
