@@ -1079,7 +1079,7 @@ fn line_facts(
             });
         }
     }
-    if let Some(ix) = crate::rules::panic_free::literal_index(code) {
+    if let Some(ix) = literal_index(code) {
         out.push(Fact {
             kind: FactKind::MayPanic,
             line,
@@ -1141,32 +1141,32 @@ fn line_facts(
     }
 }
 
+/// The bracket contents of every `expr[...]` index on a scrubbed line:
+/// a `[` whose preceding token can end an expression (an identifier that
+/// is not a keyword, `)` or `]`). Array types, literals and patterns
+/// (`[u8; 4]`, `&[0, 1]`, `let [a, ..] = x`) never match.
+fn index_brackets(code: &str) -> impl Iterator<Item = &str> {
+    code.match_indices('[').filter_map(move |(i, _)| {
+        let before = code[..i].trim_end();
+        let word = before.rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).next()?;
+        let indexable =
+            before.ends_with([')', ']']) || !(word.is_empty() || KEYWORDS.contains(&word));
+        let len = code[i + 1..].find(']')?;
+        indexable.then(|| code[i + 1..i + 1 + len].trim())
+    })
+}
+
+/// Finds `expr[<integer literal>]`, e.g. `w[0]`; returns the literal.
+fn literal_index(code: &str) -> Option<&str> {
+    index_brackets(code)
+        .find(|s| !s.is_empty() && s.bytes().all(|c| c.is_ascii_digit() || c == b'_'))
+}
+
 /// Finds `expr[a..b]`-style range slicing (any range with at least one
-/// bound; the full-range `[..]` cannot panic and is ignored). Returns
-/// the bracket content.
-fn range_slice_index(code: &str) -> Option<String> {
-    let b = code.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        if b[i] == b'[' {
-            let prev = b[..i].iter().rev().find(|c| !c.is_ascii_whitespace());
-            let indexable = matches!(prev, Some(c) if c.is_ascii_alphanumeric() || matches!(c, b'_' | b')' | b']'));
-            if indexable {
-                if let Some(j) = b[i + 1..].iter().position(|&c| c == b']').map(|p| i + 1 + p) {
-                    let inner = code[i + 1..j].trim();
-                    if inner.contains("..") && inner != ".." && !inner.contains('=') {
-                        return Some(inner.to_string());
-                    }
-                    // `..=` ranges can also panic; catch them too.
-                    if inner.contains("..=") {
-                        return Some(inner.to_string());
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    None
+/// bound, `..=` included; the full-range `[..]` cannot panic and is
+/// ignored). Returns the bracket content.
+fn range_slice_index(code: &str) -> Option<&str> {
+    index_brackets(code).find(|s| s.contains("..") && *s != "..")
 }
 
 /// Finds `lhs / ident` or `lhs % ident` — integer division/remainder
@@ -1453,10 +1453,24 @@ mod tests {
 
     #[test]
     fn range_slice_shapes() {
-        assert_eq!(range_slice_index("&buf[..4]"), Some("..4".into()));
-        assert_eq!(range_slice_index("&buf[a..b]"), Some("a..b".into()));
+        assert_eq!(range_slice_index("&buf[..4]"), Some("..4"));
+        assert_eq!(range_slice_index("&buf[a..b]"), Some("a..b"));
+        assert_eq!(range_slice_index("set[..=pos].rotate_right(1)"), Some("..=pos"));
         assert_eq!(range_slice_index("&buf[..]"), None, "full range cannot panic");
         assert_eq!(range_slice_index("for i in 0..n {"), None);
         assert_eq!(range_slice_index("let x: [u8; 4];"), None);
+        assert_eq!(range_slice_index("let [first, ..] = self.0;"), None, "a pattern");
+        assert_eq!(range_slice_index("[1, rest @ ..] => rest,"), None, "a slice pattern");
+    }
+
+    #[test]
+    fn literal_index_shapes() {
+        assert_eq!(literal_index("let x = w[0];"), Some("0"));
+        assert_eq!(literal_index("foo.bar()[12]"), Some("12"));
+        assert_eq!(literal_index("let a: [u8; 4] = [0, 1, 2, 3];"), None);
+        assert_eq!(literal_index("&buf[..4]"), None);
+        assert_eq!(literal_index("v[i]"), None);
+        assert_eq!(literal_index("#[cfg(test)]"), None);
+        assert_eq!(literal_index("for b in [0] {"), None, "an array after a keyword");
     }
 }

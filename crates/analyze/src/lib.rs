@@ -13,29 +13,27 @@
 //!
 //! | id | rule |
 //! |----|------|
-//! | R1 `nondeterminism`     | no wall clock / `thread_rng` / hash-order containers in sim crates |
-//! | R2 `rng-draw-budget`    | `simnet::impair` fns declare `// draws: N`, checked against call sites |
-//! | R3 `unsafe-safety`      | every `unsafe` carries a `// SAFETY:` comment |
-//! | R4 `panic-free-library` | no `unwrap`/`expect`/`panic!`/literal-index in core/simnet/cachesim libs |
-//! | R5 `float-reduction`    | no ad-hoc `f64` folds in par-consuming files |
-//! | G1 `panic-path`         | may-panic facts reachable from `hot_path` roots (call graph) |
-//! | G2 `alloc-path`         | may-allocate facts reachable from `hot_path` roots |
-//! | G3 `charge-coverage`    | charged-structure touches in measured windows reach a cachesim charge |
-//! | — `graph-config`        | missing roots / dangling annotations / stale config (unsuppressible) |
+//! | R1 `nondeterminism`  | no wall clock / `thread_rng` / hash-order containers in sim crates |
+//! | R2 `rng-draw-budget` | `simnet::impair` fns declare `// draws: N`, checked against call sites |
+//! | R3 `unsafe-safety`   | every `unsafe` carries a `// SAFETY:` comment |
+//! | R5 `float-reduction` | no ad-hoc `f64` folds in par-consuming files |
+//! | G1 `panic-path`      | may-panic facts (unwrap/expect/panic!/indexing/division) reachable from `hot_path` roots |
+//! | G2 `alloc-path`      | may-allocate facts reachable from `hot_path` roots |
+//! | G3 `charge-coverage` | charged-structure touches in measured windows reach a cachesim charge |
+//! | — `allow-grammar`    | malformed allows, or allows naming no suppressible rule (unsuppressible) |
+//! | — `graph-config`     | missing roots / dangling annotations / stale config (unsuppressible) |
 //!
-//! R1–R5 are per-line; G1–G3 propagate leaf facts across function
-//! boundaries over the workspace call graph (`graph` module, see
-//! `DESIGN.md` §5.8). Roots are marked
+//! R1–R3 and R5 are per-line (there is no R4: panics are G1's alone,
+//! judged where a hot path can reach them); G1–G3 propagate leaf facts
+//! across function boundaries over the workspace call graph (`graph`
+//! module, see `DESIGN.md` §5.8). Roots are marked
 //! `// analyze::hot_path(<name>[, rules = "..."])` above a `fn`.
 //!
 //! Escape hatch (reviewed, justified, reported):
 //! `// analyze::allow(<rule>, reason = "...")` — suppresses the rule
 //! on its own line or the next code line; the reason is carried into
 //! `results/analyze_report.json` so the inventory of accepted hazards
-//! stays visible. A `panic-free-library` allow also covers
-//! `panic-path` findings at the same line — one reviewed invariant
-//! justifies both the local and the reachability view of the same
-//! hazard.
+//! stays visible. `<rule>` must be one of [`rules::ALLOWABLE_RULES`].
 
 pub mod graph;
 pub mod rules;
@@ -43,7 +41,7 @@ pub mod source;
 
 pub use rules::graph_rules::GraphConfig;
 
-use rules::{RULE_ALLOW_GRAMMAR, RULE_GRAPH_CONFIG, RULE_PANIC_FREE, RULE_PANIC_PATH};
+use rules::{ALLOWABLE_RULES, RULE_ALLOW_GRAMMAR, RULE_GRAPH_CONFIG};
 use source::{FileRole, SourceFile};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -72,23 +70,15 @@ pub struct Finding {
     pub status: Status,
 }
 
-/// Applies the allow-annotation policy to one raw hit. `panic-path`
-/// findings accept a `panic-free-library` allow at the same line: the
-/// two rules see the same hazard from different directions, and one
-/// reviewed justification covers both.
+/// Applies the allow-annotation policy to one raw hit.
 fn apply_allows(file: &SourceFile, rule: &str, line: usize) -> Status {
-    if let Some(a) = file.allow_for(rule, line) {
-        return Status::Allowed(a.reason.clone());
+    match file.allow_for(rule, line) {
+        Some(a) => Status::Allowed(a.reason.clone()),
+        None => Status::Violation,
     }
-    if rule == RULE_PANIC_PATH {
-        if let Some(a) = file.allow_for(RULE_PANIC_FREE, line) {
-            return Status::Allowed(a.reason.clone());
-        }
-    }
-    Status::Violation
 }
 
-/// Runs the per-file rules (R1–R5 plus the annotation-grammar checks)
+/// Runs the per-file rules (R1–R3, R5 and the annotation-grammar checks)
 /// over one parsed file. Graph rules need the whole workspace; see
 /// [`scan_sources`].
 pub fn scan_file(file: &SourceFile) -> Vec<Finding> {
@@ -103,12 +93,18 @@ pub fn scan_file(file: &SourceFile) -> Vec<Finding> {
             status: apply_allows(file, raw.rule, raw.line),
         });
     }
-    for bad in &file.bad_allows {
+    // Malformed allows, then allows naming a rule they cannot suppress.
+    let unknown = file.allows.iter().filter(|a| !ALLOWABLE_RULES.contains(&a.rule.as_str()));
+    let grammar = file.bad_allows.iter().map(|b| (b.line, b.what.clone())).chain(unknown.map(|a| {
+        let known = ALLOWABLE_RULES.join(", ");
+        (a.line, format!("analyze::allow names unknown rule `{}` (known: {known})", a.rule))
+    }));
+    for (line, message) in grammar {
         out.push(Finding {
             rule: RULE_ALLOW_GRAMMAR.to_string(),
             path: path.clone(),
-            line: bad.line,
-            message: bad.what.clone(),
+            line,
+            message,
             status: Status::Violation,
         });
     }

@@ -21,9 +21,9 @@
 //! `graph-config` findings are not suppressible (like `allow-grammar`):
 //! they mean the *configuration* is wrong — a required root that no
 //! annotation provides, an annotation that attaches to no `fn`, a
-//! `rules = "..."` list naming an unknown rule, or a stale
-//! `PANIC_FREE_FILES`/crate-list entry pointing at a path that no
-//! longer exists. Stale config must fail loudly, not rot silently.
+//! `rules = "..."` list naming an unknown rule, or a stale crate-list
+//! or path-marker entry pointing at code that no longer exists. Stale
+//! config must fail loudly, not rot silently.
 
 use super::{
     RawFinding, RULE_ALLOC_PATH, RULE_CHARGE_COVERAGE, RULE_GRAPH_CONFIG, RULE_PANIC_PATH,
@@ -56,11 +56,6 @@ pub const REQUIRED_ROOTS: &[&str] = &[
 pub struct GraphConfig {
     /// Root names that must be attached to at least one `fn`.
     pub required_roots: Vec<String>,
-    /// `panic-free-library` single-file entries; each must name an
-    /// existing scanned file.
-    pub panic_free_files: Vec<String>,
-    /// `panic-free-library` crate list; each must name a scanned crate.
-    pub panic_free_crates: Vec<String>,
     /// `nondeterminism` crate list; each must name a scanned crate.
     pub sim_crates: Vec<String>,
     /// Path substrings other rules scope by (e.g. `rng-draw-budget`
@@ -73,14 +68,6 @@ impl Default for GraphConfig {
     fn default() -> Self {
         GraphConfig {
             required_roots: REQUIRED_ROOTS.iter().map(|s| s.to_string()).collect(),
-            panic_free_files: super::panic_free::PANIC_FREE_FILES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            panic_free_crates: super::panic_free::PANIC_FREE_CRATES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
             sim_crates: super::nondeterminism::SIM_CRATES
                 .iter()
                 .map(|s| s.to_string())
@@ -173,35 +160,19 @@ pub fn check_config(
         }
     }
 
-    // Stale file/crate/scope configuration entries.
+    // Stale crate/scope configuration entries.
     let lib_paths: Vec<String> = files
         .iter()
         .map(|f| f.path.to_string_lossy().replace('\\', "/"))
         .collect();
-    let crates: Vec<&str> = files.iter().map(|f| f.crate_dir.as_str()).collect();
-    for p in &cfg.panic_free_files {
-        if !lib_paths.iter().any(|lp| lp == p) {
+    for c in &cfg.sim_crates {
+        if !files.iter().any(|f| &f.crate_dir == c) {
             out.push(gf(
                 None,
                 RULE_GRAPH_CONFIG,
                 0,
-                format!("PANIC_FREE_FILES entry `{p}` matches no scanned file — stale path"),
+                format!("SIM_CRATES entry `{c}` matches no scanned crate — stale crate name"),
             ));
-        }
-    }
-    for (list, name) in [
-        (&cfg.panic_free_crates, "PANIC_FREE_CRATES"),
-        (&cfg.sim_crates, "SIM_CRATES"),
-    ] {
-        for c in list {
-            if !crates.iter().any(|k| k == c) {
-                out.push(gf(
-                    None,
-                    RULE_GRAPH_CONFIG,
-                    0,
-                    format!("{name} entry `{c}` matches no scanned crate — stale crate name"),
-                ));
-            }
         }
     }
     for m in &cfg.path_markers {
@@ -396,8 +367,6 @@ mod tests {
     fn empty_cfg() -> GraphConfig {
         GraphConfig {
             required_roots: vec![],
-            panic_free_files: vec![],
-            panic_free_crates: vec![],
             sim_crates: vec![],
             path_markers: vec![],
         }
@@ -519,9 +488,7 @@ impl Sim {\n\
     fn missing_required_root_and_stale_paths_fail_loudly() {
         let cfg = GraphConfig {
             required_roots: vec!["engine-batch-loop".into()],
-            panic_free_files: vec!["crates/gone/src/table.rs".into()],
-            panic_free_crates: vec!["gone".into()],
-            sim_crates: vec!["x".into()],
+            sim_crates: vec!["x".into(), "gone".into()],
             path_markers: vec!["impair".into()],
         };
         let fs = run(
@@ -538,11 +505,7 @@ impl Sim {\n\
             "missing root reported: {msgs:?}"
         );
         assert!(
-            msgs.iter().any(|m| m.contains("crates/gone/src/table.rs")),
-            "stale file entry reported: {msgs:?}"
-        );
-        assert!(
-            msgs.iter().any(|m| m.contains("PANIC_FREE_CRATES entry `gone`")),
+            msgs.iter().any(|m| m.contains("SIM_CRATES entry `gone`")),
             "stale crate entry reported: {msgs:?}"
         );
         assert!(
@@ -550,8 +513,8 @@ impl Sim {\n\
             "empty scope marker reported: {msgs:?}"
         );
         assert!(
-            !msgs.iter().any(|m| m.contains("SIM_CRATES")),
-            "crate `x` exists, SIM_CRATES is fine: {msgs:?}"
+            !msgs.iter().any(|m| m.contains("entry `x`")),
+            "crate `x` exists, so its SIM_CRATES entry is fine: {msgs:?}"
         );
     }
 

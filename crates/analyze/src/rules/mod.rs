@@ -8,7 +8,6 @@ use crate::source::SourceFile;
 pub mod float_reduction;
 pub mod graph_rules;
 pub mod nondeterminism;
-pub mod panic_free;
 pub mod rng_budget;
 pub mod unsafe_safety;
 
@@ -30,8 +29,6 @@ pub const RULE_RNG_BUDGET: &str = "rng-draw-budget";
 /// See [`RULE_NONDETERMINISM`].
 pub const RULE_UNSAFE_SAFETY: &str = "unsafe-safety";
 /// See [`RULE_NONDETERMINISM`].
-pub const RULE_PANIC_FREE: &str = "panic-free-library";
-/// See [`RULE_NONDETERMINISM`].
 pub const RULE_FLOAT_REDUCTION: &str = "float-reduction";
 /// Malformed `analyze::allow` annotations (not suppressible).
 pub const RULE_ALLOW_GRAMMAR: &str = "allow-grammar";
@@ -46,13 +43,25 @@ pub const RULE_CHARGE_COVERAGE: &str = "charge-coverage";
 /// annotations, stale path/crate lists (not suppressible).
 pub const RULE_GRAPH_CONFIG: &str = "graph-config";
 
+/// The rules an `analyze::allow(<rule>, ..)` may name: every suppressible
+/// rule. An allow naming anything else (a typo, a deleted rule) would
+/// silently suppress nothing, so it is an `allow-grammar` violation.
+pub const ALLOWABLE_RULES: &[&str] = &[
+    RULE_NONDETERMINISM,
+    RULE_RNG_BUDGET,
+    RULE_UNSAFE_SAFETY,
+    RULE_FLOAT_REDUCTION,
+    RULE_PANIC_PATH,
+    RULE_ALLOC_PATH,
+    RULE_CHARGE_COVERAGE,
+];
+
 /// Runs every rule over `file`.
 pub fn run_all(file: &SourceFile) -> Vec<RawFinding> {
     let mut out = Vec::new();
     out.extend(nondeterminism::check(file));
     out.extend(rng_budget::check(file));
     out.extend(unsafe_safety::check(file));
-    out.extend(panic_free::check(file));
     out.extend(float_reduction::check(file));
     out.sort_by_key(|f| f.line);
     out

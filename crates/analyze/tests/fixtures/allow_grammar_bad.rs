@@ -4,7 +4,7 @@
 // analyze::allow(nondeterminism)
 use std::collections::HashMap;
 
-// analyze::allow(panic-free-library, reason = "")
+// analyze::allow(panic-path, reason = "")
 pub fn empty_reason(m: Option<u64>) -> u64 {
     m.unwrap()
 }

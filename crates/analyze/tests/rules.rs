@@ -114,29 +114,6 @@ fn r3_unsafe_good_fixture_passes_even_in_tests() {
 }
 
 #[test]
-fn r4_panic_free_bad_fixture_fails() {
-    let f = scan_fixture("panic_free_bad.rs", "core", FileRole::Lib);
-    let v = violations(&f, "panic-free-library");
-    assert!(v.len() >= 5, "unwrap/expect/panic/todo/index: {v:#?}");
-    assert!(v.iter().any(|f| f.message.contains("indexing by literal")));
-}
-
-#[test]
-fn r4_panic_free_good_fixture_passes() {
-    let f = scan_fixture("panic_free_good.rs", "core", FileRole::Lib);
-    assert_clean(&f, "panic_free_good.rs");
-}
-
-#[test]
-fn r4_is_scoped_to_the_hot_path_crates() {
-    let (_, text) = fixture("panic_free_bad.rs");
-    assert_clean(
-        &scan_source("crates/signaling/src/x.rs", "signaling", FileRole::Lib, &text),
-        "signaling is not in the panic-free set",
-    );
-}
-
-#[test]
 fn r5_float_reduction_bad_fixture_fails() {
     let f = scan_fixture("float_reduction_bad.rs", "bench", FileRole::Lib);
     let v = violations(&f, "float-reduction");
@@ -167,6 +144,20 @@ fn allow_grammar_bad_fixture_fails() {
     assert!(!violations(&f, "nondeterminism").is_empty());
 }
 
+#[test]
+fn allow_naming_an_unknown_rule_fails() {
+    let f = scan_fixture("allow_grammar_unknown_rule_bad.rs", "simnet", FileRole::Lib);
+    let v = violations(&f, "allow-grammar");
+    assert_eq!(v.len(), 1, "{f:#?}");
+    assert!(
+        v[0].message.contains("unknown rule `panic-free-library`"),
+        "{}",
+        v[0].message
+    );
+    // The allow suppresses nothing: the hazard below it stays live.
+    assert!(!violations(&f, "nondeterminism").is_empty(), "{f:#?}");
+}
+
 // ------------------------------------------------------------------
 // CLI exit codes (the CI contract)
 // ------------------------------------------------------------------
@@ -188,9 +179,9 @@ fn cli_exits_nonzero_on_every_bad_fixture() {
         ("nondeterminism_bad.rs", "simnet"),
         ("rng_budget_bad_impair.rs", "simnet"),
         ("unsafe_bad.rs", "netstack"),
-        ("panic_free_bad.rs", "core"),
         ("float_reduction_bad.rs", "bench"),
         ("allow_grammar_bad.rs", "simnet"),
+        ("allow_grammar_unknown_rule_bad.rs", "simnet"),
     ] {
         let status = run_cli(name, crate_dir, "lib");
         assert!(!status.success(), "{name} must fail the gate");
@@ -203,7 +194,6 @@ fn cli_exits_zero_on_every_good_fixture() {
         ("nondeterminism_good.rs", "simnet"),
         ("rng_budget_good_impair.rs", "simnet"),
         ("unsafe_good.rs", "netstack"),
-        ("panic_free_good.rs", "core"),
         ("float_reduction_good.rs", "bench"),
     ] {
         let status = run_cli(name, crate_dir, "lib");
@@ -215,13 +205,21 @@ fn cli_exits_zero_on_every_good_fixture() {
 // The real workspace passes clean
 // ------------------------------------------------------------------
 
+/// The real workspace's findings, scanned once for every test here.
+fn workspace_findings() -> &'static [Finding] {
+    static FINDINGS: std::sync::OnceLock<Vec<Finding>> = std::sync::OnceLock::new();
+    FINDINGS.get_or_init(|| {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("workspace root");
+        scan_workspace(root).expect("scan workspace")
+    })
+}
+
 #[test]
 fn workspace_scans_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
-    let findings = scan_workspace(root).expect("scan workspace");
+    let findings = workspace_findings();
     let bad: Vec<_> = findings
         .iter()
         .filter(|f| f.status == Status::Violation)
@@ -236,6 +234,34 @@ fn workspace_scans_clean() {
     assert!(findings
         .iter()
         .any(|f| matches!(&f.status, Status::Allowed(r) if !r.is_empty())));
+}
+
+/// Ceiling on the justified-hazard inventory (`results/analyze_report.json`).
+/// A change that removes hazards lowers it to the new count; one that
+/// adds hazards must remove as many elsewhere. Regenerating the report
+/// alone never makes room.
+const INVENTORY_BUDGET: usize = 86;
+
+#[test]
+fn inventory_ratchet_holds() {
+    let findings = workspace_findings();
+    let in_wire: Vec<_> = findings
+        .iter()
+        .filter(|f| f.path.starts_with("crates/netstack/src/wire/"))
+        .collect();
+    assert!(
+        in_wire.is_empty(),
+        "the wire codecs index nothing: {in_wire:#?}"
+    );
+    assert!(
+        findings.iter().all(|f| f.rule != "panic-free-library"),
+        "panic-free-library is not a rule"
+    );
+    assert!(
+        findings.len() <= INVENTORY_BUDGET,
+        "{} findings exceed the inventory budget of {INVENTORY_BUDGET}",
+        findings.len()
+    );
 }
 
 // ------------------------------------------------------------------
@@ -257,8 +283,6 @@ fn scan_graph_fixtures(names: &[&str], roots: &[&str]) -> Vec<Finding> {
         .collect();
     let cfg = GraphConfig {
         required_roots: roots.iter().map(|s| s.to_string()).collect(),
-        panic_free_files: Vec::new(),
-        panic_free_crates: Vec::new(),
         sim_crates: Vec::new(),
         path_markers: Vec::new(),
     };
@@ -347,9 +371,7 @@ fn stale_graph_config_fails_loudly_not_silently() {
         .collect();
     let cfg = GraphConfig {
         required_roots: vec!["fixture-rx".into(), "renamed-away-loop".into()],
-        panic_free_files: vec!["crates/gone/src/table.rs".into()],
-        panic_free_crates: vec!["fixturecrate".into(), "deleted_crate".into()],
-        sim_crates: Vec::new(),
+        sim_crates: vec!["fixturecrate".into(), "deleted_crate".into()],
         path_markers: vec!["impair".into()],
     };
     let f = scan_sources(&files, &cfg);
@@ -358,10 +380,6 @@ fn stale_graph_config_fails_loudly_not_silently() {
     assert!(
         msgs.iter().any(|m| m.contains("renamed-away-loop") && m.contains("annotated nowhere")),
         "missing root is loud: {msgs:#?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("crates/gone/src/table.rs") && m.contains("stale path")),
-        "stale PANIC_FREE_FILES entry is loud: {msgs:#?}"
     );
     assert!(
         msgs.iter().any(|m| m.contains("deleted_crate") && m.contains("stale crate")),
@@ -426,11 +444,18 @@ fn clippy_disallowed_lists_are_subset_of_nondeterminism_rules() {
 
 #[test]
 fn cli_github_format_emits_error_annotations() {
-    let (path, _) = fixture("panic_free_bad.rs");
+    let (path, _) = fixture("nondeterminism_bad.rs");
     let out = Command::new(env!("CARGO_BIN_EXE_analyze"))
         .args(["--check", "--path"])
         .arg(&path)
-        .args(["--crate-name", "core", "--role", "lib", "--format", "github"])
+        .args([
+            "--crate-name",
+            "simnet",
+            "--role",
+            "lib",
+            "--format",
+            "github",
+        ])
         .output()
         .expect("spawn analyze binary");
     assert!(!out.status.success());
@@ -438,7 +463,7 @@ fn cli_github_format_emits_error_annotations() {
     assert!(
         stdout.lines().any(|l| l.starts_with("::error file=")
             && l.contains(",line=")
-            && l.contains("panic-free-library")),
+            && l.contains("nondeterminism")),
         "github annotations on stdout: {stdout}"
     );
 
@@ -446,7 +471,7 @@ fn cli_github_format_emits_error_annotations() {
     let plain = Command::new(env!("CARGO_BIN_EXE_analyze"))
         .args(["--check", "--path"])
         .arg(&path)
-        .args(["--crate-name", "core", "--role", "lib"])
+        .args(["--crate-name", "simnet", "--role", "lib"])
         .output()
         .expect("spawn analyze binary");
     let plain_out = String::from_utf8_lossy(&plain.stdout);

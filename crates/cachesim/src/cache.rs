@@ -185,7 +185,7 @@ impl Cache {
 
         // Fast path for direct-mapped caches: a set is a single way.
         if self.ways == 1 {
-            // analyze::allow(panic-free-library, reason = "set_index is always < num_sets == tags.len() for 1-way geometry")
+            // set_index is always < num_sets == tags.len() for 1-way geometry.
             let slot = &mut self.tags[set_idx];
             let hit = *slot == line;
             if hit {
@@ -198,7 +198,7 @@ impl Cache {
         }
 
         let base = set_idx * self.ways;
-        // analyze::allow(panic-free-library, reason = "base + ways <= tags.len() by construction of the flat tag array")
+        // analyze::allow(panic-path, reason = "base + ways <= tags.len() by construction of the flat tag array")
         let set = &mut self.tags[base..base + self.ways];
         if let Some(pos) = set.iter().position(|&w| w == line) {
             // Hit: rotate to the MRU position.

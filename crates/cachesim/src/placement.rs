@@ -104,7 +104,7 @@ impl RandomPlacement {
                 return candidate;
             }
         }
-        // analyze::allow(panic-free-library, reason = "documented failure mode: the doc comment requires total placed size well under the window; exceeding it is a configuration bug")
+        // analyze::allow(panic-path, reason = "documented failure mode: the doc comment requires total placed size well under the window; exceeding it is a configuration bug")
         panic!(
             "random placement failed: window too crowded ({} segments, {} bytes placed)",
             self.placed.len(),

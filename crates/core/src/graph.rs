@@ -178,7 +178,8 @@ impl<M> LayerGraph<M> {
     /// schedule it is processed to completion immediately; under LDLP it
     /// waits in the entry queue until [`LayerGraph::run`].
     pub fn inject(&mut self, msg: M) {
-        // analyze::allow(panic-free-library, reason = "documented precondition: set_entry must be called before inject; misuse is a caller bug, not a data-dependent path")
+        // Documented precondition: set_entry must be called before inject;
+        // misuse is a caller bug, not a data-dependent path.
         let entry = self.entry.expect("entry layer set");
         match self.schedule {
             Schedule::Conventional => {
@@ -198,9 +199,8 @@ impl<M> LayerGraph<M> {
     /// schedule, which never queues). Returns messages delivered during
     /// this run.
     pub fn run(&mut self) -> Vec<(NodeId, M)> {
-        if let Schedule::Ldlp { entry_batch } = self.schedule {
-            // analyze::allow(panic-free-library, reason = "documented precondition: set_entry must be called before run; misuse is a caller bug, not a data-dependent path")
-            let entry = self.entry.expect("entry layer set");
+        // Without an entry layer nothing was injected, so nothing is queued.
+        if let (Schedule::Ldlp { entry_batch }, Some(entry)) = (self.schedule, self.entry) {
             while !self.nodes[entry].queue.is_empty() {
                 // The entry layer yields after a batch; everything above
                 // runs to completion at higher priority.
@@ -208,8 +208,9 @@ impl<M> LayerGraph<M> {
                 self.stats.batches += 1;
                 self.stats.max_batch = self.stats.max_batch.max(batch);
                 for _ in 0..batch {
-                    // analyze::allow(panic-free-library, reason = "batch = min(queue.len(), cap), so the queue holds at least `batch` messages here")
-                    let msg = self.nodes[entry].queue.pop_front().expect("len checked");
+                    let Some(msg) = self.nodes[entry].queue.pop_front() else {
+                        break;
+                    };
                     self.process_one_queued(entry, msg);
                 }
                 self.drain_upper_layers(entry);

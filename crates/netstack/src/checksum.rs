@@ -39,12 +39,11 @@ impl Accum {
     /// Adds a byte slice, treating it as big-endian 16-bit words with an
     /// implicit zero pad byte when the length is odd.
     pub fn add_bytes(mut self, data: &[u8]) -> Self {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            // analyze::allow(panic-path, reason = "chunks_exact(2) yields exactly two bytes per chunk")
-            self.0 += u16::from_be_bytes([c[0], c[1]]) as u64;
+        let (words, tail) = data.as_chunks::<2>();
+        for &w in words {
+            self.0 += u16::from_be_bytes(w) as u64;
         }
-        if let [last] = chunks.remainder() {
+        if let [last] = tail {
             self.0 += (*last as u64) << 8;
         }
         self
@@ -135,13 +134,19 @@ pub fn update_word(old_sum: u16, old_word: u16, new_word: u16) -> u16 {
     !(sum as u16)
 }
 
-/// Checksum of an IPv4 pseudo-header plus payload, used by UDP and TCP.
-pub fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], proto: u8, payload: &[u8]) -> u16 {
+/// A sum seeded with the IPv4 pseudo-header of a `len`-byte UDP or TCP
+/// segment; emitters add the header fields and payload to it.
+pub fn pseudo_header_accum(src: [u8; 4], dst: [u8; 4], proto: u8, len: usize) -> Accum {
     Accum::new()
         .add_bytes(&src)
         .add_bytes(&dst)
         .add_word(proto as u16)
-        .add_word(payload.len() as u16)
+        .add_word(len as u16)
+}
+
+/// Checksum of an IPv4 pseudo-header plus payload, used by UDP and TCP.
+pub fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], proto: u8, payload: &[u8]) -> u16 {
+    pseudo_header_accum(src, dst, proto, payload.len())
         .add_bytes(payload)
         .finish()
 }

@@ -8,7 +8,7 @@
 //! the style of smoltcp's examples).
 
 use crate::error::{Error, Result};
-use crate::ipfrag::{fragment, parse_fragment, Reassembler, ReassemblyStats};
+use crate::ipfrag::{fragment, Reassembler, ReassemblyStats};
 use crate::tcp::machine::{Instant, TcpStack};
 use crate::wire::arp::{ArpOp, ArpRepr};
 use crate::wire::ethernet::{EtherType, EthernetAddr, EthernetRepr, ETHERNET_HEADER_LEN};
@@ -316,7 +316,7 @@ impl Interface {
         seq: u16,
         payload: &[u8],
     ) {
-        let icmp = IcmpRepr::echo_request(ident, seq, payload).packet();
+        let icmp = IcmpRepr::echo_request(ident, seq).packet(payload);
         self.send_ip(device, dst, Protocol::Icmp, &icmp);
     }
 
@@ -377,23 +377,21 @@ impl Interface {
     ) -> Result<()> {
         self.stats.frames_in += 1;
         self.obs_instant(|ids| ids.frame_in, now, 1);
-        let (eth, off) = EthernetRepr::parse(frame)?;
+        let (eth, payload) = EthernetRepr::parse(frame)?;
         if eth.dst != self.mac && !eth.dst.is_broadcast() {
             self.stats.not_for_us += 1;
             return Ok(());
         }
         match eth.ethertype {
-            // analyze::allow(panic-path, reason = "off is a header length the wire parser validated against the frame length")
-            EtherType::Arp => self.input_arp(device, &frame[off..]),
-            // analyze::allow(panic-path, reason = "off is a header length the wire parser validated against the frame length")
-            EtherType::Ipv4 => self.input_ip(device, &frame[off..], now),
+            EtherType::Arp => self.input_arp(device, payload),
+            EtherType::Ipv4 => self.input_ip(device, payload, now),
             EtherType::Unknown(_) => Ok(()),
         }
     }
 
     fn input_arp(&mut self, device: &mut dyn Device, packet: &[u8]) -> Result<()> {
         self.stats.arp_in += 1;
-        let arp = ArpRepr::parse(packet)?;
+        let (arp, _padding) = ArpRepr::parse(packet)?;
         // Learn the sender mapping either way (gratuitous or directed).
         self.arp_cache.insert(arp.sender_ip, arp.sender_hw);
         // Flush packets that were waiting on this resolution.
@@ -418,8 +416,8 @@ impl Interface {
 
     fn input_ip(&mut self, device: &mut dyn Device, packet: &[u8], now: Instant) -> Result<()> {
         self.stats.ip_in += 1;
-        // Permissive parse: full validation, fragments allowed.
-        let (ip, frag_field, payload) = parse_fragment(packet)?;
+        // One parse for whole datagrams and fragments alike.
+        let (ip, payload) = Ipv4Repr::parse(packet)?;
         if ip.dst != self.ip && !ip.dst.is_broadcast() {
             self.stats.not_for_us += 1;
             return Ok(());
@@ -427,11 +425,11 @@ impl Interface {
         // A fragment goes through reassembly; dispatch resumes when the
         // datagram completes.
         let assembled;
-        let payload: &[u8] = if frag_field & 0x3fff != 0 && frag_field & 0x4000 == 0 {
+        let payload: &[u8] = if ip.flags_frag & 0x3fff != 0 && ip.flags_frag & 0x4000 == 0 {
             self.stats.fragments_in += 1;
             self.obs_instant(|ids| ids.fragment_in, now, 1);
             let evictions_before = self.reassembler.stats().evictions;
-            let result = self.reassembler.input(&ip, frag_field, payload, now);
+            let result = self.reassembler.input(&ip, payload, now);
             let evicted = self.reassembler.stats().evictions - evictions_before;
             if evicted > 0 {
                 self.obs_instant(|ids| ids.reassembly_eviction, now, evicted);
@@ -467,10 +465,10 @@ impl Interface {
     }
 
     fn input_icmp(&mut self, device: &mut dyn Device, src: Ipv4Addr, payload: &[u8]) -> Result<()> {
-        let icmp = IcmpRepr::parse(payload)?;
+        let (icmp, data) = IcmpRepr::parse(payload)?;
         match icmp.kind {
             IcmpType::EchoRequest => {
-                let reply = icmp.to_echo_reply().packet();
+                let reply = icmp.to_echo_reply().packet(data);
                 self.send_ip(device, src, Protocol::Icmp, &reply);
                 self.stats.icmp_echo_replies += 1;
             }
@@ -479,7 +477,7 @@ impl Interface {
                     from: src,
                     ident: icmp.ident,
                     seq: icmp.seq,
-                    payload: icmp.payload,
+                    payload: data.to_vec(),
                 });
             }
             IcmpType::DestUnreachable(_) => {}
@@ -495,28 +493,25 @@ impl Interface {
         payload: &[u8],
     ) -> Result<()> {
         self.stats.udp_in += 1;
-        let (udp, off) = UdpRepr::parse(payload, src, dst)?;
+        let (udp, data) = UdpRepr::parse(payload, src, dst)?;
         match self.udp_ports.get_mut(&udp.dst_port) {
             Some(queue) => {
                 queue.push_back(UdpDatagram {
                     src_addr: src,
                     src_port: udp.src_port,
-                    // analyze::allow(panic-path, reason = "off is a header length the wire parser validated against the frame length")
-                    payload: payload[off..].to_vec(),
+                    payload: data.to_vec(),
                 });
                 Ok(())
             }
             None => {
                 // Port unreachable, carrying the offending datagram head.
-                // analyze::allow(panic-path, reason = "slice end is min-clamped to payload.len()")
-                let quoted = &payload[..payload.len().min(28)];
+                let quoted = payload.get(..28).unwrap_or(payload);
                 let unreachable = IcmpRepr {
                     kind: IcmpType::DestUnreachable(3),
                     ident: 0,
                     seq: 0,
-                    payload: quoted.to_vec(),
                 }
-                .packet();
+                .packet(quoted);
                 self.send_ip(device, src, Protocol::Icmp, &unreachable);
                 self.stats.port_unreachable_sent += 1;
                 Err(Error::NoRoute)
@@ -549,7 +544,7 @@ impl Interface {
             protocol,
             ttl: 64,
             ident: self.ip_ident,
-            dont_frag: fits,
+            flags_frag: if fits { Ipv4Repr::DONT_FRAG } else { 0 },
             payload_len: payload.len(),
         };
         self.ip_ident = self.ip_ident.wrapping_add(1);
@@ -739,6 +734,39 @@ mod tests {
         b.udp_bind(2).unwrap();
         b.input_frame(&mut b2, &frame, 0).unwrap();
         assert_eq!(b.udp_recv(2).unwrap().payload, vec![0x55]);
+    }
+
+    #[test]
+    fn bytes_past_the_udp_length_do_not_reach_the_socket() {
+        let mut b = host(2);
+        b.udp_bind(7).unwrap();
+        let src = Ipv4Addr::new(192, 168, 69, 1);
+        // A valid datagram, then IP-payload bytes that its UDP length,
+        // and so its checksum, does not cover.
+        let udp = UdpRepr {
+            src_port: 9,
+            dst_port: 7,
+        }
+        .packet(src, b.ip(), b"data");
+        let udp = [udp.as_slice(), b"junk"].concat();
+        let ip = Ipv4Repr {
+            src,
+            dst: b.ip(),
+            protocol: Protocol::Udp,
+            ttl: 64,
+            ident: 1,
+            flags_frag: 0,
+            payload_len: udp.len(),
+        }
+        .packet(&udp);
+        let frame = EthernetRepr {
+            dst: b.mac(),
+            src: EthernetAddr([2, 0, 0, 0, 0, 1]),
+            ethertype: EtherType::Ipv4,
+        }
+        .frame(&ip);
+        b.input_frame(&mut Loopback::new(), &frame, 0).unwrap();
+        assert_eq!(b.udp_recv(7).unwrap().payload, b"data");
     }
 
     #[test]

@@ -10,8 +10,6 @@
 
 use crate::error::{Error, Result};
 use crate::wire::ipv4::{Ipv4Addr, Ipv4Repr, IPV4_HEADER_LEN};
-#[cfg(test)]
-use crate::wire::ipv4::Protocol;
 
 /// Maximum simultaneous reassemblies (smoltcp's `REASSEMBLY_BUFFER_COUNT`
 /// spirit, a little roomier).
@@ -32,42 +30,30 @@ pub const REASSEMBLY_SLOT_BYTES: u64 = 64;
 pub const REASSEMBLY_TABLE_BYTES: u64 = MAX_REASSEMBLIES as u64 * REASSEMBLY_SLOT_BYTES;
 
 /// Splits `payload` into fragments that fit `mtu` (the IP packet size
-/// bound, header included). Returns complete serialized IP packets.
-/// Fragment offsets are in 8-byte units, so every fragment except the
-/// last carries a multiple of 8 payload bytes.
+/// bound, header included). Returns complete serialized IP packets, each
+/// built by [`Ipv4Repr::packet`] with its own offset and MF bit in
+/// `flags_frag`. Fragment offsets are in 8-byte units, so every fragment
+/// except the last carries a multiple of 8 payload bytes.
 pub fn fragment(repr: &Ipv4Repr, payload: &[u8], mtu: usize) -> Result<Vec<Vec<u8>>> {
     assert!(mtu > IPV4_HEADER_LEN + 8, "mtu too small to carry fragments");
     if IPV4_HEADER_LEN + payload.len() <= mtu {
         return Ok(vec![repr.packet(payload)]);
     }
-    if repr.dont_frag {
+    if repr.flags_frag & Ipv4Repr::DONT_FRAG != 0 {
         return Err(Error::Exhausted);
     }
     let max_chunk = ((mtu - IPV4_HEADER_LEN) / 8) * 8;
-    let mut out = Vec::new();
-    let mut offset = 0usize;
-    while offset < payload.len() {
-        let end = (offset + max_chunk).min(payload.len());
-        let more = end < payload.len();
-        let chunk = &payload[offset..end];
-        let mut pkt = vec![0u8; IPV4_HEADER_LEN + chunk.len()];
+    let fragments = payload.chunks(max_chunk).enumerate().map(|(i, chunk)| {
+        let offset = i * max_chunk;
+        let more = offset + chunk.len() < payload.len();
         Ipv4Repr {
+            flags_frag: (offset / 8) as u16 | if more { Ipv4Repr::MORE_FRAGS } else { 0 },
             payload_len: chunk.len(),
             ..*repr
         }
-        .emit(&mut pkt);
-        // Patch flags/fragment-offset (emit writes DF/0), then re-checksum.
-        let frag_field = ((offset / 8) as u16) | if more { 0x2000 } else { 0 };
-        pkt[6..8].copy_from_slice(&frag_field.to_be_bytes());
-        pkt[10] = 0;
-        pkt[11] = 0;
-        let ck = crate::checksum::simple(&pkt[..IPV4_HEADER_LEN]);
-        pkt[10..12].copy_from_slice(&ck.to_be_bytes());
-        pkt[IPV4_HEADER_LEN..].copy_from_slice(chunk);
-        out.push(pkt);
-        offset = end;
-    }
-    Ok(out)
+        .packet(chunk)
+    });
+    Ok(fragments.collect())
 }
 
 /// A fragment's identity: who sent which datagram.
@@ -114,16 +100,12 @@ impl Reassembly {
         next == total
     }
 
+    /// The datagram, once [`Reassembly::is_complete`] holds: runs are
+    /// disjoint (input refuses overlaps) and chain from 0 to `total_len`
+    /// without gaps, so in offset order they concatenate to it.
     fn assemble(mut self) -> Vec<u8> {
-        // analyze::allow(panic-path, reason = "assemble runs only after is_complete() proved every byte of total_len is present")
-        let total = self.total_len.expect("checked complete");
-        let mut out = vec![0u8; total];
         self.runs.sort_by_key(|(o, _)| *o);
-        for (o, d) in self.runs {
-            // analyze::allow(panic-path, reason = "assemble runs only after is_complete() proved every byte of total_len is present")
-            out[o..o + d.len()].copy_from_slice(&d);
-        }
-        out
+        self.runs.into_iter().flat_map(|(_, d)| d).collect()
     }
 }
 
@@ -172,23 +154,14 @@ impl Reassembler {
         self.pending.len()
     }
 
-    /// Feeds one fragment (parsed header fields plus its payload bytes).
+    /// Feeds one fragment: its parsed header (whose `flags_frag` holds
+    /// the MF bit and the offset in 8-byte units) and its payload bytes.
     /// Returns the complete payload once the datagram closes.
-    ///
-    /// `frag_field` is the raw flags/offset field (MF | offset-in-8-byte
-    /// units) — [`Ipv4Repr::parse`] rejects fragments, so the caller
-    /// extracts it before validation (see `parse_fragment`).
-    pub fn input(
-        &mut self,
-        repr: &Ipv4Repr,
-        frag_field: u16,
-        payload: &[u8],
-        now_ms: u64,
-    ) -> Option<Vec<u8>> {
+    pub fn input(&mut self, repr: &Ipv4Repr, payload: &[u8], now_ms: u64) -> Option<Vec<u8>> {
         self.expire(now_ms);
         self.stats.fragments_in += 1;
-        let more = frag_field & 0x2000 != 0;
-        let offset = ((frag_field & 0x1fff) as usize) * 8;
+        let more = repr.flags_frag & Ipv4Repr::MORE_FRAGS != 0;
+        let offset = ((repr.flags_frag & 0x1fff) as usize) * 8;
         let key = Key {
             src: repr.src,
             dst: repr.dst,
@@ -264,55 +237,10 @@ impl Reassembler {
     }
 }
 
-/// Parses an IPv4 header *allowing* fragments (unlike [`Ipv4Repr::parse`])
-/// and returns `(repr, frag_field, payload)`. Validation (version, IHL,
-/// checksum, lengths) matches the strict parser.
-pub fn parse_fragment(buf: &[u8]) -> Result<(Ipv4Repr, u16, &[u8])> {
-    if buf.len() < IPV4_HEADER_LEN {
-        return Err(Error::Truncated);
-    }
-    // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-    let version = buf[0] >> 4;
-    // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-    let ihl = (buf[0] & 0x0f) as usize * 4;
-    if version != 4 || ihl < IPV4_HEADER_LEN {
-        return Err(Error::Malformed);
-    }
-    if buf.len() < ihl {
-        return Err(Error::Truncated);
-    }
-    // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-    let total_len = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-    if total_len < ihl || total_len > buf.len() {
-        return Err(Error::Truncated);
-    }
-    // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-    if crate::checksum::simple(&buf[..ihl]) != 0 {
-        return Err(Error::Checksum);
-    }
-    // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-    let frag_field = u16::from_be_bytes([buf[6], buf[7]]);
-    let repr = Ipv4Repr {
-        // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-        src: Ipv4Addr([buf[12], buf[13], buf[14], buf[15]]),
-        // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-        dst: Ipv4Addr([buf[16], buf[17], buf[18], buf[19]]),
-        // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-        protocol: buf[9].into(),
-        // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-        ttl: buf[8],
-        // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-        ident: u16::from_be_bytes([buf[4], buf[5]]),
-        dont_frag: frag_field & 0x4000 != 0,
-        payload_len: total_len - ihl,
-    };
-    // analyze::allow(panic-path, reason = "fragment header fields are validated against buf.len() before any fixed-offset read")
-    Ok((repr, frag_field, &buf[ihl..total_len]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::ipv4::Protocol;
 
     fn repr(payload_len: usize) -> Ipv4Repr {
         Ipv4Repr {
@@ -321,7 +249,7 @@ mod tests {
             protocol: Protocol::Udp,
             ttl: 64,
             ident: 0x4242,
-            dont_frag: false,
+            flags_frag: 0,
             payload_len,
         }
     }
@@ -330,14 +258,20 @@ mod tests {
         (0..n).map(|i| (i * 13 + 5) as u8).collect()
     }
 
+    /// Parses one fragment with the receive path's codec and feeds it.
+    fn feed(re: &mut Reassembler, packet: &[u8], now_ms: u64) -> Option<Vec<u8>> {
+        let (r, data) = Ipv4Repr::parse(packet).unwrap();
+        re.input(&r, data, now_ms)
+    }
+
     #[test]
     fn small_payload_is_not_fragmented() {
         let p = payload(100);
         let frags = fragment(&repr(100), &p, 1500).unwrap();
         assert_eq!(frags.len(), 1);
-        let (r, off) = Ipv4Repr::parse(&frags[0]).unwrap();
-        assert_eq!(r.payload_len, 100);
-        assert_eq!(&frags[0][off..], &p[..]);
+        let (r, data) = Ipv4Repr::parse(&frags[0]).unwrap();
+        assert_eq!(r, repr(100));
+        assert_eq!(data, &p[..]);
     }
 
     #[test]
@@ -348,8 +282,7 @@ mod tests {
         let mut re = Reassembler::new();
         let mut done = None;
         for f in &frags {
-            let (r, field, data) = parse_fragment(f).unwrap();
-            done = re.input(&r, field, data, 0);
+            done = feed(&mut re, f, 0);
         }
         assert_eq!(done.expect("complete"), p);
         assert_eq!(re.stats().datagrams_completed, 1);
@@ -365,9 +298,8 @@ mod tests {
         let mut re = Reassembler::new();
         let mut done = None;
         for f in frags.iter().rev() {
-            let (r, field, data) = parse_fragment(f).unwrap();
             assert!(done.is_none());
-            done = re.input(&r, field, data, 0);
+            done = feed(&mut re, f, 0);
         }
         assert_eq!(done.expect("complete"), p);
     }
@@ -376,21 +308,33 @@ mod tests {
     fn fragments_are_8_byte_aligned_and_mf_flagged() {
         let p = payload(3000);
         let frags = fragment(&repr(3000), &p, 576).unwrap();
+        let mut next_offset = 0;
         for (i, f) in frags.iter().enumerate() {
-            let (_, field, data) = parse_fragment(f).unwrap();
+            let (r, data) = Ipv4Repr::parse(f).unwrap();
             let last = i == frags.len() - 1;
-            assert_eq!(field & 0x2000 != 0, !last, "MF on all but last");
-            assert_eq!((field & 0x1fff) as usize * 8 % 8, 0);
+            assert_eq!(
+                r.flags_frag & Ipv4Repr::MORE_FRAGS != 0,
+                !last,
+                "MF on all but last"
+            );
+            assert_eq!((r.flags_frag & 0x1fff) as usize * 8, next_offset);
+            assert_eq!(
+                r.ident,
+                repr(0).ident,
+                "every fragment keeps the datagram's ident"
+            );
             if !last {
                 assert_eq!(data.len() % 8, 0, "non-final fragments 8-aligned");
             }
+            next_offset += data.len();
         }
+        assert_eq!(next_offset, p.len());
     }
 
     #[test]
     fn dont_frag_refuses() {
         let r = Ipv4Repr {
-            dont_frag: true,
+            flags_frag: Ipv4Repr::DONT_FRAG,
             ..repr(4000)
         };
         assert_eq!(fragment(&r, &payload(4000), 1500), Err(Error::Exhausted));
@@ -410,10 +354,7 @@ mod tests {
         let mut done = Vec::new();
         for (a, b) in f1.iter().zip(&f2) {
             for f in [a, b] {
-                let (r, field, data) = parse_fragment(f).unwrap();
-                if let Some(d) = re.input(&r, field, data, 0) {
-                    done.push(d);
-                }
+                done.extend(feed(&mut re, f, 0));
             }
         }
         assert_eq!(done.len(), 2);
@@ -426,17 +367,13 @@ mod tests {
         let p = payload(3000);
         let frags = fragment(&repr(3000), &p, 576).unwrap();
         let mut re = Reassembler::new();
-        let (r, field, data) = parse_fragment(&frags[0]).unwrap();
-        re.input(&r, field, data, 0);
+        feed(&mut re, &frags[0], 0);
         assert_eq!(re.pending(), 1);
         re.expire(REASSEMBLY_TIMEOUT_MS + 1);
         assert_eq!(re.pending(), 0);
         assert_eq!(re.stats().timeouts, 1);
         // A late fragment then starts a fresh (never-completing) buffer.
-        let (r, field, data) = parse_fragment(&frags[1]).unwrap();
-        assert!(re
-            .input(&r, field, data, REASSEMBLY_TIMEOUT_MS + 2)
-            .is_none());
+        assert!(feed(&mut re, &frags[1], REASSEMBLY_TIMEOUT_MS + 2).is_none());
     }
 
     #[test]
@@ -450,8 +387,7 @@ mod tests {
                 ..repr(2000)
             };
             let frags = fragment(&r, &payload(2000), 576).unwrap();
-            let (pr, field, data) = parse_fragment(&frags[0]).unwrap();
-            re.input(&pr, field, data, u64::from(ident));
+            feed(&mut re, &frags[0], u64::from(ident));
         }
         assert_eq!(re.pending(), MAX_REASSEMBLIES);
         assert_eq!(re.stats().evictions, 1, "capacity pressure is an eviction");
@@ -466,8 +402,7 @@ mod tests {
         let frags = fragment(&newest, &payload(2000), 576).unwrap();
         let mut done = None;
         for f in &frags[1..] {
-            let (pr, field, data) = parse_fragment(f).unwrap();
-            done = re.input(&pr, field, data, 10);
+            done = feed(&mut re, f, 10);
         }
         assert!(done.is_some(), "the newly admitted datagram completes");
     }
@@ -476,8 +411,7 @@ mod tests {
     fn eviction_and_timeout_counters_stay_separate() {
         let mut re = Reassembler::new();
         let frags = fragment(&repr(3000), &payload(3000), 576).unwrap();
-        let (pr, field, data) = parse_fragment(&frags[0]).unwrap();
-        re.input(&pr, field, data, 0);
+        feed(&mut re, &frags[0], 0);
         re.expire(REASSEMBLY_TIMEOUT_MS + 1);
         assert_eq!(re.stats().timeouts, 1);
         assert_eq!(re.stats().evictions, 0, "expiry must not count as eviction");
@@ -493,8 +427,7 @@ mod tests {
         // would legitimately start a fresh reassembly after completion).
         let (last, rest) = frags.split_last().expect("multiple fragments");
         for f in rest.iter().flat_map(|f| [f, f]).chain([last]) {
-            let (r, field, data) = parse_fragment(f).unwrap();
-            if let Some(d) = re.input(&r, field, data, 0) {
+            if let Some(d) = feed(&mut re, f, 0) {
                 done = Some(d);
             }
         }

@@ -344,9 +344,7 @@ impl TcpStack {
         now: Instant,
     ) -> Result<()> {
         self.stats.segs_in += 1;
-        let (repr, data_off) = TcpRepr::parse(bytes, src_addr, dst_addr)?;
-        // analyze::allow(panic-path, reason = "data_off was validated against the segment length by TcpRepr::parse")
-        let payload = &bytes[data_off..];
+        let (repr, payload) = TcpRepr::parse(bytes, src_addr, dst_addr)?;
 
         let Some(pcb) = self
             .pcbs

@@ -25,68 +25,48 @@ pub struct ArpRepr {
 }
 
 impl ArpRepr {
-    /// Parses and validates an ARP packet.
-    pub fn parse(buf: &[u8]) -> Result<ArpRepr> {
-        if buf.len() < ARP_PACKET_LEN {
-            return Err(Error::Truncated);
-        }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let htype = u16::from_be_bytes([buf[0], buf[1]]);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let ptype = u16::from_be_bytes([buf[2], buf[3]]);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        if htype != 1 || ptype != 0x0800 || buf[4] != 6 || buf[5] != 4 {
+    /// Parses and validates an ARP packet; returns the repr and whatever
+    /// follows the 28-byte packet (link-layer padding).
+    pub fn parse(buf: &[u8]) -> Result<(ArpRepr, &[u8])> {
+        let (packet, rest) = buf
+            .split_first_chunk::<ARP_PACKET_LEN>()
+            .ok_or(Error::Truncated)?;
+        // Ethernet hardware (1), IPv4 protocol (0x0800), address lengths
+        // 6 and 4, operation 1 or 2: anything else is malformed.
+        let &[0, 1, 0x08, 0x00, 6, 4, 0, op @ (1 | 2), sh0, sh1, sh2, sh3, sh4, sh5, si0, si1, si2, si3, th0, th1, th2, th3, th4, th5, ti0, ti1, ti2, ti3] =
+            packet
+        else {
             return Err(Error::Malformed);
-        }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let op = match u16::from_be_bytes([buf[6], buf[7]]) {
-            1 => ArpOp::Request,
-            2 => ArpOp::Reply,
-            _ => return Err(Error::Malformed),
         };
-        let mut sender_hw = [0u8; 6];
-        let mut target_hw = [0u8; 6];
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        sender_hw.copy_from_slice(&buf[8..14]);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        target_hw.copy_from_slice(&buf[18..24]);
-        Ok(ArpRepr {
-            op,
-            sender_hw: EthernetAddr(sender_hw),
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            sender_ip: Ipv4Addr([buf[14], buf[15], buf[16], buf[17]]),
-            target_hw: EthernetAddr(target_hw),
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            target_ip: Ipv4Addr([buf[24], buf[25], buf[26], buf[27]]),
-        })
+        let repr = ArpRepr {
+            op: if op == 1 {
+                ArpOp::Request
+            } else {
+                ArpOp::Reply
+            },
+            sender_hw: EthernetAddr([sh0, sh1, sh2, sh3, sh4, sh5]),
+            sender_ip: Ipv4Addr([si0, si1, si2, si3]),
+            target_hw: EthernetAddr([th0, th1, th2, th3, th4, th5]),
+            target_ip: Ipv4Addr([ti0, ti1, ti2, ti3]),
+        };
+        Ok((repr, rest))
     }
 
     /// Serializes the packet.
-    pub fn packet(&self) -> Vec<u8> {
-        let mut out = vec![0u8; ARP_PACKET_LEN];
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[0..2].copy_from_slice(&1u16.to_be_bytes()); // Ethernet
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[2..4].copy_from_slice(&0x0800u16.to_be_bytes()); // IPv4
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[4] = 6;
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[5] = 4;
-        let op: u16 = match self.op {
+    pub fn packet(&self) -> [u8; ARP_PACKET_LEN] {
+        let op = match self.op {
             ArpOp::Request => 1,
             ArpOp::Reply => 2,
         };
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[6..8].copy_from_slice(&op.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[8..14].copy_from_slice(&self.sender_hw.0);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[14..18].copy_from_slice(&self.sender_ip.0);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[18..24].copy_from_slice(&self.target_hw.0);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[24..28].copy_from_slice(&self.target_ip.0);
-        out
+        let [sh0, sh1, sh2, sh3, sh4, sh5] = self.sender_hw.0;
+        let [si0, si1, si2, si3] = self.sender_ip.0;
+        let [th0, th1, th2, th3, th4, th5] = self.target_hw.0;
+        let [ti0, ti1, ti2, ti3] = self.target_ip.0;
+        [
+            0, 1, 0x08, 0x00, 6, 4, 0, op, // Ethernet, IPv4, lengths, op
+            sh0, sh1, sh2, sh3, sh4, sh5, si0, si1, si2, si3, // sender
+            th0, th1, th2, th3, th4, th5, ti0, ti1, ti2, ti3, // target
+        ]
     }
 }
 
@@ -108,8 +88,11 @@ mod tests {
     fn round_trip_request_and_reply() {
         for op in [ArpOp::Request, ArpOp::Reply] {
             let r = sample(op);
-            assert_eq!(ArpRepr::parse(&r.packet()).unwrap(), r);
+            assert_eq!(ArpRepr::parse(&r.packet()), Ok((r, &[][..])));
         }
+        // Link-layer padding after the packet comes back as the rest.
+        let padded = [sample(ArpOp::Request).packet().as_slice(), &[0; 18]].concat();
+        assert_eq!(ArpRepr::parse(&padded).unwrap().1, [0; 18]);
     }
 
     #[test]

@@ -20,7 +20,8 @@ impl EthernetAddr {
 
     /// Whether the multicast (group) bit is set.
     pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
+        let [first, ..] = self.0;
+        first & 0x01 != 0
     }
 
     /// Whether this is a unicast address (not multicast, not all-zero).
@@ -31,12 +32,8 @@ impl EthernetAddr {
 
 impl std::fmt::Display for EthernetAddr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let b = &self.0;
-        write!(
-            f,
-            "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            b[0], b[1], b[2], b[3], b[4], b[5]
-        )
+        let [a, b, c, d, e, g] = self.0;
+        write!(f, "{a:02x}:{b:02x}:{c:02x}:{d:02x}:{e:02x}:{g:02x}")
     }
 }
 
@@ -78,47 +75,30 @@ pub struct EthernetRepr {
 }
 
 impl EthernetRepr {
-    /// Parses a frame, returning the header and the payload offset.
-    pub fn parse(frame: &[u8]) -> Result<(EthernetRepr, usize)> {
-        if frame.len() < ETHERNET_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        dst.copy_from_slice(&frame[0..6]);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        src.copy_from_slice(&frame[6..12]);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let ethertype = u16::from_be_bytes([frame[12], frame[13]]).into();
-        Ok((
-            EthernetRepr {
-                dst: EthernetAddr(dst),
-                src: EthernetAddr(src),
-                ethertype,
-            },
-            ETHERNET_HEADER_LEN,
-        ))
+    /// Parses a frame, returning the header and the payload that follows.
+    pub fn parse(frame: &[u8]) -> Result<(EthernetRepr, &[u8])> {
+        let (&[d0, d1, d2, d3, d4, d5, s0, s1, s2, s3, s4, s5, t0, t1], payload) = frame
+            .split_first_chunk::<ETHERNET_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        let repr = EthernetRepr {
+            dst: EthernetAddr([d0, d1, d2, d3, d4, d5]),
+            src: EthernetAddr([s0, s1, s2, s3, s4, s5]),
+            ethertype: u16::from_be_bytes([t0, t1]).into(),
+        };
+        Ok((repr, payload))
     }
 
-    /// Writes the header into `buf` (must be at least
-    /// [`ETHERNET_HEADER_LEN`] bytes).
-    pub fn emit(&self, buf: &mut [u8]) {
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[0..6].copy_from_slice(&self.dst.0);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[6..12].copy_from_slice(&self.src.0);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[12..14].copy_from_slice(&u16::from(self.ethertype).to_be_bytes());
+    /// The 14-byte header.
+    pub fn header(&self) -> [u8; ETHERNET_HEADER_LEN] {
+        let [d0, d1, d2, d3, d4, d5] = self.dst.0;
+        let [s0, s1, s2, s3, s4, s5] = self.src.0;
+        let [t0, t1] = u16::from(self.ethertype).to_be_bytes();
+        [d0, d1, d2, d3, d4, d5, s0, s1, s2, s3, s4, s5, t0, t1]
     }
 
     /// Builds a complete frame around `payload`.
     pub fn frame(&self, payload: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; ETHERNET_HEADER_LEN + payload.len()];
-        self.emit(&mut out);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[ETHERNET_HEADER_LEN..].copy_from_slice(payload);
-        out
+        [self.header().as_slice(), payload].concat()
     }
 }
 
@@ -134,9 +114,9 @@ mod tests {
             ethertype: EtherType::Ipv4,
         };
         let frame = r.frame(b"hello");
-        let (parsed, off) = EthernetRepr::parse(&frame).unwrap();
+        let (parsed, payload) = EthernetRepr::parse(&frame).unwrap();
         assert_eq!(parsed, r);
-        assert_eq!(&frame[off..], b"hello");
+        assert_eq!(payload, b"hello");
     }
 
     #[test]

@@ -16,83 +16,74 @@ pub enum IcmpType {
     DestUnreachable(u8),
 }
 
-/// A parsed ICMP message. `ident`/`seq` are meaningful for echo messages;
+/// A parsed ICMP header. `ident`/`seq` are meaningful for echo messages;
 /// for destination unreachable the payload carries the offending header.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcmpRepr {
     pub kind: IcmpType,
     pub ident: u16,
     pub seq: u16,
-    pub payload: Vec<u8>,
 }
 
 impl IcmpRepr {
     /// Builds an echo request.
-    pub fn echo_request(ident: u16, seq: u16, payload: &[u8]) -> Self {
+    pub fn echo_request(ident: u16, seq: u16) -> Self {
         IcmpRepr {
             kind: IcmpType::EchoRequest,
             ident,
             seq,
-            payload: payload.to_vec(),
         }
     }
 
-    /// The reply matching this echo request (same ident/seq/payload).
+    /// The reply matching this echo request (same ident/seq; send it
+    /// with the request's payload).
     pub fn to_echo_reply(&self) -> Self {
         IcmpRepr {
             kind: IcmpType::EchoReply,
-            ..self.clone()
+            ..*self
         }
     }
 
-    /// Parses and validates (checksum included) an ICMP message.
-    pub fn parse(buf: &[u8]) -> Result<IcmpRepr> {
-        if buf.len() < ICMP_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
+    /// Parses and validates (checksum included) an ICMP message; returns
+    /// the header and the payload that follows it.
+    pub fn parse(buf: &[u8]) -> Result<(IcmpRepr, &[u8])> {
+        let (&[ty, code, _, _, i0, i1, q0, q1], payload) = buf
+            .split_first_chunk::<ICMP_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
         if checksum::simple(buf) != 0 {
             return Err(Error::Checksum);
         }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let kind = match (buf[0], buf[1]) {
+        let kind = match (ty, code) {
             (0, 0) => IcmpType::EchoReply,
             (8, 0) => IcmpType::EchoRequest,
             (3, code) => IcmpType::DestUnreachable(code),
             _ => return Err(Error::Malformed),
         };
-        Ok(IcmpRepr {
+        let repr = IcmpRepr {
             kind,
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            ident: u16::from_be_bytes([buf[4], buf[5]]),
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            seq: u16::from_be_bytes([buf[6], buf[7]]),
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            payload: buf[ICMP_HEADER_LEN..].to_vec(),
-        })
+            ident: u16::from_be_bytes([i0, i1]),
+            seq: u16::from_be_bytes([q0, q1]),
+        };
+        Ok((repr, payload))
     }
 
-    /// Serializes the message with a correct checksum.
-    pub fn packet(&self) -> Vec<u8> {
-        let mut out = vec![0u8; ICMP_HEADER_LEN + self.payload.len()];
+    /// Serializes the message around `payload` with a correct checksum.
+    pub fn packet(&self, payload: &[u8]) -> Vec<u8> {
         let (ty, code) = match self.kind {
             IcmpType::EchoReply => (0, 0),
             IcmpType::EchoRequest => (8, 0),
             IcmpType::DestUnreachable(c) => (3, c),
         };
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[0] = ty;
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[1] = code;
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[6..8].copy_from_slice(&self.seq.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[ICMP_HEADER_LEN..].copy_from_slice(&self.payload);
-        let ck = checksum::simple(&out);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[2..4].copy_from_slice(&ck.to_be_bytes());
-        out
+        let [c0, c1] = checksum::Accum::new()
+            .add_word(u16::from_be_bytes([ty, code]))
+            .add_word(self.ident)
+            .add_word(self.seq)
+            .add_bytes(payload)
+            .finish()
+            .to_be_bytes();
+        let [i0, i1] = self.ident.to_be_bytes();
+        let [q0, q1] = self.seq.to_be_bytes();
+        [[ty, code, c0, c1, i0, i1, q0, q1].as_slice(), payload].concat()
     }
 }
 
@@ -102,14 +93,17 @@ mod tests {
 
     #[test]
     fn echo_round_trip() {
-        let req = IcmpRepr::echo_request(0xbeef, 7, b"ping payload");
-        let parsed = IcmpRepr::parse(&req.packet()).unwrap();
+        let req = IcmpRepr::echo_request(0xbeef, 7);
+        let pkt = req.packet(b"ping payload");
+        let (parsed, payload) = IcmpRepr::parse(&pkt).unwrap();
         assert_eq!(parsed, req);
+        assert_eq!(payload, b"ping payload");
         let reply = parsed.to_echo_reply();
         assert_eq!(reply.kind, IcmpType::EchoReply);
         assert_eq!(reply.ident, 0xbeef);
         assert_eq!(reply.seq, 7);
-        assert_eq!(reply.payload, b"ping payload");
+        // Odd-length payloads checksum with the implicit pad byte.
+        assert_eq!(checksum::simple(&req.packet(b"odd")), 0);
     }
 
     #[test]
@@ -118,21 +112,21 @@ mod tests {
             kind: IcmpType::DestUnreachable(3),
             ident: 0,
             seq: 0,
-            payload: vec![0x45, 0, 0, 20],
         };
-        assert_eq!(IcmpRepr::parse(&r.packet()).unwrap(), r);
+        let quoted = [0x45, 0, 0, 20];
+        assert_eq!(IcmpRepr::parse(&r.packet(&quoted)), Ok((r, &quoted[..])));
     }
 
     #[test]
     fn corrupt_checksum_rejected() {
-        let mut pkt = IcmpRepr::echo_request(1, 1, b"x").packet();
+        let mut pkt = IcmpRepr::echo_request(1, 1).packet(b"x");
         pkt[8] ^= 0x55;
         assert_eq!(IcmpRepr::parse(&pkt), Err(Error::Checksum));
     }
 
     #[test]
     fn unknown_type_rejected() {
-        let mut pkt = IcmpRepr::echo_request(1, 1, b"").packet();
+        let mut pkt = IcmpRepr::echo_request(1, 1).packet(b"");
         pkt[0] = 42;
         // Fix the checksum so the type check is what fails.
         pkt[2] = 0;

@@ -28,7 +28,8 @@ impl Ipv4Addr {
 
     /// Whether this is a class-D multicast address.
     pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0xf0 == 0xe0
+        let [first, ..] = self.0;
+        first & 0xf0 == 0xe0
     }
 
     /// Whether the address is a plain unicast address.
@@ -39,7 +40,8 @@ impl Ipv4Addr {
 
 impl std::fmt::Display for Ipv4Addr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{}.{}.{}", self.0[0], self.0[1], self.0[2], self.0[3])
+        let [a, b, c, d] = self.0;
+        write!(f, "{a}.{b}.{c}.{d}")
     }
 }
 
@@ -74,7 +76,7 @@ impl From<Protocol> for u8 {
     }
 }
 
-/// A parsed IPv4 header (options unsupported, silently rejected).
+/// A parsed IPv4 header (options are skipped, never interpreted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Repr {
     pub src: Ipv4Addr,
@@ -83,100 +85,89 @@ pub struct Ipv4Repr {
     pub ttl: u8,
     /// Identification field (used by fragmentation; carried verbatim).
     pub ident: u16,
-    /// Don't-fragment flag.
-    pub dont_frag: bool,
+    /// The flags/fragment-offset word, carried verbatim:
+    /// [`Ipv4Repr::DONT_FRAG`], [`Ipv4Repr::MORE_FRAGS`], and the
+    /// fragment offset in 8-byte units in the low 13 bits.
+    pub flags_frag: u16,
     /// Payload length in bytes (total length minus header).
     pub payload_len: usize,
 }
 
 impl Ipv4Repr {
-    /// Parses and validates a header; returns the repr and payload offset.
+    /// Don't-fragment bit of [`Ipv4Repr::flags_frag`].
+    pub const DONT_FRAG: u16 = 0x4000;
+    /// More-fragments bit of [`Ipv4Repr::flags_frag`].
+    pub const MORE_FRAGS: u16 = 0x2000;
+
+    /// Parses and validates a header; returns the repr and the payload,
+    /// trimmed to the total length (link-layer padding dropped).
     ///
-    /// Validates version, header length, total length against the buffer,
-    /// and the header checksum. Fragments (offset != 0 or MF set) are
-    /// reported as [`Error::Malformed`] — reassembly is out of scope, as
-    /// it is for the paper's fast path ("the message ... is not a
-    /// fragment").
-    pub fn parse(buf: &[u8]) -> Result<(Ipv4Repr, usize)> {
-        if buf.len() < IPV4_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let version = buf[0] >> 4;
-        let ihl = (buf[0] & 0x0f) as usize * 4;
-        if version != 4 {
+    /// Checks, in order: the buffer holds a fixed header (else
+    /// [`Error::Truncated`]), version 4 with a header length of at least
+    /// 20 bytes ([`Error::Malformed`]), a total length covering the
+    /// header and within the buffer ([`Error::Truncated`]), and the
+    /// header checksum ([`Error::Checksum`]). Fragments parse like whole
+    /// datagrams: the receive path reads `flags_frag` and hands them to
+    /// reassembly, so the paper's fast-path assumption that a message
+    /// "is not a fragment" is checked, not trusted.
+    pub fn parse(buf: &[u8]) -> Result<(Ipv4Repr, &[u8])> {
+        let (
+            &[vihl, _, t0, t1, i0, i1, f0, f1, ttl, proto, _, _, s0, s1, s2, s3, d0, d1, d2, d3],
+            _,
+        ) = buf
+            .split_first_chunk::<IPV4_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        let ihl = usize::from(vihl & 0x0f) * 4;
+        if vihl >> 4 != 4 || ihl < IPV4_HEADER_LEN {
             return Err(Error::Malformed);
         }
-        if ihl < IPV4_HEADER_LEN {
-            return Err(Error::Malformed);
-        }
-        if buf.len() < ihl {
-            return Err(Error::Truncated);
-        }
-        let total_len = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-        if total_len < ihl || total_len > buf.len() {
-            return Err(Error::Truncated);
-        }
-        if checksum::simple(&buf[..ihl]) != 0 {
+        let total_len = usize::from(u16::from_be_bytes([t0, t1]));
+        let (datagram, _padding) = buf.split_at_checked(total_len).ok_or(Error::Truncated)?;
+        let (header, payload) = datagram.split_at_checked(ihl).ok_or(Error::Truncated)?;
+        if checksum::simple(header) != 0 {
             return Err(Error::Checksum);
         }
-        let flags_frag = u16::from_be_bytes([buf[6], buf[7]]);
-        let more_frags = flags_frag & 0x2000 != 0;
-        let frag_offset = flags_frag & 0x1fff;
-        if more_frags || frag_offset != 0 {
-            return Err(Error::Malformed);
-        }
-        Ok((
-            Ipv4Repr {
-                src: Ipv4Addr([buf[12], buf[13], buf[14], buf[15]]),
-                dst: Ipv4Addr([buf[16], buf[17], buf[18], buf[19]]),
-                protocol: buf[9].into(),
-                ttl: buf[8],
-                ident: u16::from_be_bytes([buf[4], buf[5]]),
-                dont_frag: flags_frag & 0x4000 != 0,
-                payload_len: total_len - ihl,
-            },
-            ihl,
-        ))
+        let repr = Ipv4Repr {
+            src: Ipv4Addr([s0, s1, s2, s3]),
+            dst: Ipv4Addr([d0, d1, d2, d3]),
+            protocol: proto.into(),
+            ttl,
+            ident: u16::from_be_bytes([i0, i1]),
+            flags_frag: u16::from_be_bytes([f0, f1]),
+            payload_len: payload.len(),
+        };
+        Ok((repr, payload))
     }
 
-    /// Writes a 20-byte header (checksum included) into `buf`.
-    pub fn emit(&self, buf: &mut [u8]) {
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[0] = 0x45; // version 4, IHL 5
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[1] = 0; // DSCP/ECN
+    /// The 20-byte header (version 4, no options), checksum included.
+    pub fn header(&self) -> [u8; IPV4_HEADER_LEN] {
         let total = (IPV4_HEADER_LEN + self.payload_len) as u16;
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[2..4].copy_from_slice(&total.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        let flags: u16 = if self.dont_frag { 0x4000 } else { 0 };
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[6..8].copy_from_slice(&flags.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[8] = self.ttl;
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[9] = self.protocol.into();
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[10..12].copy_from_slice(&[0, 0]);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[12..16].copy_from_slice(&self.src.0);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[16..20].copy_from_slice(&self.dst.0);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let ck = checksum::simple(&buf[..IPV4_HEADER_LEN]);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        buf[10..12].copy_from_slice(&ck.to_be_bytes());
+        let proto = u8::from(self.protocol);
+        let [c0, c1] = checksum::Accum::new()
+            .add_word(0x4500) // version 4, IHL 5, DSCP/ECN 0
+            .add_word(total)
+            .add_word(self.ident)
+            .add_word(self.flags_frag)
+            .add_word(u16::from_be_bytes([self.ttl, proto]))
+            .add_bytes(&self.src.0)
+            .add_bytes(&self.dst.0)
+            .finish()
+            .to_be_bytes();
+        let [t0, t1] = total.to_be_bytes();
+        let [i0, i1] = self.ident.to_be_bytes();
+        let [f0, f1] = self.flags_frag.to_be_bytes();
+        let [s0, s1, s2, s3] = self.src.0;
+        let [d0, d1, d2, d3] = self.dst.0;
+        [
+            0x45, 0, t0, t1, i0, i1, f0, f1, self.ttl, proto, c0, c1, s0, s1, s2, s3, d0, d1, d2,
+            d3,
+        ]
     }
 
     /// Builds a complete packet (header + `payload`).
     pub fn packet(&self, payload: &[u8]) -> Vec<u8> {
         debug_assert_eq!(payload.len(), self.payload_len);
-        let mut out = vec![0u8; IPV4_HEADER_LEN + payload.len()];
-        self.emit(&mut out);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[IPV4_HEADER_LEN..].copy_from_slice(payload);
-        out
+        [self.header().as_slice(), payload].concat()
     }
 }
 
@@ -191,7 +182,7 @@ mod tests {
             protocol: Protocol::Tcp,
             ttl: 64,
             ident: 0x1234,
-            dont_frag: true,
+            flags_frag: Ipv4Repr::DONT_FRAG,
             payload_len: 5,
         }
     }
@@ -200,10 +191,10 @@ mod tests {
     fn round_trip() {
         let r = sample();
         let pkt = r.packet(b"abcde");
-        let (parsed, off) = Ipv4Repr::parse(&pkt).unwrap();
+        assert_eq!(pkt.len(), IPV4_HEADER_LEN + 5);
+        let (parsed, payload) = Ipv4Repr::parse(&pkt).unwrap();
         assert_eq!(parsed, r);
-        assert_eq!(off, IPV4_HEADER_LEN);
-        assert_eq!(&pkt[off..], b"abcde");
+        assert_eq!(payload, b"abcde");
     }
 
     #[test]
@@ -221,16 +212,40 @@ mod tests {
     }
 
     #[test]
-    fn fragment_rejected() {
-        let r = sample();
-        let mut pkt = r.packet(b"abcde");
-        // Set MF and fix up the checksum.
-        pkt[6] = 0x20;
-        pkt[10] = 0;
-        pkt[11] = 0;
-        let ck = checksum::simple(&pkt[..IPV4_HEADER_LEN]);
-        pkt[10..12].copy_from_slice(&ck.to_be_bytes());
-        assert_eq!(Ipv4Repr::parse(&pkt), Err(Error::Malformed));
+    fn fragment_fields_parse_verbatim() {
+        // MF set and a nonzero offset: parsed, not rejected, and the word
+        // comes back exactly as emitted.
+        let r = Ipv4Repr {
+            flags_frag: Ipv4Repr::MORE_FRAGS | 185,
+            ..sample()
+        };
+        let pkt = r.packet(b"abcde");
+        assert_eq!(Ipv4Repr::parse(&pkt), Ok((r, &b"abcde"[..])));
+    }
+
+    #[test]
+    fn errors_follow_the_check_order() {
+        let pkt = sample().packet(b"abcde");
+        // Short of a fixed header: truncated, whatever the bytes say.
+        assert_eq!(Ipv4Repr::parse(&pkt[..19]), Err(Error::Truncated));
+        // Bad version beats a bad checksum and a bad total length.
+        let mut bad = pkt.clone();
+        bad[0] = 0x65;
+        bad[2] = 0xff;
+        assert_eq!(Ipv4Repr::parse(&bad), Err(Error::Malformed));
+        // IHL below 5 words is malformed.
+        let mut bad = pkt.clone();
+        bad[0] = 0x44;
+        assert_eq!(Ipv4Repr::parse(&bad), Err(Error::Malformed));
+        // A total length short of the header beats the checksum.
+        let mut bad = pkt.clone();
+        bad[2] = 0;
+        bad[3] = 19;
+        assert_eq!(Ipv4Repr::parse(&bad), Err(Error::Truncated));
+        // IHL past the buffer is truncation too.
+        let mut bad = pkt;
+        bad[0] = 0x4f;
+        assert_eq!(Ipv4Repr::parse(&bad), Err(Error::Truncated));
     }
 
     #[test]
@@ -242,12 +257,14 @@ mod tests {
 
     #[test]
     fn total_len_shorter_than_buffer_is_ok() {
-        // Ethernet padding can make the buffer longer than total_length.
+        // Ethernet padding can make the buffer longer than total_length;
+        // the payload stops at total_length.
         let r = sample();
         let mut pkt = r.packet(b"abcde");
         pkt.extend_from_slice(&[0u8; 10]);
-        let (parsed, _) = Ipv4Repr::parse(&pkt).unwrap();
+        let (parsed, payload) = Ipv4Repr::parse(&pkt).unwrap();
         assert_eq!(parsed.payload_len, 5);
+        assert_eq!(payload, b"abcde");
     }
 
     #[test]

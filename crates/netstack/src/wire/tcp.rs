@@ -151,67 +151,49 @@ pub struct TcpRepr {
 
 impl TcpRepr {
     /// Parses a segment and validates its checksum against the IPv4
-    /// pseudo-header; returns the header and payload offset.
-    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(TcpRepr, usize)> {
-        if buf.len() < TCP_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let data_off = ((buf[12] >> 4) as usize) * 4;
-        if data_off < TCP_HEADER_LEN || data_off > buf.len() {
-            return Err(Error::Malformed);
-        }
+    /// pseudo-header; returns the header and the payload after the
+    /// options.
+    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(TcpRepr, &[u8])> {
+        let (&[p0, p1, q0, q1, s0, s1, s2, s3, a0, a1, a2, a3, off, flags, w0, w1, ..], rest) = buf
+            .split_first_chunk::<TCP_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        // A data offset below the fixed header or past the buffer.
+        let (mut opts, payload) = (usize::from(off >> 4) * 4)
+            .checked_sub(TCP_HEADER_LEN)
+            .and_then(|n| rest.split_at_checked(n))
+            .ok_or(Error::Malformed)?;
         if checksum::pseudo_header_v4(src.0, dst.0, 6, buf) != 0 {
             return Err(Error::Checksum);
         }
-        // Parse options (only MSS is interpreted; others are skipped).
+        // Options: only MSS is interpreted; others are skipped by length.
         let mut mss = None;
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let mut opts = &buf[TCP_HEADER_LEN..data_off];
-        while !opts.is_empty() {
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            match opts[0] {
-                0 => break,                  // end of options
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                1 => opts = &opts[1..],      // NOP
-                2 => {
-                    // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                    if opts.len() < 4 || opts[1] != 4 {
-                        return Err(Error::Malformed);
-                    }
-                    // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                    mss = Some(u16::from_be_bytes([opts[2], opts[3]]));
-                    // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                    opts = &opts[4..];
+        loop {
+            opts = match opts {
+                [] | [0, ..] => break,  // end of options
+                [1, rest @ ..] => rest, // NOP
+                [2, 4, m0, m1, rest @ ..] => {
+                    mss = Some(u16::from_be_bytes([*m0, *m1]));
+                    rest
                 }
-                _ => {
-                    // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                    if opts.len() < 2 || opts[1] < 2 || opts[1] as usize > opts.len() {
-                        return Err(Error::Malformed);
-                    }
-                    // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                    opts = &opts[opts[1] as usize..];
+                [kind, len, ..] if *kind != 2 && *len >= 2 => {
+                    let (_, rest) = opts
+                        .split_at_checked(usize::from(*len))
+                        .ok_or(Error::Malformed)?;
+                    rest
                 }
-            }
+                _ => return Err(Error::Malformed),
+            };
         }
-        Ok((
-            TcpRepr {
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                src_port: u16::from_be_bytes([buf[0], buf[1]]),
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                seq: SeqNumber(u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]])),
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                ack: SeqNumber(u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]])),
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                flags: TcpFlags::from_byte(buf[13]),
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                window: u16::from_be_bytes([buf[14], buf[15]]),
-                mss,
-            },
-            data_off,
-        ))
+        let repr = TcpRepr {
+            src_port: u16::from_be_bytes([p0, p1]),
+            dst_port: u16::from_be_bytes([q0, q1]),
+            seq: SeqNumber(u32::from_be_bytes([s0, s1, s2, s3])),
+            ack: SeqNumber(u32::from_be_bytes([a0, a1, a2, a3])),
+            flags: TcpFlags::from_byte(flags),
+            window: u16::from_be_bytes([w0, w1]),
+            mss,
+        };
+        Ok((repr, payload))
     }
 
     /// Header length including options.
@@ -222,36 +204,34 @@ impl TcpRepr {
     /// Serializes the segment (header + options + payload) with a correct
     /// checksum.
     pub fn segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+        let mss = self.mss.map(|m| {
+            let [m0, m1] = m.to_be_bytes();
+            [2, 4, m0, m1]
+        });
+        let opts = mss.as_slice().as_flattened();
         let hlen = self.header_len();
-        let mut out = vec![0u8; hlen + payload.len()];
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[4..8].copy_from_slice(&self.seq.0.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[8..12].copy_from_slice(&self.ack.0.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[12] = ((hlen / 4) as u8) << 4;
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[13] = self.flags.to_byte();
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[14..16].copy_from_slice(&self.window.to_be_bytes());
-        if let Some(mss) = self.mss {
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            out[20] = 2;
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            out[21] = 4;
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            out[22..24].copy_from_slice(&mss.to_be_bytes());
-        }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[hlen..].copy_from_slice(payload);
-        let ck = checksum::pseudo_header_v4(src.0, dst.0, 6, &out);
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[16..18].copy_from_slice(&ck.to_be_bytes());
-        out
+        let off_flags = u16::from_be_bytes([((hlen / 4) as u8) << 4, self.flags.to_byte()]);
+        let [c0, c1] = checksum::pseudo_header_accum(src.0, dst.0, 6, hlen + payload.len())
+            .add_word(self.src_port)
+            .add_word(self.dst_port)
+            .add_bytes(&self.seq.0.to_be_bytes())
+            .add_bytes(&self.ack.0.to_be_bytes())
+            .add_word(off_flags)
+            .add_word(self.window)
+            .add_bytes(opts)
+            .add_bytes(payload)
+            .finish()
+            .to_be_bytes();
+        let [p0, p1] = self.src_port.to_be_bytes();
+        let [q0, q1] = self.dst_port.to_be_bytes();
+        let [s0, s1, s2, s3] = self.seq.0.to_be_bytes();
+        let [a0, a1, a2, a3] = self.ack.0.to_be_bytes();
+        let [o0, o1] = off_flags.to_be_bytes();
+        let [w0, w1] = self.window.to_be_bytes();
+        let header = [
+            p0, p1, q0, q1, s0, s1, s2, s3, a0, a1, a2, a3, o0, o1, w0, w1, c0, c1, 0, 0,
+        ];
+        [header.as_slice(), opts, payload].concat()
     }
 }
 
@@ -278,10 +258,10 @@ mod tests {
     fn round_trip_plain() {
         let r = sample();
         let seg = r.segment(A, B, b"payload bytes");
-        let (parsed, off) = TcpRepr::parse(&seg, A, B).unwrap();
+        assert_eq!(seg.len(), TCP_HEADER_LEN + 13);
+        let (parsed, payload) = TcpRepr::parse(&seg, A, B).unwrap();
         assert_eq!(parsed, r);
-        assert_eq!(off, TCP_HEADER_LEN);
-        assert_eq!(&seg[off..], b"payload bytes");
+        assert_eq!(payload, b"payload bytes");
     }
 
     #[test]
@@ -291,10 +271,43 @@ mod tests {
             mss: Some(1460),
             ..sample()
         };
-        let seg = r.segment(A, B, &[]);
-        let (parsed, off) = TcpRepr::parse(&seg, A, B).unwrap();
+        let seg = r.segment(A, B, b"odd");
+        assert_eq!(seg.len(), 24 + 3);
+        let (parsed, payload) = TcpRepr::parse(&seg, A, B).unwrap();
         assert_eq!(parsed.mss, Some(1460));
-        assert_eq!(off, 24);
+        assert_eq!(payload, b"odd");
+    }
+
+    /// A SYN whose header carries `opts` (a multiple of 4 bytes) ahead
+    /// of `payload`, with the data offset and checksum fixed up.
+    fn with_options(opts: &[u8], payload: &[u8]) -> Vec<u8> {
+        let r = TcpRepr {
+            flags: TcpFlags::SYN,
+            ..sample()
+        };
+        let mut seg = [r.segment(A, B, &[]).as_slice(), opts, payload].concat();
+        seg[12] = (((TCP_HEADER_LEN + opts.len()) / 4) as u8) << 4;
+        seg[16] = 0;
+        seg[17] = 0;
+        let ck = checksum::pseudo_header_v4(A.0, B.0, 6, &seg);
+        seg[16..18].copy_from_slice(&ck.to_be_bytes());
+        seg
+    }
+
+    #[test]
+    fn malformed_options_rejected() {
+        for opts in [
+            [2, 3, 0x05, 0xb4], // MSS with the wrong length
+            [99, 1, 0, 0],      // option length below 2
+            [99, 9, 0, 0],      // option running past the header
+            [1, 1, 1, 2],       // MSS cut short by the header end
+        ] {
+            assert_eq!(
+                TcpRepr::parse(&with_options(&opts, b""), A, B),
+                Err(Error::Malformed),
+                "{opts:?}"
+            );
+        }
     }
 
     #[test]
@@ -323,25 +336,13 @@ mod tests {
 
     #[test]
     fn unknown_options_skipped() {
-        // Hand-build a header with a NOP, an unknown option, then MSS.
-        let r = TcpRepr {
-            flags: TcpFlags::SYN,
-            mss: None,
-            ..sample()
-        };
-        let mut seg = r.segment(A, B, &[]);
-        // Grow header by 12 option bytes: NOP, kind=99 len=6 (4 data
-        // bytes), MSS, end-of-options.
+        // 12 option bytes: NOP, kind=99 len=6 (4 data bytes), MSS,
+        // end-of-options; the payload starts right after them.
         let opts = [1u8, 99, 6, 0, 0, 0, 0, 2, 4, 0x05, 0xb4, 0];
-        seg.extend_from_slice(&opts);
-        seg[12] = ((32 / 4) as u8) << 4;
-        seg[16] = 0;
-        seg[17] = 0;
-        let ck = checksum::pseudo_header_v4(A.0, B.0, 6, &seg);
-        seg[16..18].copy_from_slice(&ck.to_be_bytes());
-        let (parsed, off) = TcpRepr::parse(&seg, A, B).unwrap();
+        let seg = with_options(&opts, b"xy");
+        let (parsed, payload) = TcpRepr::parse(&seg, A, B).unwrap();
         assert_eq!(parsed.mss, Some(1460));
-        assert_eq!(off, 32);
+        assert_eq!(payload, b"xy");
     }
 
     #[test]

@@ -16,58 +16,46 @@ pub struct UdpRepr {
 
 impl UdpRepr {
     /// Parses a datagram and validates its checksum against the IPv4
-    /// pseudo-header; returns the header and payload offset.
+    /// pseudo-header; returns the header and the payload, which ends where
+    /// the UDP length field says the datagram ends (RFC 768): bytes past
+    /// it are not covered by the checksum and never reach the caller.
     ///
     /// An all-zero checksum field means "no checksum" (legal in UDP/IPv4)
     /// and is accepted.
-    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(UdpRepr, usize)> {
-        if buf.len() < UDP_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let length = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-        if length < UDP_HEADER_LEN || length > buf.len() {
-            return Err(Error::Truncated);
-        }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        let cksum = u16::from_be_bytes([buf[6], buf[7]]);
-        if cksum != 0
-            // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-            && checksum::pseudo_header_v4(src.0, dst.0, 17, &buf[..length]) != 0
-        {
+    pub fn parse(buf: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<(UdpRepr, &[u8])> {
+        let (&[s0, s1, d0, d1, l0, l1, c0, c1], _) = buf
+            .split_first_chunk::<UDP_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        let length = usize::from(u16::from_be_bytes([l0, l1]));
+        let (datagram, _) = buf.split_at_checked(length).ok_or(Error::Truncated)?;
+        let (_, payload) = datagram
+            .split_first_chunk::<UDP_HEADER_LEN>()
+            .ok_or(Error::Truncated)?;
+        if (c0, c1) != (0, 0) && checksum::pseudo_header_v4(src.0, dst.0, 17, datagram) != 0 {
             return Err(Error::Checksum);
         }
-        Ok((
-            UdpRepr {
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                src_port: u16::from_be_bytes([buf[0], buf[1]]),
-                // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-                dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            },
-            UDP_HEADER_LEN,
-        ))
+        let repr = UdpRepr {
+            src_port: u16::from_be_bytes([s0, s1]),
+            dst_port: u16::from_be_bytes([d0, d1]),
+        };
+        Ok((repr, payload))
     }
 
     /// Serializes a datagram with a correct checksum.
     pub fn packet(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
         let len = UDP_HEADER_LEN + payload.len();
-        let mut out = vec![0u8; len];
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[4..6].copy_from_slice(&(len as u16).to_be_bytes());
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[UDP_HEADER_LEN..].copy_from_slice(payload);
-        let mut ck = checksum::pseudo_header_v4(src.0, dst.0, 17, &out);
-        if ck == 0 {
-            // A computed zero is transmitted as all-ones (RFC 768).
-            ck = 0xffff;
-        }
-        // analyze::allow(panic-path, reason = "parse length-checks the buffer before fixed-offset reads; emit writes into a vec sized exactly header+payload")
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
-        out
+        let ck = checksum::pseudo_header_accum(src.0, dst.0, 17, len)
+            .add_word(self.src_port)
+            .add_word(self.dst_port)
+            .add_word(len as u16)
+            .add_bytes(payload)
+            .finish();
+        // A computed zero is transmitted as all-ones (RFC 768).
+        let [c0, c1] = (if ck == 0 { 0xffff } else { ck }).to_be_bytes();
+        let [s0, s1] = self.src_port.to_be_bytes();
+        let [d0, d1] = self.dst_port.to_be_bytes();
+        let [l0, l1] = (len as u16).to_be_bytes();
+        [[s0, s1, d0, d1, l0, l1, c0, c1].as_slice(), payload].concat()
     }
 }
 
@@ -85,9 +73,9 @@ mod tests {
             dst_port: 53,
         };
         let pkt = r.packet(A, B, b"query");
-        let (parsed, off) = UdpRepr::parse(&pkt, A, B).unwrap();
+        let (parsed, payload) = UdpRepr::parse(&pkt, A, B).unwrap();
         assert_eq!(parsed, r);
-        assert_eq!(&pkt[off..], b"query");
+        assert_eq!(payload, b"query");
     }
 
     #[test]
@@ -126,6 +114,9 @@ mod tests {
         };
         let mut pkt = r.packet(A, B, b"data");
         pkt[4..6].copy_from_slice(&100u16.to_be_bytes());
+        assert_eq!(UdpRepr::parse(&pkt, A, B), Err(Error::Truncated));
+        // Declared length shorter than the header.
+        pkt[4..6].copy_from_slice(&7u16.to_be_bytes());
         assert_eq!(UdpRepr::parse(&pkt, A, B), Err(Error::Truncated));
     }
 }

@@ -356,10 +356,10 @@ mod tests {
             dst_port: 53,
         }
         .packet(src, dst, &query);
-        let (_, off) = UdpRepr::parse(&dgram, src, dst).unwrap();
+        let (_, payload) = UdpRepr::parse(&dgram, src, dst).unwrap();
         let mut server = DnsServer::new();
         server.add_record("tiny.example", Ipv4Addr::new(1, 2, 3, 4));
-        let reply = server.handle(&dgram[off..]);
+        let reply = server.handle(payload);
         let d = DnsMessage::decode(&reply).unwrap();
         assert_eq!(d.answers, vec![Ipv4Addr::new(1, 2, 3, 4)]);
         assert!(dgram.len() < 80, "query datagram is small: {}", dgram.len());

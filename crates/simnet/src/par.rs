@@ -66,7 +66,8 @@ where
             .collect();
         handles
             .into_iter()
-            // analyze::allow(panic-free-library, reason = "join() only errs if a worker panicked; re-raising the panic on the caller is the correct propagation")
+            // join() only errs if a worker panicked; re-raising the panic on
+            // the caller is the correct propagation.
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect()
     });
@@ -79,11 +80,9 @@ where
             slots[i] = Some(v);
         }
     }
-    slots
-        .into_iter()
-        // analyze::allow(panic-free-library, reason = "the atomic counter hands out each index in 0..n exactly once, so every slot is filled")
-        .map(|s| s.expect("every index claimed exactly once"))
-        .collect()
+    // The atomic counter hands out each index in 0..n exactly once, so
+    // every slot is filled.
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

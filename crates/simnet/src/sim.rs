@@ -220,7 +220,9 @@ fn run_core(
             next_arrival += 1;
         }
 
-        if nic.is_empty() {
+        // Form a batch: up to the engine's cap, sized by the *largest*
+        // message in the candidate set (conservative for mixed sizes).
+        let Some(max_bytes) = nic.iter().map(|&(_, b, _, _)| b as u64).max() else {
             match arrivals.get(next_arrival) {
                 // Idle: jump to the next arrival.
                 Some(a) => {
@@ -230,12 +232,7 @@ fn run_core(
                 // Drained everything: done.
                 None => break,
             }
-        }
-
-        // Form a batch: up to the engine's cap, sized by the *largest*
-        // message in the candidate set (conservative for mixed sizes).
-        // analyze::allow(panic-free-library, reason = "the drain loop above breaks before this point when the NIC queue is empty")
-        let max_bytes = nic.iter().map(|&(_, b, _, _)| b).max().expect("nonempty") as u64;
+        };
         let limit = engine
             .batch_limit(max_bytes)
             .min(nic.len())
@@ -244,8 +241,9 @@ fn run_core(
         batch_arrivals.clear();
         batch_flows.clear();
         for _ in 0..limit {
-            // analyze::allow(panic-free-library, reason = "limit is min'd against nic.len(), so the first `limit` pops cannot fail")
-            let (arr, bytes, corrupted, flow) = nic.pop_front().expect("limit <= len");
+            let Some((arr, bytes, corrupted, flow)) = nic.pop_front() else {
+                break;
+            };
             let mut m = pool.make_message(msg_id, bytes as u64);
             m.arrival_cycles = arr;
             m.corrupted = corrupted;

@@ -165,8 +165,7 @@ impl SimReport {
         r.mean_latency_us = latencies_us.iter().sum::<f64>() / n as f64;
         r.p50_latency_us = percentile(latencies_us, 0.50);
         r.p99_latency_us = percentile(latencies_us, 0.99);
-        // analyze::allow(panic-free-library, reason = "guarded by the n == 0 early return above")
-        r.max_latency_us = *latencies_us.last().expect("n > 0");
+        r.max_latency_us = latencies_us.last().copied().unwrap_or_default();
         r.mean_imiss = imisses.iter().sum::<u64>() as f64 / miss_n;
         r.mean_dmiss = dmisses.iter().sum::<u64>() as f64 / miss_n;
         r

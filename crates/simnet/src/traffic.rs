@@ -110,8 +110,7 @@ pub struct TraceSource {
 impl TraceSource {
     /// Wraps a pre-built arrival list (must be time-sorted).
     pub fn new(arrivals: Vec<Arrival>) -> Self {
-        // analyze::allow(panic-free-library, reason = "windows(2) yields exactly-2-element slices, and debug_assert compiles out of release sweeps")
-        debug_assert!(arrivals.windows(2).all(|w| w[0].time_s <= w[1].time_s));
+        debug_assert!(arrivals.is_sorted_by(|a, b| a.time_s <= b.time_s));
         TraceSource { arrivals, next: 0 }
     }
 
@@ -228,13 +227,9 @@ impl SizeMix {
 
     fn draw(&self, rng: &mut StdRng) -> u32 {
         let p = (rng.random::<f64>() * 1000.0) as u32;
-        for &(cum, bytes) in &self.entries {
-            if p < cum {
-                return bytes;
-            }
-        }
-        // analyze::allow(panic-free-library, reason = "the mix is validated non-empty at construction; last() is the cumulative-distribution fallback bucket")
-        self.entries.last().expect("non-empty mix").1
+        // The last bucket is the cumulative distribution's fallback.
+        let hit = self.entries.iter().find(|&&(cum, _)| p < cum);
+        hit.or(self.entries.last()).map_or(0, |&(_, bytes)| bytes)
     }
 
     /// Mean packet size of the mix in bytes.
@@ -503,7 +498,7 @@ impl MmppSource {
         assert!(states.iter().all(|&(r, h)| r > 0.0 && h > 0.0));
         let mut rng = StdRng::seed_from_u64(seed);
         let u: f64 = rng.random::<f64>().max(1e-12);
-        // analyze::allow(panic-free-library, reason = "guarded by the assert!(!states.is_empty()) two lines up")
+        // Guarded by the assert!(!states.is_empty()) two lines up.
         let state_until = -u.ln() * states[0].1;
         MmppSource {
             states,

@@ -30,8 +30,8 @@ impl GraphLayer<Packet> for EthLayer {
     }
     fn process(&mut self, mut pkt: Packet, out: &mut Emitter<Packet>) {
         match EthernetRepr::parse(&pkt.bytes) {
-            Ok((eth, off)) if eth.ethertype == EtherType::Ipv4 => {
-                pkt.bytes.drain(..off);
+            Ok((eth, payload)) if eth.ethertype == EtherType::Ipv4 => {
+                pkt.bytes = payload.to_vec();
                 out.up(0, pkt);
             }
             _ => {} // non-IP or malformed: dropped
@@ -47,11 +47,10 @@ impl GraphLayer<Packet> for IpLayer {
         "ipv4"
     }
     fn process(&mut self, mut pkt: Packet, out: &mut Emitter<Packet>) {
-        if let Ok((ip, off)) = Ipv4Repr::parse(&pkt.bytes) {
+        if let Ok((ip, payload)) = Ipv4Repr::parse(&pkt.bytes) {
             pkt.src = ip.src;
             pkt.dst = ip.dst;
-            pkt.bytes.drain(..off);
-            pkt.bytes.truncate(ip.payload_len);
+            pkt.bytes = payload.to_vec();
             match ip.protocol {
                 Protocol::Udp => out.up(0, pkt),
                 Protocol::Icmp => out.up(1, pkt),
@@ -68,8 +67,8 @@ impl GraphLayer<Packet> for UdpLayer {
         "udp"
     }
     fn process(&mut self, mut pkt: Packet, out: &mut Emitter<Packet>) {
-        if let Ok((_udp, off)) = UdpRepr::parse(&pkt.bytes, pkt.src, pkt.dst) {
-            pkt.bytes.drain(..off);
+        if let Ok((_udp, payload)) = UdpRepr::parse(&pkt.bytes, pkt.src, pkt.dst) {
+            pkt.bytes = payload.to_vec();
             out.deliver(pkt);
         }
     }
@@ -111,7 +110,7 @@ fn udp_frame(n: u16, payload: &[u8]) -> Packet {
         protocol: Protocol::Udp,
         ttl: 64,
         ident: n,
-        dont_frag: true,
+        flags_frag: Ipv4Repr::DONT_FRAG,
         payload_len: udp.len(),
     }
     .packet(&udp);

@@ -41,11 +41,10 @@ fn layer_graph_with_real_parsers() {
         fn name(&self) -> &str {
             "eth"
         }
-        fn process(&mut self, mut f: Vec<u8>, out: &mut Emitter<Vec<u8>>) {
-            if let Ok((eth, off)) = EthernetRepr::parse(&f) {
+        fn process(&mut self, f: Vec<u8>, out: &mut Emitter<Vec<u8>>) {
+            if let Ok((eth, payload)) = EthernetRepr::parse(&f) {
                 if eth.ethertype == EtherType::Ipv4 {
-                    f.drain(..off);
-                    out.up(0, f);
+                    out.up(0, payload.to_vec());
                 }
             }
         }
@@ -55,11 +54,10 @@ fn layer_graph_with_real_parsers() {
         fn name(&self) -> &str {
             "ip"
         }
-        fn process(&mut self, mut p: Vec<u8>, out: &mut Emitter<Vec<u8>>) {
-            if let Ok((ip, off)) = Ipv4Repr::parse(&p) {
+        fn process(&mut self, p: Vec<u8>, out: &mut Emitter<Vec<u8>>) {
+            if let Ok((ip, payload)) = Ipv4Repr::parse(&p) {
                 if ip.protocol == Protocol::Udp {
-                    p.drain(..off);
-                    out.up(0, p);
+                    out.up(0, payload.to_vec());
                 }
             }
         }
@@ -69,12 +67,11 @@ fn layer_graph_with_real_parsers() {
         fn name(&self) -> &str {
             "udp"
         }
-        fn process(&mut self, mut d: Vec<u8>, out: &mut Emitter<Vec<u8>>) {
+        fn process(&mut self, d: Vec<u8>, out: &mut Emitter<Vec<u8>>) {
             let a = Ipv4Addr::new(10, 0, 0, 1);
             let b = Ipv4Addr::new(10, 0, 0, 2);
-            if let Ok((_, off)) = UdpRepr::parse(&d, a, b) {
-                d.drain(..off);
-                out.deliver(d);
+            if let Ok((_, payload)) = UdpRepr::parse(&d, a, b) {
+                out.deliver(payload.to_vec());
             }
         }
     }
@@ -93,7 +90,7 @@ fn layer_graph_with_real_parsers() {
             protocol: Protocol::Udp,
             ttl: 64,
             ident: i,
-            dont_frag: true,
+            flags_frag: Ipv4Repr::DONT_FRAG,
             payload_len: udp.len(),
         }
         .packet(&udp);

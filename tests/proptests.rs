@@ -1,7 +1,8 @@
 //! Property-based tests on the core data structures and invariants,
-//! spanning crates: checksum equivalence, wire-format round trips, mbuf
-//! chains against a reference model, reference sets against a brute-force
-//! model, cache accounting invariants, and sequence-number algebra.
+//! spanning crates: checksum equivalence, wire-format round trips,
+//! fragmentation against reassembly, mbuf chains against a reference
+//! model, reference sets against a brute-force model, cache accounting
+//! invariants, and sequence-number algebra.
 
 use proptest::prelude::*;
 
@@ -62,16 +63,17 @@ proptest! {
             ethertype: ethertype.into(),
         };
         let frame = r.frame(&payload);
-        let (parsed, off) = EthernetRepr::parse(&frame).unwrap();
-        prop_assert_eq!(parsed, r);
-        prop_assert_eq!(&frame[off..], &payload[..]);
+        prop_assert_eq!(EthernetRepr::parse(&frame), Ok((r, &payload[..])));
     }
 
+    /// The flags/fragment-offset word round-trips verbatim, and the
+    /// payload stops at the total length whatever padding follows.
     #[test]
     fn ipv4_round_trip(src in any::<[u8; 4]>(), dst in any::<[u8; 4]>(),
                        proto in any::<u8>(), ttl in any::<u8>(), ident in any::<u16>(),
-                       df in any::<bool>(),
-                       payload in proptest::collection::vec(any::<u8>(), 0..512)) {
+                       flags_frag in any::<u16>(),
+                       payload in proptest::collection::vec(any::<u8>(), 0..512),
+                       padding in proptest::collection::vec(any::<u8>(), 0..32)) {
         use netstack::wire::ipv4::*;
         let r = Ipv4Repr {
             src: Ipv4Addr(src),
@@ -79,13 +81,58 @@ proptest! {
             protocol: proto.into(),
             ttl,
             ident,
-            dont_frag: df,
+            flags_frag,
             payload_len: payload.len(),
         };
+        let pkt = [r.packet(&payload), padding].concat();
+        prop_assert_eq!(Ipv4Repr::parse(&pkt), Ok((r, &payload[..])));
+    }
+
+    #[test]
+    fn arp_round_trip(request in any::<bool>(),
+                      sender_hw in any::<[u8; 6]>(), sender_ip in any::<[u8; 4]>(),
+                      target_hw in any::<[u8; 6]>(), target_ip in any::<[u8; 4]>()) {
+        use netstack::wire::arp::*;
+        use netstack::wire::ethernet::EthernetAddr;
+        use netstack::wire::ipv4::Ipv4Addr;
+        let r = ArpRepr {
+            op: if request { ArpOp::Request } else { ArpOp::Reply },
+            sender_hw: EthernetAddr(sender_hw),
+            sender_ip: Ipv4Addr(sender_ip),
+            target_hw: EthernetAddr(target_hw),
+            target_ip: Ipv4Addr(target_ip),
+        };
+        let pkt = r.packet();
+        prop_assert_eq!(ArpRepr::parse(&pkt), Ok((r, &[][..])));
+    }
+
+    #[test]
+    fn icmp_round_trip(kind in 0u8..3, code in any::<u8>(), ident in any::<u16>(), seq in any::<u16>(),
+                       payload in proptest::collection::vec(any::<u8>(), 0..256)) {
+        use netstack::wire::icmp::*;
+        let kind = match kind {
+            0 => IcmpType::EchoReply,
+            1 => IcmpType::EchoRequest,
+            _ => IcmpType::DestUnreachable(code),
+        };
+        let r = IcmpRepr { kind, ident, seq };
         let pkt = r.packet(&payload);
-        let (parsed, off) = Ipv4Repr::parse(&pkt).unwrap();
-        prop_assert_eq!(parsed, r);
-        prop_assert_eq!(&pkt[off..], &payload[..]);
+        prop_assert_eq!(IcmpRepr::parse(&pkt), Ok((r, &payload[..])));
+    }
+
+    /// Bytes after the datagram's UDP length (IP payload the checksum
+    /// does not cover) never reach the caller.
+    #[test]
+    fn udp_round_trip(sp in any::<u16>(), dp in any::<u16>(),
+                      src in any::<[u8; 4]>(), dst in any::<[u8; 4]>(),
+                      payload in proptest::collection::vec(any::<u8>(), 0..512),
+                      trailing in proptest::collection::vec(any::<u8>(), 0..32)) {
+        use netstack::wire::ipv4::Ipv4Addr;
+        use netstack::wire::udp::*;
+        let (a, b) = (Ipv4Addr(src), Ipv4Addr(dst));
+        let r = UdpRepr { src_port: sp, dst_port: dp };
+        let dgram = [r.packet(a, b, &payload), trailing].concat();
+        prop_assert_eq!(UdpRepr::parse(&dgram, a, b), Ok((r, &payload[..])));
     }
 
     #[test]
@@ -112,9 +159,86 @@ proptest! {
         let (parsed, _) = TcpRepr::parse(&seg, a, b).unwrap();
         let r = TcpRepr { flags: parsed.flags, mss, ..probe };
         let seg = r.segment(a, b, &payload);
-        let (parsed, off) = TcpRepr::parse(&seg, a, b).unwrap();
-        prop_assert_eq!(parsed, r);
-        prop_assert_eq!(&seg[off..], &payload[..]);
+        prop_assert_eq!(TcpRepr::parse(&seg, a, b), Ok((r, &payload[..])));
+    }
+
+    /// Junk TCP options behind a *valid* checksum: the options walk never
+    /// panics, and an accepted segment's payload starts at its data offset.
+    #[test]
+    fn tcp_junk_options_never_panic(
+        // Half the bytes are small, so END/NOP/MSS kinds and short lengths are common.
+        opts in proptest::collection::vec(prop_oneof![any::<u8>(), 0u8..5], 0..41),
+        offset_words in proptest::option::of(0u8..16),
+        payload in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        use netstack::wire::ipv4::Ipv4Addr;
+        use netstack::wire::tcp::*;
+        let (a, b) = (Ipv4Addr([1, 2, 3, 4]), Ipv4Addr([5, 6, 7, 8]));
+        let opts = &opts[..opts.len() / 4 * 4];
+        let header = TcpRepr {
+            src_port: 1, dst_port: 2, seq: SeqNumber(3), ack: SeqNumber(4),
+            flags: TcpFlags::SYN, window: 5, mss: None,
+        }.segment(a, b, &[]);
+        let mut seg = [header.as_slice(), opts, &payload].concat();
+        // Mostly the offset that covers the options; sometimes any nibble.
+        let words = offset_words.unwrap_or((5 + opts.len() / 4) as u8);
+        seg[12] = words << 4;
+        seg[16] = 0; seg[17] = 0;
+        let ck = netstack::checksum::pseudo_header_v4(a.0, b.0, 6, &seg);
+        seg[16..18].copy_from_slice(&ck.to_be_bytes());
+        if let Ok((_, rest)) = TcpRepr::parse(&seg, a, b) {
+            prop_assert_eq!(rest, &seg[usize::from(words) * 4..]);
+        }
+    }
+
+    /// `fragment()` then the receive path's one IPv4 parse: every
+    /// fragment carries the offset and MF bit reassembly needs, and the
+    /// fragments, in any arrival order, reassemble to the input.
+    #[test]
+    fn fragments_parse_and_reassemble(
+        len in 0usize..5000,
+        mtu in 29usize..1600,
+        seed in any::<u64>(),
+    ) {
+        use netstack::ipfrag::{fragment, Reassembler};
+        use netstack::wire::ipv4::*;
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        let repr = Ipv4Repr {
+            src: Ipv4Addr([10, 0, 0, 1]),
+            dst: Ipv4Addr([10, 0, 0, 2]),
+            protocol: Protocol::Udp,
+            ttl: 64,
+            ident: 0x4242,
+            flags_frag: 0,
+            payload_len: len,
+        };
+        let frags = fragment(&repr, &payload, mtu).unwrap();
+        let mut offset = 0;
+        for (i, f) in frags.iter().enumerate() {
+            prop_assert!(f.len() <= mtu);
+            let (r, data) = Ipv4Repr::parse(f).unwrap();
+            prop_assert_eq!((r.src, r.dst, r.protocol, r.ident), (repr.src, repr.dst, repr.protocol, repr.ident));
+            prop_assert_eq!(usize::from(r.flags_frag & 0x1fff) * 8, offset);
+            prop_assert_eq!(r.flags_frag & Ipv4Repr::MORE_FRAGS != 0, i + 1 < frags.len());
+            prop_assert_eq!(data, &payload[offset..offset + data.len()]);
+            offset += data.len();
+        }
+        prop_assert_eq!(offset, len);
+        // Deterministic Fisher-Yates arrival order from the seed.
+        let mut order: Vec<usize> = (0..frags.len()).collect();
+        let mut s = seed;
+        for i in (1..order.len()).rev() {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            order.swap(i, ((s >> 33) as usize) % (i + 1));
+        }
+        let mut re = Reassembler::new();
+        let mut done = None;
+        for &i in &order {
+            prop_assert!(done.is_none(), "completed before the last fragment");
+            let (r, data) = Ipv4Repr::parse(&frags[i]).unwrap();
+            done = re.input(&r, data, 0);
+        }
+        prop_assert_eq!(done, Some(payload));
     }
 
     /// Arbitrary bytes never panic the parsers (robustness, smoltcp-style).
