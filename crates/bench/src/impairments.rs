@@ -22,7 +22,7 @@ use netstack::wire::ethernet::EthernetAddr;
 use netstack::wire::ipv4::Ipv4Addr;
 use signaling::workload::{goal_machine, signaling_stack};
 use signaling::{lossy_call_arrivals, LossyCallConfig, RecoveryStats, RetryPolicy};
-use simnet::impair::{reorder_deliveries, GilbertElliott, ImpairConfig, ImpairState};
+use simnet::impair::{impair_arrivals, GilbertElliott, ImpairChannel, ImpairConfig};
 use simnet::stats::SimReport;
 use simnet::{run_sim_impaired, SimConfig};
 
@@ -107,13 +107,12 @@ pub struct WireCounters {
 /// A link-layer [`Device`] with the impairment channel on its
 /// transmit side: frames are dropped, corrupted (one byte flipped
 /// mid-frame, exactly what a checksum must catch), duplicated, or
-/// held back `reorder_slip` deliveries. `netstack` cannot depend on
-/// `simnet`, so the adapter lives here in the harness.
+/// held back `reorder_slip` deliveries. Frames still held when the
+/// exchange ends are never sent. `netstack` cannot depend on `simnet`,
+/// so the adapter lives here in the harness.
 pub struct ImpairedDevice<D: Device> {
     inner: D,
-    chan: ImpairState,
-    /// Held (reordered) frames: (deliveries still to pass them, frame).
-    held: Vec<(usize, Vec<u8>)>,
+    chan: ImpairChannel<Vec<u8>>,
 }
 
 impl<D: Device> ImpairedDevice<D> {
@@ -121,52 +120,15 @@ impl<D: Device> ImpairedDevice<D> {
     pub fn new(inner: D, cfg: ImpairConfig) -> Self {
         ImpairedDevice {
             inner,
-            chan: ImpairState::new(cfg),
-            held: Vec::new(),
-        }
-    }
-
-    /// A frame is being delivered: held frames each move one slot
-    /// closer and any that are due go out ahead of it.
-    fn advance_held(&mut self) {
-        let mut i = 0;
-        while i < self.held.len() {
-            self.held[i].0 -= 1;
-            if self.held[i].0 == 0 {
-                let (_, frame) = self.held.remove(i);
-                self.inner.transmit(frame);
-            } else {
-                i += 1;
-            }
+            chan: ImpairChannel::new(cfg),
         }
     }
 }
 
 impl<D: Device> Device for ImpairedDevice<D> {
-    fn transmit(&mut self, mut frame: Vec<u8>) {
-        let fate = self.chan.next_fate();
-        if fate.dropped {
-            return;
-        }
-        if fate.corrupted {
-            let mid = frame.len() / 2;
-            if let Some(b) = frame.get_mut(mid) {
-                *b ^= 0xff;
-            }
-        }
-        // Same release rule as `simnet::impair`: every frame
-        // crossing the channel advances the held ones, so holds are
-        // bounded even if every frame reorders.
-        self.advance_held();
-        if fate.reorder_slip > 0 {
-            self.held.push((fate.reorder_slip, frame));
-            return;
-        }
-        let dup = fate.duplicated.then(|| frame.clone());
-        self.inner.transmit(frame);
-        if let Some(copy) = dup {
-            self.inner.transmit(copy);
-        }
+    fn transmit(&mut self, frame: Vec<u8>) {
+        let inner = &mut self.inner;
+        self.chan.send(frame, |f| inner.transmit(f));
     }
 
     fn receive(&mut self) -> Option<Vec<u8>> {
@@ -201,6 +163,16 @@ pub const WIRE_UDP_DATAGRAMS: usize = 24;
 /// in milliseconds of link time. It is handed back with the counters.
 pub fn wire_exercise(cfg: ImpairConfig, sink: obs::Sink) -> (WireCounters, obs::Sink) {
     let (ad, bd) = Channel::pair();
+    wire_exchange(ad, bd, cfg, sink)
+}
+
+/// [`wire_exercise`] over the link endpoints `ad` (host 1's) and `bd`.
+fn wire_exchange(
+    ad: impl Device,
+    bd: impl Device,
+    cfg: ImpairConfig,
+    sink: obs::Sink,
+) -> (WireCounters, obs::Sink) {
     let mut ad = ImpairedDevice::new(ad, cfg);
     let mut bd = ImpairedDevice::new(
         bd,
@@ -332,7 +304,8 @@ fn run_seed(
     };
     let (mut deliveries, mut net, stats) = lossy_call_arrivals(&cfg);
     if reorder && cell.reorder_depth > 0 {
-        let (reordered, rc) = reorder_deliveries(
+        // Reorder only: the call stream's own corruption rides through.
+        let (reordered, rc) = impair_arrivals(
             &deliveries,
             ImpairConfig {
                 reorder_prob: 0.25,
@@ -531,6 +504,91 @@ pub fn run(opts: &RunOpts) -> Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::traffic::Arrival;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// A device that folds every frame it is handed (length, then bytes)
+    /// into a shared digest before passing it on.
+    struct Tap<D> {
+        inner: D,
+        digest: Rc<Cell<(u64, u64)>>,
+    }
+
+    impl<D: Device> Device for Tap<D> {
+        fn transmit(&mut self, frame: Vec<u8>) {
+            let (h, n) = self.digest.get();
+            let h = fnv1a(fnv1a(h, &(frame.len() as u32).to_le_bytes()), &frame);
+            self.digest.set((h, n + 1));
+            self.inner.transmit(frame);
+        }
+
+        fn receive(&mut self) -> Option<Vec<u8>> {
+            self.inner.receive()
+        }
+    }
+
+    /// The frames each `ImpairedDevice` delivers in the observed cell's
+    /// wire exchange, and the call deliveries `lossy_call_arrivals`
+    /// produces across one lossy channel, pinned by the digests captured
+    /// before the device and the arrival streams shared one channel.
+    #[test]
+    fn delivered_streams_match_their_pinned_digests() {
+        let (ad, bd) = Channel::pair();
+        let taps = [(); 2].map(|_| Rc::new(Cell::new((FNV_OFFSET, 0u64))));
+        let tap = |inner, i: usize| Tap {
+            inner,
+            digest: Rc::clone(&taps[i]),
+        };
+        let (wire, _) = wire_exchange(
+            tap(ad, 0),
+            tap(bd, 1),
+            wire_channel(OBSERVED_CELL),
+            obs::Sink::Off,
+        );
+        assert_eq!(taps[0].get(), (0x8c37_a86a_fa50_f6fb, 85), "host 1's frames");
+        assert_eq!(taps[1].get(), (0x27d1_c67e_0477_1dff, 9), "host 2's frames");
+        assert_eq!(
+            wire,
+            WireCounters {
+                checksum_rejects: 1,
+                tcp_retransmits: 5,
+                ooo_buffered: 1,
+                reassembly_timeouts: 2,
+                reassembly_evictions: 0,
+            }
+        );
+
+        let (calls, c, _) = lossy_call_arrivals(&LossyCallConfig {
+            pairs_per_s: 2000.0,
+            hold_s: 0.02,
+            duration_s: 0.5,
+            seed: 7,
+            channel: ImpairConfig {
+                drop_prob: 0.08,
+                corrupt_prob: 0.04,
+                dup_prob: 0.02,
+                seed: 21,
+                ..ImpairConfig::default()
+            },
+            retry: RetryPolicy::default(),
+        });
+        let h = calls.iter().fold(FNV_OFFSET, |h, a: &Arrival| {
+            let h = fnv1a(h, &a.time_s.to_bits().to_le_bytes());
+            let h = fnv1a(h, &a.bytes.to_le_bytes());
+            fnv1a(h, &[u8::from(a.corrupted)])
+        });
+        let h = [c.offered, c.delivered, c.dropped, c.corrupted, c.duplicated, c.reordered]
+            .iter()
+            .fold(h, |h, v| fnv1a(h, &v.to_le_bytes()));
+        assert_eq!(h, 0x3c00_c7b8_9ffd_d7ee, "lossy call deliveries");
+    }
 
     /// The lossy cells really did lose and recover: the zero-loss row
     /// shows no retransmissions, the 10% rows show some.

@@ -17,12 +17,13 @@
 //! (the switch spends cycles and rejects it at checksum verification) and
 //! the timer still fires; a clean delivery cancels the timer. Duplicates
 //! deliver twice. Reordering has no meaning at this per-call level and is
-//! ignored — compose [`simnet::impair::ImpairedSource`] in front of the
-//! NIC to study it.
+//! ignored — run the deliveries through [`simnet::impair::impair_arrivals`]
+//! with a reorder-only channel to study it at the NIC; the corruption
+//! marked here rides through.
 
 use crate::workload::{RELEASE_BYTES, SETUP_BYTES};
-use simnet::impair::{ImpairConfig, ImpairCounters, ImpairState, ImpairedArrival};
-use simnet::traffic::{PoissonSource, TrafficSource};
+use simnet::impair::{ImpairConfig, ImpairCounters, ImpairState};
+use simnet::traffic::{Arrival, PoissonSource, TrafficSource};
 
 // The timer machinery is shared with the closed-loop client population
 // (`simnet::closed` uses it from the *client* side, and `signaling`
@@ -86,7 +87,7 @@ fn send_reliable(
     bytes: u32,
     chan: &mut ImpairState,
     retry: RetryPolicy,
-    out: &mut Vec<ImpairedArrival>,
+    out: &mut Vec<Arrival>,
     stats: &mut RecoveryStats,
 ) -> SendOutcome {
     let mut timer = RetransmitTimer::arm(retry, t0_s);
@@ -98,7 +99,7 @@ fn send_reliable(
         }
         let fate = chan.next_fate();
         if !fate.dropped {
-            let delivery = ImpairedArrival {
+            let delivery = Arrival {
                 time_s: tx_s,
                 bytes,
                 corrupted: fate.corrupted,
@@ -132,7 +133,7 @@ fn send_reliable(
 /// later.
 pub fn lossy_call_arrivals(
     cfg: &LossyCallConfig,
-) -> (Vec<ImpairedArrival>, ImpairCounters, RecoveryStats) {
+) -> (Vec<Arrival>, ImpairCounters, RecoveryStats) {
     let mut chan = ImpairState::new(cfg.channel);
     let mut stats = RecoveryStats::default();
     let mut out = Vec::new();

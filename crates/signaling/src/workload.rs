@@ -80,6 +80,7 @@ pub fn call_arrivals(pairs_per_s: f64, hold_s: f64, duration_s: f64, seed: u64) 
             out.push(Arrival {
                 time_s: release_t,
                 bytes: RELEASE_BYTES,
+                corrupted: false,
             });
         }
     }

@@ -1,23 +1,26 @@
 //! A deterministic, seeded impairment channel.
 //!
-//! Sits in front of any [`TrafficSource`] (or, at the wire level, in
-//! front of a `netstack` device) and damages the stream the way a real
-//! link does: independent random loss, burst loss via a two-state
-//! Gilbert–Elliott chain, payload corruption, duplication, and bounded
-//! reordering. Every verdict comes from one seeded RNG with a *fixed
-//! number of draws per packet*, so a given `(config, seed)` pair produces
-//! the same fate sequence no matter which outcomes occur — the property
-//! the determinism tests and the CI golden file rely on.
+//! Damages a packet stream the way a real link does: independent random
+//! loss, burst loss via a two-state Gilbert–Elliott chain, payload
+//! corruption, duplication, and bounded reordering. Every verdict comes
+//! from one seeded RNG with a *fixed number of draws per packet*, so a
+//! given `(config, seed)` pair produces the same fate sequence no matter
+//! which outcomes occur — the property the determinism tests and the CI
+//! golden file rely on.
 //!
-//! The channel never reorders time backwards: a reordered packet is held
-//! and re-released at the timestamp of a later delivered packet (at most
-//! [`ImpairConfig::reorder_depth`] packets later), so the output stream
-//! stays sorted and can be fed straight to [`crate::sim::run_sim_impaired`].
+//! [`ImpairChannel`] is the one implementation of the hold-and-release
+//! rule, generic over what it carries through a corrupt hook and a
+//! release hook ([`Payload`]): [`Arrival`]s on their way to
+//! [`crate::sim::run_sim_impaired`] (via [`impair_arrivals`]), tagged
+//! arrivals in `smp`, and wire frames in front of a `netstack` device in
+//! the bench harness. The channel never reorders time backwards: a
+//! reordered arrival is held and re-released at the timestamp of a later
+//! delivery (at most [`ImpairConfig::reorder_depth`] packets later), so
+//! the output stream stays sorted.
 
-use crate::traffic::{Arrival, TrafficSource};
+use crate::traffic::Arrival;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::VecDeque;
 
 /// Parameters of a two-state Gilbert–Elliott burst-loss chain. The
 /// channel is in a *good* or *bad* state; each packet first moves the
@@ -155,9 +158,9 @@ pub struct ImpairCounters {
 }
 
 /// The seeded impairment chain. Usable directly (per-packet
-/// [`ImpairState::next_fate`] verdicts, e.g. for a wire-level device
-/// adapter or a retransmission model) or via [`ImpairedSource`] for
-/// arrival streams.
+/// [`ImpairState::next_fate`] verdicts, for a model that never holds a
+/// packet, such as a retransmission loop) or inside an
+/// [`ImpairChannel`], which adds holding and release.
 #[derive(Debug)]
 pub struct ImpairState {
     cfg: ImpairConfig,
@@ -268,233 +271,143 @@ impl ImpairState {
     }
 }
 
-/// An arrival that went through the channel. Same shape as [`Arrival`]
-/// plus the damage flag the receiver's checksum layer will act on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ImpairedArrival {
-    /// Delivery time in seconds (>= the original arrival time).
-    pub time_s: f64,
-    /// Message size in bytes.
-    pub bytes: u32,
-    /// The payload was damaged on the wire.
-    pub corrupted: bool,
+/// What the channel needs of the packets it carries: a corrupt hook and
+/// a release hook.
+pub trait Payload: Clone {
+    /// The corrupt hook: the packet was damaged on the wire.
+    fn corrupt(&mut self);
+    /// The release hook: a held packet takes on what it must from `by`,
+    /// a later packet crossing the channel. It is called at every
+    /// crossing while the packet is held, so the packet goes out stamped
+    /// by the delivery that releases it, or by the latest crossing when
+    /// the stream is flushed.
+    fn restamp(&mut self, by: &Self);
 }
 
-impl From<Arrival> for ImpairedArrival {
-    fn from(a: Arrival) -> Self {
-        ImpairedArrival {
-            time_s: a.time_s,
-            bytes: a.bytes,
-            corrupted: false,
-        }
+/// An arrival is damaged by its flag and takes the releasing delivery's
+/// time, so a reordered stream stays sorted.
+impl Payload for Arrival {
+    fn corrupt(&mut self) {
+        self.corrupted = true;
+    }
+    fn restamp(&mut self, by: &Self) {
+        self.time_s = by.time_s;
     }
 }
 
-/// An impairment channel composed in front of a [`TrafficSource`].
-/// Produces deliveries in non-decreasing time order; dropped packets
-/// vanish, duplicates appear back to back, and reordered packets are
-/// released with the timestamp of a later delivery.
-#[derive(Debug)]
-pub struct ImpairedSource<S> {
-    inner: S,
+/// A wire frame is damaged by flipping its middle byte (the tail may be
+/// link-layer padding outside any checksum) and released unchanged.
+impl Payload for Vec<u8> {
+    fn corrupt(&mut self) {
+        let mid = self.len() / 2;
+        if let Some(b) = self.get_mut(mid) {
+            *b ^= 0xff;
+        }
+    }
+    fn restamp(&mut self, _: &Self) {}
+}
+
+/// The impairment channel over a stream of [`Payload`]s. Every packet
+/// sent gets one [`Fate`]: a dropped one vanishes, a corrupted one goes
+/// through the corrupt hook, a duplicated one goes out twice back to
+/// back, and one held `k` slots goes out ahead of the `k`-th later
+/// packet to cross the channel, through the release hook.
+pub struct ImpairChannel<P: Payload> {
     state: ImpairState,
-    /// Deliveries ready to emit (duplicates, releases of held packets).
-    ready: VecDeque<ImpairedArrival>,
-    /// Held (reordered) packets: (deliveries still to pass them, packet).
-    held: Vec<(usize, ImpairedArrival)>,
-    /// Timestamp of the most recent delivery, used to flush stragglers
-    /// when the inner source ends.
-    last_time_s: f64,
-    inner_done: bool,
+    /// Held (reordered) packets: (crossings still to pass them, packet).
+    held: Vec<(usize, P)>,
 }
 
-impl<S: TrafficSource> ImpairedSource<S> {
-    /// Wraps `inner` with the impairment channel `cfg`.
-    pub fn new(inner: S, cfg: ImpairConfig) -> Self {
-        ImpairedSource {
-            inner,
+impl<P: Payload> ImpairChannel<P> {
+    /// A channel applying `cfg`.
+    pub fn new(cfg: ImpairConfig) -> Self {
+        ImpairChannel {
             state: ImpairState::new(cfg),
-            ready: VecDeque::new(),
             held: Vec::new(),
-            last_time_s: 0.0,
-            inner_done: false,
         }
     }
 
-    /// Channel counters accumulated so far.
+    /// Everything the channel has done so far.
     pub fn counters(&self) -> ImpairCounters {
         self.state.counters()
     }
 
-    /// A packet was delivered at `time_s`: advance held packets and move
-    /// any that are due into the ready queue (stamped with `time_s`).
-    fn advance_held(&mut self, time_s: f64) {
-        let mut i = 0;
-        while i < self.held.len() {
-            self.held[i].0 -= 1;
-            if self.held[i].0 == 0 {
-                let (_, mut p) = self.held.remove(i);
-                p.time_s = time_s;
-                self.ready.push_back(p);
-            } else {
-                i += 1;
-            }
+    /// Sends `p` across the channel (one [`ImpairState::next_fate`])
+    /// and hands every packet that comes out to `deliver`, in delivery
+    /// order: held packets `p` releases, then `p` itself unless it was
+    /// dropped or held.
+    pub fn send(&mut self, mut p: P, mut deliver: impl FnMut(P)) {
+        let fate = self.state.next_fate();
+        if fate.dropped {
+            return;
         }
-    }
-
-    /// The next delivery, or `None` once the stream (and every held or
-    /// duplicated packet) is exhausted.
-    pub fn next_delivery(&mut self) -> Option<ImpairedArrival> {
-        loop {
-            if let Some(p) = self.ready.pop_front() {
-                return Some(p);
-            }
-            if self.inner_done {
-                // The inner stream ended with packets still held back:
-                // release them at the last seen delivery time, oldest
-                // first, so nothing is silently lost by the model itself.
-                if !self.held.is_empty() {
-                    let t = self.last_time_s;
-                    for (_, mut p) in self.held.drain(..) {
-                        p.time_s = t;
-                        self.ready.push_back(p);
-                    }
-                    continue;
-                }
-                return None;
-            }
-            let Some(a) = self.inner.next_arrival() else {
-                self.inner_done = true;
-                continue;
-            };
-            let fate = self.state.next_fate();
-            if fate.dropped {
-                continue;
-            }
-            let delivered = ImpairedArrival {
-                time_s: a.time_s,
-                bytes: a.bytes,
-                corrupted: fate.corrupted,
-            };
-            self.last_time_s = a.time_s;
-            // Every packet that crosses the channel moves earlier held
-            // packets one slot closer to release — "at most
-            // `reorder_depth` later" counts held packets too, otherwise
-            // an all-reordered stream would be held forever.
-            self.advance_held(a.time_s);
-            if fate.reorder_slip > 0 {
-                self.held.push((fate.reorder_slip, delivered));
-                continue;
-            }
-            self.ready.push_back(delivered);
-            if fate.duplicated {
-                self.ready.push_back(delivered);
-            }
+        if fate.corrupted {
+            p.corrupt();
         }
-    }
-
-    /// Collects all deliveries strictly before `duration_s`.
-    pub fn take_until(&mut self, duration_s: f64) -> Vec<ImpairedArrival> {
-        let mut out = Vec::new();
-        while let Some(a) = self.next_delivery() {
-            if a.time_s >= duration_s {
-                break;
-            }
-            out.push(a);
-        }
-        out
-    }
-}
-
-/// Applies only the reordering stage of `cfg` to an already-impaired
-/// delivery stream — for when loss and corruption happened upstream
-/// (inside a retransmission model, say) and the order perturbation
-/// happens at the NIC queue. Drop, corruption, and duplication settings
-/// in `cfg` are ignored; only `reorder_prob`, `reorder_depth`, and
-/// `seed` take effect, so no packet is ever lost here. Corruption flags
-/// ride along unchanged and the output stays sorted.
-pub fn reorder_deliveries(
-    deliveries: &[ImpairedArrival],
-    cfg: ImpairConfig,
-) -> (Vec<ImpairedArrival>, ImpairCounters) {
-    let mut state = ImpairState::new(ImpairConfig {
-        reorder_prob: cfg.reorder_prob,
-        reorder_depth: cfg.reorder_depth,
-        seed: cfg.seed,
-        ..ImpairConfig::default()
-    });
-    let mut out = Vec::with_capacity(deliveries.len());
-    let mut held: Vec<(usize, ImpairedArrival)> = Vec::new();
-    let mut last_time_s = 0.0;
-    for &d in deliveries {
-        let fate = state.next_fate();
-        last_time_s = d.time_s;
-        // Same release rule as `ImpairedSource`: every packet crossing
-        // the channel advances the held ones, so holds are bounded even
-        // if every packet reorders.
-        let mut i = 0;
-        while i < held.len() {
-            held[i].0 -= 1;
-            if held[i].0 == 0 {
-                let (_, mut p) = held.remove(i);
-                p.time_s = d.time_s;
-                out.push(p);
-            } else {
-                i += 1;
-            }
+        // Every packet that crosses the channel moves the held ones one
+        // slot closer — "at most `reorder_depth` later" counts held
+        // packets too, otherwise an all-reordered stream would be held
+        // forever.
+        let due = self.held.extract_if(.., |(slots, q)| {
+            q.restamp(&p);
+            *slots -= 1;
+            *slots == 0
+        });
+        for (_, q) in due {
+            deliver(q);
         }
         if fate.reorder_slip > 0 {
-            held.push((fate.reorder_slip, d));
-            continue;
+            self.held.push((fate.reorder_slip, p));
+            return;
         }
-        out.push(d);
+        if fate.duplicated {
+            deliver(p.clone());
+        }
+        deliver(p);
     }
-    for (_, mut p) in held {
-        p.time_s = last_time_s;
-        out.push(p);
+
+    /// The stream ended: releases every held packet, oldest first, so
+    /// the model itself loses nothing.
+    pub fn flush(&mut self, deliver: impl FnMut(P)) {
+        self.held.drain(..).map(|(_, q)| q).for_each(deliver);
     }
-    (out, state.counters())
 }
 
-/// Runs a pre-built arrival list through a channel. Convenience for
-/// sweeps that reuse the same arrival vector across disciplines.
-pub fn impair_arrivals(
-    arrivals: &[Arrival],
-    cfg: ImpairConfig,
-) -> (Vec<ImpairedArrival>, ImpairCounters) {
-    struct SliceSource<'a> {
-        items: std::slice::Iter<'a, Arrival>,
-    }
-    impl TrafficSource for SliceSource<'_> {
-        fn next_arrival(&mut self) -> Option<Arrival> {
-            self.items.next().copied()
-        }
-    }
-    let mut src = ImpairedSource::new(
-        SliceSource {
-            items: arrivals.iter(),
-        },
-        cfg,
-    );
+/// Runs a pre-built stream through a channel and flushes it: the
+/// deliveries, in order, and the channel's counters. Corruption already
+/// marked on the input stays marked.
+pub fn impair_arrivals<P: Payload>(arrivals: &[P], cfg: ImpairConfig) -> (Vec<P>, ImpairCounters) {
+    let mut chan = ImpairChannel::new(cfg);
     let mut out = Vec::with_capacity(arrivals.len());
-    while let Some(a) = src.next_delivery() {
-        out.push(a);
+    for a in arrivals {
+        chan.send(a.clone(), |d| out.push(d));
     }
-    (out, src.counters())
+    chan.flush(|d| out.push(d));
+    (out, chan.counters())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{ConstantSource, PoissonSource};
+    use crate::traffic::{ConstantSource, PoissonSource, TrafficSource};
 
     fn constant(n: usize) -> Vec<Arrival> {
         (0..n)
             .map(|i| Arrival {
                 time_s: i as f64 * 1e-3,
                 bytes: 552,
+                corrupted: false,
             })
             .collect()
+    }
+
+    /// [`constant`] with every seventh arrival already damaged upstream.
+    fn every_seventh_corrupted(n: usize) -> Vec<Arrival> {
+        let mut out = constant(n);
+        for a in out.iter_mut().step_by(7) {
+            a.corrupted = true;
+        }
+        out
     }
 
     #[test]
@@ -595,7 +508,7 @@ mod tests {
         // Mean run length of consecutive losses: detect via gaps in the
         // delivered count sequence. Approximate by comparing loss-run
         // counts: same losses in fewer runs = burstier.
-        let runs = |delivered: &[ImpairedArrival], total: usize| {
+        let runs = |delivered: &[Arrival], total: usize| {
             let mut lost = vec![true; total];
             for a in delivered {
                 let orig = (a.time_s * 1e3).round() as usize;
@@ -684,57 +597,147 @@ mod tests {
     }
 
     #[test]
-    fn source_wrapper_matches_slice_helper() {
+    fn arrival_and_frame_streams_share_one_permutation() {
+        // Packet i is an arrival of i bytes and a 9-byte frame carrying
+        // i in its first four bytes and a zero middle byte, which the
+        // frame's corrupt hook flips. One config must drop, duplicate,
+        // damage and hold the same packets in both streams.
         let cfg = ImpairConfig {
-            drop_prob: 0.05,
-            corrupt_prob: 0.02,
-            dup_prob: 0.02,
-            reorder_prob: 0.05,
-            reorder_depth: 3,
-            seed: 9,
-            ..ImpairConfig::default()
+            drop_prob: 0.1,
+            corrupt_prob: 0.1,
+            dup_prob: 0.1,
+            reorder_prob: 0.2,
+            reorder_depth: 5,
+            gilbert: Some(GilbertElliott::bursty(0.02, 5.0, 0.4)),
+            seed: 17,
         };
-        let mut direct = ImpairedSource::new(PoissonSource::new(2000.0, 552, 4), cfg);
-        let via_source = direct.take_until(1.0);
-        let arrivals = PoissonSource::new(2000.0, 552, 4).take_until(1.0);
-        let (via_slice, _) = impair_arrivals(&arrivals, cfg);
-        // The slice path sees a truncated stream, so compare the prefix
-        // both observed.
-        let n = via_source.len().min(via_slice.len());
-        assert!(n > 1000);
-        assert_eq!(&via_source[..n], &via_slice[..n]);
+        let arrivals: Vec<Arrival> = (0..3000u32)
+            .map(|i| Arrival {
+                time_s: f64::from(i) * 1e-3,
+                bytes: i,
+                corrupted: false,
+            })
+            .collect();
+        let frames: Vec<Vec<u8>> = (0..3000u32)
+            .map(|i| [i.to_le_bytes().as_slice(), &[0; 5]].concat())
+            .collect();
+        let (a, ca) = impair_arrivals(&arrivals, cfg);
+        let (f, cf) = impair_arrivals(&frames, cfg);
+        assert_eq!(ca, cf);
+        assert!(ca.dropped > 0 && ca.duplicated > 0 && ca.corrupted > 0 && ca.reordered > 0);
+        let from_arrivals: Vec<(u32, bool)> = a.iter().map(|a| (a.bytes, a.corrupted)).collect();
+        let from_frames: Vec<(u32, bool)> = f
+            .iter()
+            .map(|f| (u32::from_le_bytes([f[0], f[1], f[2], f[3]]), f[4] != 0))
+            .collect();
+        assert_eq!(from_arrivals, from_frames);
+        assert!(from_arrivals.windows(2).any(|w| w[0].0 > w[1].0), "some packet was held");
     }
 
     #[test]
-    fn reorder_only_pass_loses_nothing_and_ignores_loss_settings() {
-        let deliveries: Vec<ImpairedArrival> = constant(4_000)
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| ImpairedArrival {
-                time_s: a.time_s,
-                bytes: a.bytes,
-                corrupted: i % 7 == 0,
-            })
-            .collect();
-        let (out, c) = reorder_deliveries(
-            &deliveries,
-            ImpairConfig {
-                // Loss and duplication must be ignored by this pass.
-                drop_prob: 0.9,
-                dup_prob: 0.9,
-                reorder_prob: 0.3,
-                reorder_depth: 6,
-                seed: 13,
-                ..ImpairConfig::default()
-            },
-        );
+    fn reorder_only_channel_loses_nothing_and_keeps_input_corruption() {
+        let deliveries = every_seventh_corrupted(4_000);
+        let cfg = ImpairConfig {
+            reorder_prob: 0.3,
+            reorder_depth: 6,
+            seed: 13,
+            ..ImpairConfig::default()
+        };
+        let (out, c) = impair_arrivals(&deliveries, cfg);
         assert_eq!(out.len(), deliveries.len(), "reordering loses nothing");
-        assert_eq!(c.dropped + c.duplicated, 0);
+        assert_eq!(c.dropped + c.duplicated + c.corrupted, 0);
         assert!(c.reordered > 500, "reordered {}", c.reordered);
         assert!(out.windows(2).all(|w| w[0].time_s <= w[1].time_s));
         // The corruption flags survive as a multiset.
-        let marked = |v: &[ImpairedArrival]| v.iter().filter(|a| a.corrupted).count();
+        let marked = |v: &[Arrival]| v.iter().filter(|a| a.corrupted).count();
         assert_eq!(marked(&out), marked(&deliveries));
+    }
+
+    /// FNV-1a over every delivery (time bits, size, damage bit), then
+    /// over the channel counters.
+    fn digest(stream: &[Arrival], c: ImpairCounters) -> u64 {
+        let h = stream.iter().fold(crate::FNV_OFFSET, |h, a| {
+            let h = crate::fnv1a(h, &a.time_s.to_bits().to_le_bytes());
+            let h = crate::fnv1a(h, &a.bytes.to_le_bytes());
+            crate::fnv1a(h, &[u8::from(a.corrupted)])
+        });
+        [c.offered, c.delivered, c.dropped, c.corrupted, c.duplicated, c.reordered]
+            .iter()
+            .fold(h, |h, v| crate::fnv1a(h, &v.to_le_bytes()))
+    }
+
+    #[test]
+    fn stream_digests_match_the_per_stream_hold_loops() {
+        // Captured from the three hand-written hold-and-release loops
+        // (the source wrapper, the reorder-only pass over pre-corrupted
+        // deliveries, the device adapter) before `ImpairChannel`
+        // replaced them.
+        let poisson = PoissonSource::new(2000.0, 552, 4).take_until(1.0);
+        let pre_corrupted = every_seventh_corrupted(4_000);
+        let cases = [
+            (
+                "iid loss + corrupt + dup",
+                &poisson,
+                ImpairConfig {
+                    drop_prob: 0.05,
+                    corrupt_prob: 0.03,
+                    dup_prob: 0.04,
+                    seed: 9,
+                    ..ImpairConfig::default()
+                },
+                0x7e50_35d3_20a8_2267u64,
+            ),
+            (
+                "gilbert-elliott burst",
+                &poisson,
+                ImpairConfig {
+                    gilbert: Some(GilbertElliott::bursty(0.05, 10.0, 0.8)),
+                    seed: 2,
+                    ..ImpairConfig::default()
+                },
+                0x3ef2_5dd4_f8fe_6842,
+            ),
+            (
+                "every fate, duplicates of held packets included",
+                &poisson,
+                ImpairConfig {
+                    drop_prob: 0.1,
+                    corrupt_prob: 0.1,
+                    dup_prob: 0.1,
+                    reorder_prob: 0.1,
+                    reorder_depth: 4,
+                    gilbert: Some(GilbertElliott::bursty(0.02, 5.0, 0.4)),
+                    seed: 42,
+                },
+                0x5c52_b7c9_03a9_2295,
+            ),
+            (
+                "deep reorder over pre-corrupted input",
+                &pre_corrupted,
+                ImpairConfig {
+                    reorder_prob: 0.3,
+                    reorder_depth: 16,
+                    seed: 13,
+                    ..ImpairConfig::default()
+                },
+                0xf63e_9ae7_0e11_6a23,
+            ),
+            (
+                "all-reorder flush",
+                &constant(50),
+                ImpairConfig {
+                    reorder_prob: 1.0,
+                    reorder_depth: 100,
+                    seed: 1,
+                    ..ImpairConfig::default()
+                },
+                0x6b6e_952a_65b4_3e2e,
+            ),
+        ];
+        for (name, input, cfg, want) in cases {
+            let (out, c) = impair_arrivals(input, cfg);
+            assert_eq!(digest(&out, c), want, "{name}");
+        }
     }
 
     #[test]
@@ -757,19 +760,21 @@ mod tests {
         assert_eq!(c.reordered, 50);
         assert!(out.windows(2).all(|w| w[0].time_s <= w[1].time_s));
 
-        // The same channel in front of an endless source must not spin
-        // (or hoard) forever either: progress is bounded by the depth.
-        let mut src = ImpairedSource::new(
-            ConstantSource::new(0.001, 552),
-            ImpairConfig {
-                reorder_prob: 1.0,
-                reorder_depth: 100,
-                seed: 1,
-                ..ImpairConfig::default()
-            },
-        );
-        let out = src.take_until(0.05);
-        assert!(!out.is_empty(), "deep reordering still delivers");
+        // The same channel in front of an endless source must not hoard
+        // forever either: a packet held at one crossing is out by the
+        // hundredth after it.
+        let mut chan = ImpairChannel::new(ImpairConfig {
+            reorder_prob: 1.0,
+            reorder_depth: 100,
+            seed: 1,
+            ..ImpairConfig::default()
+        });
+        let mut src = ConstantSource::new(0.001, 552);
+        let mut out = Vec::new();
+        for a in std::iter::from_fn(|| src.next_arrival()).take(500) {
+            chan.send(a, |d| out.push(d));
+        }
+        assert!(out.len() >= 400, "deep reordering still delivers: {}", out.len());
         assert!(out.windows(2).all(|w| w[0].time_s <= w[1].time_s));
     }
 

@@ -18,10 +18,12 @@
 //! * [`stats`] — report aggregation, percentiles, and a Hurst-parameter
 //!   estimator (aggregated-variance method) used to validate the
 //!   self-similar source.
-//! * [`impair`] — a deterministic, seeded impairment channel composable
-//!   in front of any traffic source: independent and Gilbert–Elliott
-//!   burst loss, payload corruption, duplication, and bounded
-//!   reordering, with counters threaded into the report.
+//! * [`impair`] — a deterministic, seeded impairment channel over any
+//!   packet stream (arrivals here, tagged arrivals in `smp`, wire frames
+//!   in the bench harness): independent and Gilbert–Elliott burst loss,
+//!   payload corruption, duplication, and bounded reordering, with
+//!   counters threaded into the report. An [`Arrival`] carries its
+//!   damage bit, so an impaired stream is the same type as a clean one.
 //! * [`closed`] — a closed-loop source: a finite population of
 //!   retrying clients (retransmit timers, exponential backoff, retry
 //!   budgets, think times) whose feedback loop turns overload into the
@@ -54,10 +56,7 @@ pub use closed::{
     AckKind, Class, ClientSend, ClosedConfig, ClosedPopulation, ClosedStats, RetransmitTimer,
     RetryPolicy,
 };
-pub use impair::{
-    reorder_deliveries, GilbertElliott, ImpairConfig, ImpairCounters, ImpairedArrival,
-    ImpairedSource,
-};
+pub use impair::{GilbertElliott, ImpairChannel, ImpairConfig, ImpairCounters, Payload};
 pub use par::{resolve_threads, run_indexed};
 pub use sim::{
     run_sim, run_sim_impaired, run_sim_lookup, run_sim_traced, BatchRecord, LookupCharge,

@@ -17,7 +17,7 @@
 //! refused admission, shed from the queue, or still in flight. Nothing
 //! vanishes.
 
-use crate::impair::{ImpairCounters, ImpairedArrival};
+use crate::impair::ImpairCounters;
 use crate::stats::{RunTally, SimReport};
 use crate::traffic::Arrival;
 use cachesim::round_to_cycles;
@@ -88,6 +88,8 @@ pub trait LookupCharge {
 /// Runs `arrivals` (time-sorted, in seconds) through `engine` and returns
 /// the aggregated report. The engine's machine clock defines processing
 /// cost; its configured `clock_mhz` converts arrival times to cycles.
+/// Corrupted arrivals cost cycles up to the engine's verification layer
+/// and are rejected there.
 pub fn run_sim(engine: &mut StackEngine, arrivals: &[Arrival], cfg: &SimConfig) -> SimReport {
     run_sim_traced(engine, arrivals, cfg, None)
 }
@@ -99,17 +101,15 @@ pub fn run_sim_traced(
     cfg: &SimConfig,
     trace: Option<&mut Vec<BatchRecord>>,
 ) -> SimReport {
-    let clean: Vec<ImpairedArrival> = arrivals.iter().copied().map(Into::into).collect();
-    run_core(engine, &clean, cfg, trace, ImpairCounters::default(), &[], None)
+    run_core(engine, arrivals, cfg, trace, ImpairCounters::default(), &[], None)
 }
 
-/// Runs a stream that already went through an impairment channel (see
-/// [`crate::impair`]): corrupted deliveries cost cycles up to the
-/// engine's verification layer and are rejected there; `net` carries the
-/// channel's drop/corrupt/duplicate counters into the report.
+/// [`run_sim`] over a stream that went through an impairment channel
+/// (see [`crate::impair`]): `net` carries the channel's
+/// drop/corrupt/duplicate/reorder counters into the report.
 pub fn run_sim_impaired(
     engine: &mut StackEngine,
-    deliveries: &[ImpairedArrival],
+    deliveries: &[Arrival],
     cfg: &SimConfig,
     net: ImpairCounters,
 ) -> SimReport {
@@ -120,6 +120,10 @@ pub fn run_sim_impaired(
 /// parallels `arrivals` (index-matched), and `lookup` is charged once
 /// per message as its batch starts processing. Arrivals dropped or shed
 /// at the NIC never reach the stack and are not charged.
+///
+/// # Panics
+///
+/// If `flow_ids` and `arrivals` differ in length.
 pub fn run_sim_lookup(
     engine: &mut StackEngine,
     arrivals: &[Arrival],
@@ -127,10 +131,14 @@ pub fn run_sim_lookup(
     cfg: &SimConfig,
     lookup: &mut dyn LookupCharge,
 ) -> SimReport {
-    let clean: Vec<ImpairedArrival> = arrivals.iter().copied().map(Into::into).collect();
+    assert_eq!(
+        flow_ids.len(),
+        arrivals.len(),
+        "run_sim_lookup needs one flow id per arrival"
+    );
     run_core(
         engine,
-        &clean,
+        arrivals,
         cfg,
         None,
         ImpairCounters::default(),
@@ -146,7 +154,7 @@ pub fn run_sim_lookup(
 // counting-allocator test via `process_batch_into`.)
 fn run_core(
     engine: &mut StackEngine,
-    arrivals: &[ImpairedArrival],
+    arrivals: &[Arrival],
     cfg: &SimConfig,
     mut trace: Option<&mut Vec<BatchRecord>>,
     net: ImpairCounters,
@@ -199,8 +207,7 @@ fn run_core(
     let mut lookup_dm: Vec<u64> = Vec::with_capacity(cfg.pool_bufs);
     let mut completions: Vec<ldlp::Completion> = Vec::with_capacity(cfg.pool_bufs);
 
-    let arrival_cycle =
-        |a: &ImpairedArrival| -> u64 { round_to_cycles(a.time_s * cycles_per_s) };
+    let arrival_cycle = |a: &Arrival| -> u64 { round_to_cycles(a.time_s * cycles_per_s) };
 
     loop {
         // Admit everything that has arrived by `now`.
@@ -638,6 +645,21 @@ mod tests {
             r.mean_latency_us > base.mean_latency_us,
             "lookup stalls must show up in latency"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "one flow id per arrival")]
+    fn lookup_rejects_a_short_flow_id_list() {
+        struct Free;
+        impl LookupCharge for Free {
+            fn charge(&mut self, _: u32, _: &mut cachesim::Machine) -> u64 {
+                0
+            }
+        }
+        let arrivals = ConstantSource::new(0.001, 552).take_until(0.01);
+        let flow_ids = vec![0; arrivals.len() - 1];
+        let mut e = engine(Discipline::Conventional, 1);
+        run_sim_lookup(&mut e, &arrivals, &flow_ids, &SimConfig::default(), &mut Free);
     }
 
     #[test]

@@ -8,13 +8,20 @@ use crate::winner::WinnerTree;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// One message arrival.
+/// One message reaching the NIC: when, how big, and whether it was
+/// damaged on the wire. Sources emit clean arrivals; an impairment
+/// channel ([`crate::impair`]) or a retransmission model sets
+/// `corrupted`, and the receiver spends cycles on such a message up to
+/// its verification layer and rejects it there. 16 bytes, like the
+/// time-and-size pair it extends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// Arrival time in seconds from the start of the run.
     pub time_s: f64,
     /// Message size in bytes.
     pub bytes: u32,
+    /// Damaged on the wire.
+    pub corrupted: bool,
 }
 
 /// A stream of arrivals in non-decreasing time order.
@@ -66,6 +73,7 @@ impl TrafficSource for PoissonSource {
         Some(Arrival {
             time_s: self.t,
             bytes: self.bytes,
+            corrupted: false,
         })
     }
 }
@@ -96,6 +104,7 @@ impl TrafficSource for ConstantSource {
         Some(Arrival {
             time_s: self.n as f64 * self.interval_s,
             bytes: self.bytes,
+            corrupted: false,
         })
     }
 }
@@ -138,6 +147,7 @@ impl TraceSource {
             arrivals.push(Arrival {
                 time_s: time,
                 bytes,
+                corrupted: false,
             });
         }
         arrivals.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
@@ -321,6 +331,7 @@ impl TrafficSource for SelfSimilarSource {
         Some(Arrival {
             time_s: t,
             bytes: self.sizes.draw(&mut self.rng),
+            corrupted: false,
         })
     }
 }
@@ -340,6 +351,12 @@ mod tests {
         );
         assert!(arrivals.windows(2).all(|w| w[0].time_s <= w[1].time_s));
         assert!(arrivals.iter().all(|a| a.bytes == 552));
+    }
+
+    #[test]
+    fn an_arrival_is_sixteen_bytes() {
+        // The damage bit rides in the padding after `bytes`.
+        assert_eq!(std::mem::size_of::<Arrival>(), 16);
     }
 
     #[test]
@@ -534,6 +551,7 @@ impl TrafficSource for MmppSource {
                 return Some(Arrival {
                     time_s: self.t,
                     bytes: self.bytes,
+                    corrupted: false,
                 });
             }
             // Regime switch: advance to the boundary and move on.
@@ -590,6 +608,7 @@ impl TrafficSource for TrainSource {
             self.pending.push_back(Arrival {
                 time_s: head.time_s + i as f64 * self.intra_gap_s,
                 bytes: head.bytes,
+                corrupted: false,
             });
         }
         Some(head)

@@ -35,4 +35,4 @@ pub use sim::{
     run_smp, run_smp_impaired, CoreReport, HandoffFlowControl, SmpConfig, SmpOutcome, SmpSim,
     WClassProfile, MAX_WCLASS,
 };
-pub use steer::{tag_flows, tag_impaired, DispatchPolicy, FlowArrival, FlowKey, Steerer};
+pub use steer::{tag_flows, DispatchPolicy, FlowArrival, FlowKey, Steerer};

@@ -26,7 +26,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use simnet::{Arrival, ImpairedArrival};
+use simnet::{Arrival, Payload};
 use std::collections::BTreeMap;
 
 /// How arrivals are dispatched to cores.
@@ -133,28 +133,33 @@ pub struct FlowArrival {
     pub wclass: u8,
 }
 
-/// Tags each arrival with a flow drawn uniformly from a population of
-/// `flows` synthesized flows. Deterministic per `seed`.
-pub fn tag_flows(arrivals: &[Arrival], flows: u32, seed: u64) -> Vec<FlowArrival> {
-    let clean: Vec<ImpairedArrival> = arrivals.iter().copied().map(Into::into).collect();
-    tag_impaired(&clean, flows, seed)
+/// An impairment channel carries a tagged arrival like a plain one:
+/// damage sets its flag and a release restamps its time. The flow
+/// rides along, so a duplicated or reordered copy is steered and
+/// charged as the packet it copies.
+impl Payload for FlowArrival {
+    fn corrupt(&mut self) {
+        self.corrupted = true;
+    }
+    fn restamp(&mut self, by: &Self) {
+        self.time_s = by.time_s;
+    }
 }
 
-/// [`tag_flows`] for a stream that already went through an impairment
-/// channel (duplicates share their original's flow only by chance; each
-/// delivery draws independently, which keeps the draw budget fixed at
-/// one per delivery).
-pub fn tag_impaired(deliveries: &[ImpairedArrival], flows: u32, seed: u64) -> Vec<FlowArrival> {
+/// Tags each arrival with a flow drawn uniformly from a population of
+/// `flows` synthesized flows (one draw per arrival). Deterministic per
+/// `seed`. Tag before impairing, so copies keep their packet's flow.
+pub fn tag_flows(arrivals: &[Arrival], flows: u32, seed: u64) -> Vec<FlowArrival> {
     let flows = flows.max(1);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00f7_0e15);
-    deliveries
+    arrivals
         .iter()
-        .map(|d| {
+        .map(|a| {
             let flow_id = rng.random_range(0..flows);
             FlowArrival {
-                time_s: d.time_s,
-                bytes: d.bytes,
-                corrupted: d.corrupted,
+                time_s: a.time_s,
+                bytes: a.bytes,
+                corrupted: a.corrupted,
                 flow_id,
                 key: FlowKey::synth(flow_id, seed),
                 wclass: 0,
@@ -247,6 +252,7 @@ mod tests {
             .map(|i| Arrival {
                 time_s: i as f64 * 1e-4,
                 bytes: 552,
+                corrupted: false,
             })
             .collect();
         let a = tag_flows(&arrivals, 16, 5);

@@ -12,11 +12,13 @@
 //! * Conservation: `offered == completed + rejected + drops + shed`
 //!   holds across cores and hand-off queues under arbitrary
 //!   duplication + corruption impairments, for every dispatch policy.
+//! * Flow identity survives the channel: a duplicate is steered as the
+//!   packet it copies.
 
 use proptest::prelude::*;
 use smp::{
-    run_smp_impaired, tag_flows, tag_impaired, DispatchPolicy, FlowKey, HandoffFlowControl,
-    SmpConfig, SmpSim, Steerer,
+    run_smp_impaired, tag_flows, DispatchPolicy, FlowKey, HandoffFlowControl, SmpConfig, SmpSim,
+    Steerer,
 };
 
 use ldlp::{AdmissionPolicy, BatchPolicy, Discipline};
@@ -127,12 +129,13 @@ proptest! {
         }
     }
 
-    /// The cross-core conservation law under an impairment channel:
-    /// duplicated deliveries are fresh offered messages, corrupted ones
-    /// are rejected at the verify stage, and nothing vanishes in a
-    /// hand-off queue — for every dispatch policy, discipline,
-    /// admission policy (weighted-fair degrades to tail drop for
-    /// class-blind arrivals) and hand-off flow-control mode.
+    /// The cross-core conservation law under an impairment channel over
+    /// the tagged stream: duplicated deliveries are fresh offered
+    /// messages of their packet's flow, corrupted ones are rejected at
+    /// the verify stage, and nothing vanishes in a hand-off queue — for
+    /// every dispatch policy, discipline, admission policy
+    /// (weighted-fair degrades to tail drop for class-blind arrivals)
+    /// and hand-off flow-control mode.
     #[test]
     fn conservation_holds_across_cores_under_impairments(
         cores in 1usize..9,
@@ -147,8 +150,8 @@ proptest! {
     ) {
         let duration_s = 0.02;
         let arrivals = PoissonSource::new(rate as f64, 552, seed).take_until(duration_s);
-        let (deliveries, counters) = impair_arrivals(
-            &arrivals,
+        let (tagged, counters) = impair_arrivals(
+            &tag_flows(&arrivals, 32, seed),
             ImpairConfig {
                 dup_prob: dup_pct as f64 / 100.0,
                 corrupt_prob: corrupt_pct as f64 / 100.0,
@@ -156,7 +159,13 @@ proptest! {
                 ..ImpairConfig::default()
             },
         );
-        let tagged = tag_impaired(&deliveries, 32, seed);
+        // Poisson times are distinct, so the back-to-back pairs sharing
+        // a time are exactly the duplicates, and each keeps its flow.
+        let pairs: Vec<_> = tagged.windows(2).filter(|w| w[0].time_s == w[1].time_s).collect();
+        prop_assert_eq!(pairs.len() as u64, counters.duplicated);
+        for w in pairs {
+            prop_assert_eq!((w[0].flow_id, w[0].key), (w[1].flow_id, w[1].key));
+        }
         let discipline = if ldlp {
             Discipline::Ldlp(BatchPolicy::DCacheFit)
         } else {

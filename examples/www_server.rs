@@ -30,6 +30,7 @@ fn http_arrivals(requests_per_s: f64, duration_s: f64, seed: u64) -> Vec<Arrival
             out.push(Arrival {
                 time_s: ack_t,
                 bytes: 64,
+                corrupted: false,
             });
         }
     }
