@@ -1093,7 +1093,16 @@ fn line_facts(
             what: format!("range-slice indexing `[{r}]`"),
         });
     }
-    if let Some(d) = int_div_by_ident(code) {
+    // A bare divisor counts as `NonZero*` only as a typed binding of
+    // this fn; field types speak only for a divisor written `self.<field>`.
+    let nonzero = |divisor: &str| {
+        match divisor.strip_prefix("self.") {
+            Some(field) => field_type(field, field_types),
+            None => locals.and_then(|m| m.get(divisor)).map(|t| t.as_str()),
+        }
+        .is_some_and(|t| t.starts_with("NonZero"))
+    };
+    if let Some(d) = int_div_by_ident(code, &nonzero) {
         out.push(Fact {
             kind: FactKind::MayPanic,
             line,
@@ -1124,12 +1133,7 @@ fn line_facts(
         let ty = locals
             .and_then(|m| m.get(&recv))
             .map(|t| t.as_str())
-            .or_else(|| {
-                field_types
-                    .get(recv.as_str())
-                    .filter(|s| s.len() == 1)
-                    .and_then(|s| s.iter().next().copied())
-            });
+            .or_else(|| field_type(&recv, field_types));
         if ty.is_some_and(|t| COLLECTION_TYPES.contains(&t)) {
             out.push(Fact {
                 kind: FactKind::MayAlloc,
@@ -1139,6 +1143,17 @@ fn line_facts(
         }
         from = at + 1;
     }
+}
+
+/// The type of struct field `name`, if every struct declaring it agrees.
+fn field_type<'a>(
+    name: &str,
+    field_types: &BTreeMap<&str, BTreeSet<&'a str>>,
+) -> Option<&'a str> {
+    field_types
+        .get(name)
+        .filter(|s| s.len() == 1)
+        .and_then(|s| s.iter().next().copied())
 }
 
 /// The bracket contents of every `expr[...]` index on a scrubbed line:
@@ -1174,8 +1189,10 @@ fn range_slice_index(code: &str) -> Option<&str> {
 /// `DESIGN.md` §5.8: lines with a float hint (`f64`/`f32`/a float
 /// literal) are skipped (float division cannot panic), and
 /// `SCREAMING_CASE` const divisors are skipped (a constant zero
-/// divisor fails the build via the `unconditional_panic` lint).
-fn int_div_by_ident(code: &str) -> Option<String> {
+/// divisor fails the build via the `unconditional_panic` lint), and so
+/// are divisors `nonzero` names (a `NonZero*` binding: `u64 %
+/// NonZeroU64` is total).
+fn int_div_by_ident(code: &str, nonzero: &dyn Fn(&str) -> bool) -> Option<String> {
     if code.contains("f64") || code.contains("f32") {
         return None;
     }
@@ -1219,7 +1236,7 @@ fn int_div_by_ident(code: &str) -> Option<String> {
                     let screaming = ident
                         .chars()
                         .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
-                    if !screaming && ident != "self" {
+                    if !screaming && ident != "self" && !nonzero(ident) {
                         return Some(ident.to_string());
                     }
                     // `self.CONST`? impossible; `x / self.field` —
@@ -1231,8 +1248,9 @@ fn int_div_by_ident(code: &str) -> Option<String> {
                         while fe < b.len() && (b[fe].is_ascii_alphanumeric() || b[fe] == b'_') {
                             fe += 1;
                         }
-                        if fe > fs {
-                            return Some(format!("self.{}", &code[fs..fe]));
+                        let field = format!("self.{}", &code[fs..fe]);
+                        if fe > fs && !nonzero(&field) {
+                            return Some(field);
                         }
                     }
                 }
@@ -1438,17 +1456,58 @@ mod tests {
 
     #[test]
     fn div_heuristics_skip_floats_and_consts() {
-        assert_eq!(int_div_by_ident("let a = x / y;"), Some("y".into()));
-        assert_eq!(int_div_by_ident("let a = x % cap;"), Some("cap".into()));
-        assert_eq!(int_div_by_ident("let a = x as f64 / rate;"), None);
-        assert_eq!(int_div_by_ident("let a = 1.5 / rate;"), None);
-        assert_eq!(int_div_by_ident("let a = x / DESC_BYTES;"), None);
-        assert_eq!(int_div_by_ident("let a = x / 4;"), None);
-        assert_eq!(int_div_by_ident("// not code"), None);
+        let div = |code| int_div_by_ident(code, &|_| false);
+        assert_eq!(div("let a = x / y;"), Some("y".into()));
+        assert_eq!(div("let a = x % cap;"), Some("cap".into()));
+        assert_eq!(div("let a = x as f64 / rate;"), None);
+        assert_eq!(div("let a = 1.5 / rate;"), None);
+        assert_eq!(div("let a = x / DESC_BYTES;"), None);
+        assert_eq!(div("let a = x / 4;"), None);
+        assert_eq!(div("// not code"), None);
+        assert_eq!(div("let s = n / self.cap;"), Some("self.cap".into()));
+    }
+
+    #[test]
+    fn nonzero_divisors_cannot_panic() {
+        let nonzero = |d: &str| matches!(d, "slots" | "self.cap");
+        assert_eq!(int_div_by_ident("let a = x % slots;", &nonzero), None);
+        assert_eq!(int_div_by_ident("let s = n / self.cap;", &nonzero), None);
         assert_eq!(
-            int_div_by_ident("let s = n / self.cap;"),
-            Some("self.cap".into())
+            int_div_by_ident("let a = x % slots + y / n;", &nonzero),
+            Some("n".into()),
+            "a later runtime divisor on the line is still found"
         );
+        // Through the graph: a `NonZeroU64` parameter is a safe divisor,
+        // a `u64` one is not.
+        let (g, _) = graph_of(&[(
+            "crates/x/src/lib.rs",
+            "crates/x",
+            "fn wrap(x: u64, n: std::num::NonZeroU64) -> u64 {\n    x % n\n}\n\
+             fn raw(x: u64, n: u64) -> u64 {\n    x % n\n}\n",
+        )]);
+        let panics = |name: &str| {
+            g.facts[id_named(&g, name)]
+                .iter()
+                .any(|f| f.kind == FactKind::MayPanic)
+        };
+        assert!(!panics("wrap"));
+        assert!(panics("raw"));
+        // A `NonZeroU64` field vouches for `self.cap`, never for an
+        // untyped local that happens to share its name.
+        let (g, _) = graph_of(&[(
+            "crates/x/src/lib.rs",
+            "crates/x",
+            "pub struct Ring {\n    cap: std::num::NonZeroU64,\n}\n\
+             impl Ring {\n    fn wrap(&self, x: u64) -> u64 {\n        x % self.cap\n    }\n}\n\
+             fn shadow(x: u64, v: &[u8]) -> u64 {\n    let cap = v.len() as u64;\n    x % cap\n}\n",
+        )]);
+        let panics = |name: &str| {
+            g.facts[id_named(&g, name)]
+                .iter()
+                .any(|f| f.kind == FactKind::MayPanic)
+        };
+        assert!(!panics("wrap"));
+        assert!(panics("shadow"));
     }
 
     #[test]

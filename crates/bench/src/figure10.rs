@@ -142,39 +142,74 @@ impl Rng {
     }
 }
 
-/// Zipf(s = 1) sampler over `1..=n` via a precomputed harmonic CDF
-/// and binary search.
+/// Ranks per block of [`Zipf`]: one block costs 16 B, a byte a rank.
+const BLOCK_RANKS: u64 = 16;
+
+/// Zipf(s = 1) sampler over `1..=n`: the harmonic CDF `H(k) / H(n)`,
+/// inverted by binary search.
+///
+/// The ranks go in blocks of [`BLOCK_RANKS`], each keeping the running
+/// sum before its first rank and the CDF value at its last: a draw
+/// binary-searches the block ends, then re-adds at most 16 terms from
+/// the block's stored sum. The sums are the same sequential `f64` adds,
+/// and each CDF value the same division by `H(n)`, as a dense `n`-entry
+/// CDF's, so every draw is bit-for-bit the dense sampler's (held
+/// against it in this module's tests) at about 1 B a rank.
 pub struct Zipf {
-    cdf: Vec<f64>,
+    n: u64,
+    /// `H(n)`, the sum of all `n` terms in rank order.
+    total: f64,
+    /// Per block: the running sum before its first rank, and the CDF
+    /// value at its last (the last block may be short).
+    blocks: Vec<(f64, f64)>,
 }
 
 impl Zipf {
     pub fn new(n: u64) -> Self {
-        let mut cdf = Vec::with_capacity(n as usize);
+        let mut blocks = Vec::with_capacity(n.div_ceil(BLOCK_RANKS) as usize);
         let mut acc = 0.0f64;
-        for k in 1..=n {
-            acc += 1.0 / k as f64;
-            cdf.push(acc);
+        for first in (1..=n).step_by(BLOCK_RANKS as usize) {
+            let before = acc;
+            for k in first..=n.min(first + BLOCK_RANKS - 1) {
+                acc += 1.0 / k as f64;
+            }
+            blocks.push((before, acc));
         }
-        for c in &mut cdf {
-            *c /= acc;
+        for (_, end) in &mut blocks {
+            *end /= acc;
         }
-        Zipf { cdf }
+        Zipf {
+            n,
+            total: acc,
+            blocks,
+        }
     }
 
-    /// Maps a uniform `u` in [0, 1) to a 0-based flow rank.
+    /// Maps a uniform `u` in [0, 1) to a 0-based flow rank: the first
+    /// rank whose CDF value exceeds `u`, the last rank if none does.
     pub fn draw(&self, u: f64) -> u32 {
-        let i = self.cdf.partition_point(|&c| c <= u);
-        i.min(self.cdf.len().saturating_sub(1)) as u32
+        let last = self.n.saturating_sub(1) as u32;
+        let b = self.blocks.partition_point(|&(_, end)| end <= u);
+        let Some(&(mut acc, _)) = self.blocks.get(b) else {
+            return last;
+        };
+        let first = b as u64 * BLOCK_RANKS + 1;
+        for k in first..first + BLOCK_RANKS {
+            acc += 1.0 / k as f64;
+            if acc / self.total > u {
+                return (k - 1) as u32;
+            }
+        }
+        last
     }
 
     /// The sampler over `1..=n`, built once per process and shared.
-    /// A CDF is a pure function of `n` and costs 8 B per flow (8 MB
-    /// and ~7 ms at 10^6) against the ~2 000 draws a cell makes from
-    /// it, and every cell of a population — any seed, variant or
-    /// worker thread — draws from the same one. The table lives for
-    /// the process because [`flow_sequence`]'s callers have nowhere
-    /// to keep it between cells; the sweep has five populations.
+    /// It is a pure function of `n` — about 1 B a flow (1 MB and a few
+    /// ms at 10^6) against the ~2 000 draws a cell makes from it — and
+    /// every cell of a population, any seed, variant or worker thread,
+    /// draws from the same one. It lives for
+    /// the process because [`flow_sequence`]'s callers have nowhere to
+    /// keep it between cells; the sweep has five populations.
     fn shared(n: u64) -> Arc<Zipf> {
         static BY_POPULATION: Mutex<Vec<(u64, Arc<Zipf>)>> = Mutex::new(Vec::new());
         // Entries are pushed whole, so the table is valid even if a
@@ -196,17 +231,28 @@ impl Zipf {
 /// locality a lookup cache exploits.
 pub fn flow_sequence(pop: u64, n: usize, seed: u64, model: PopModel) -> Vec<u32> {
     let zipf = Zipf::shared(pop);
+    sequence_from(|u| zipf.draw(u), pop, n, seed, model)
+}
+
+/// [`flow_sequence`] over any sampler `draw` of the population's ranks.
+fn sequence_from(
+    draw: impl Fn(f64) -> u32,
+    pop: u64,
+    n: usize,
+    seed: u64,
+    model: PopModel,
+) -> Vec<u32> {
     let mut rng = Rng::new(seed ^ mix64(pop));
     let mut out = Vec::with_capacity(n);
     match model {
         PopModel::Zipf => {
             for _ in 0..n {
-                out.push(zipf.draw(rng.next_f64()));
+                out.push(draw(rng.next_f64()));
             }
         }
         PopModel::Train => {
             while out.len() < n {
-                let flow = zipf.draw(rng.next_f64());
+                let flow = draw(rng.next_f64());
                 let u = rng.next_f64();
                 let burst = (1.0 - u).powf(-1.0 / 1.5).min(64.0) as usize;
                 for _ in 0..burst.max(1) {
@@ -489,6 +535,74 @@ mod tests {
         // Zipf(s=1) over 1000 puts ~39% of mass on the top 10.
         assert!(head > seq.len() / 5, "top-10 flows got {head}/4000");
         assert_eq!(seq, flow_sequence(pop, 4000, 7, PopModel::Zipf));
+    }
+
+    /// The sampler [`Zipf`] replaced, kept as its reference: all `n`
+    /// CDF values, inverted by one binary search.
+    struct DenseZipf {
+        cdf: Vec<f64>,
+    }
+
+    impl DenseZipf {
+        fn new(n: u64) -> Self {
+            let mut cdf = Vec::with_capacity(n as usize);
+            let mut acc = 0.0f64;
+            for k in 1..=n {
+                acc += 1.0 / k as f64;
+                cdf.push(acc);
+            }
+            for c in &mut cdf {
+                *c /= acc;
+            }
+            DenseZipf { cdf }
+        }
+
+        fn draw(&self, u: f64) -> u32 {
+            let i = self.cdf.partition_point(|&c| c <= u);
+            i.min(self.cdf.len().saturating_sub(1)) as u32
+        }
+    }
+
+    /// Draw for draw, the block sampler is the dense one: at every CDF
+    /// value and its neighbours ±1 ulp, both ends of [0, 1) and 10^5
+    /// uniform draws, for populations on either side of a block
+    /// boundary and up to 10^6.
+    #[test]
+    fn block_sampler_draws_like_the_dense_cdf() {
+        let uniform: Vec<f64> = {
+            let mut rng = Rng::new(0x5eed);
+            (0..100_000).map(|_| rng.next_f64()).collect()
+        };
+        let (b, k) = (BLOCK_RANKS, 1 << 14);
+        for n in [1, 2, b, b + 1, k - 1, k, k + 1, k + b, k + b + 1, 100_000, 1_000_000] {
+            let (zipf, dense) = (Zipf::new(n), DenseZipf::new(n));
+            let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+            for &c in &dense.cdf {
+                us.extend([c.next_down(), c, c.next_up()]);
+            }
+            us.extend(&uniform);
+            for u in us {
+                assert_eq!(zipf.draw(u), dense.draw(u), "n = {n}, u = {u:e}");
+            }
+        }
+    }
+
+    /// Whole flow sequences, both popularity models, three seeds: the
+    /// shared block sampler draws the dense sampler's flows.
+    #[test]
+    fn flow_sequences_match_the_dense_sampler() {
+        for pop in [(1 << 14) + 17, 100_000, 1_000_000] {
+            let dense = DenseZipf::new(pop);
+            for seed in [1, 2, 3] {
+                for model in [PopModel::Zipf, PopModel::Train] {
+                    assert_eq!(
+                        flow_sequence(pop, 20_000, seed, model),
+                        sequence_from(|u| dense.draw(u), pop, 20_000, seed, model),
+                        "population {pop}, seed {seed}, {model:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -463,7 +463,9 @@ impl<K: StableHash + Eq, V> OaTable<K, V> {
 /// index computes that placement against an occupancy bitmap (one bit a
 /// slot — at 10^6 keys 256 KB where `u64`-keyed slots are 32 MB, so it
 /// stays in the host's cache while the hash scatters over it) and keeps
-/// one number per key: how many slots past home it landed. A later lookup of that key
+/// one byte per key: how many slots past home it landed, the rare
+/// displacement of 255 or more going to a short overflow list instead.
+/// A later lookup of that key
 /// probes `home ..= home + displacement`, wrapping at the capacity —
 /// exactly what [`OaTable::get_mut`] logs in [`OaTable::last_probes`],
 /// which is all a cost model that replays probe runs ever reads.
@@ -475,16 +477,23 @@ impl<K: StableHash + Eq, V> OaTable<K, V> {
 pub struct PlacementIndex {
     /// Slots of the table this lays out (power of two, 0 when empty).
     capacity: usize,
-    /// Per key in insertion order, slots past its home slot. A
-    /// displacement is below the capacity and slot indices are `u32`
-    /// throughout this module, so no cluster is too long to record.
-    displacement: Vec<u32>,
+    /// Per key in insertion order, slots past its home slot, or
+    /// [`OVERFLOWED`] when that is too many for a byte.
+    displacement: Vec<u8>,
+    /// `(key index, displacement)` for every [`OVERFLOWED`] key, in key
+    /// order. A displacement is below the capacity and slot indices are
+    /// `u32` throughout this module, so no cluster is too long to record.
+    overflow: Vec<(u32, u32)>,
 }
+
+/// The [`PlacementIndex`] byte of a key displaced 255 or more slots.
+const OVERFLOWED: u8 = u8::MAX;
 
 /// Marks the first free slot at or after `home` (wrapping) occupied and
 /// returns it: linear probing, a bitmap word at a time — the home word
 /// from `home` up, then each following word whole, the home word's low
 /// bits last. Occupancy stays below 7/8, so a free slot exists.
+#[inline]
 fn claim_first_free(occupied: &mut [u64], home: usize) -> usize {
     let mut at = home / 64;
     let mut candidates = !0u64 << (home % 64);
@@ -518,14 +527,20 @@ impl PlacementIndex {
             *only = !0 << capacity;
         }
         let mut displacement = Vec::with_capacity(keys.len());
+        let mut overflow = Vec::new();
         for key in keys {
             let home = (key.stable_hash() as usize) & mask;
             let slot = claim_first_free(&mut occupied, home);
-            displacement.push((slot.wrapping_sub(home) & mask) as u32);
+            let d = slot.wrapping_sub(home) & mask;
+            if d >= usize::from(OVERFLOWED) {
+                overflow.push((displacement.len() as u32, d as u32));
+            }
+            displacement.push(d.min(usize::from(OVERFLOWED)) as u8);
         }
         PlacementIndex {
             capacity,
             displacement,
+            overflow,
         }
     }
 
@@ -552,7 +567,15 @@ impl PlacementIndex {
         index: usize,
         key: &K,
     ) -> Option<impl Iterator<Item = u32>> {
-        let &d = self.displacement.get(index)?;
+        let d = match *self.displacement.get(index)? {
+            OVERFLOWED => {
+                let at = self
+                    .overflow
+                    .partition_point(|&(i, _)| (i as usize) < index);
+                self.overflow.get(at).map_or(0, |&(_, d)| d)
+            }
+            d => u32::from(d),
+        };
         let mask = self.capacity.wrapping_sub(1);
         let home = (key.stable_hash() as usize) & mask;
         Some((0..=d as usize).map(move |step| ((home + step) & mask) as u32))

@@ -356,7 +356,12 @@ impl<P: Payload> ImpairChannel<P> {
         for (_, q) in due {
             deliver(q);
         }
+        // A duplicate travels with its original, held or not, so the
+        // two go out back to back either way.
         if fate.reorder_slip > 0 {
+            if fate.duplicated {
+                self.held.push((fate.reorder_slip, p.clone()));
+            }
             self.held.push((fate.reorder_slip, p));
             return;
         }
@@ -709,7 +714,8 @@ mod tests {
                     gilbert: Some(GilbertElliott::bursty(0.02, 5.0, 0.4)),
                     seed: 42,
                 },
-                0x5c52_b7c9_03a9_2295,
+                // Re-pinned when a held duplicate started holding its copy.
+                0xdbe0_d390_4156_fcba,
             ),
             (
                 "deep reorder over pre-corrupted input",
@@ -737,6 +743,55 @@ mod tests {
         for (name, input, cfg, want) in cases {
             let (out, c) = impair_arrivals(input, cfg);
             assert_eq!(digest(&out, c), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn every_delivery_counted_is_handed_out_or_held() {
+        // The channel's law, after every send and after the flush:
+        // packets handed out + packets held == counters.delivered. A
+        // duplicated packet that is also held holds its copy too.
+        let poisson = PoissonSource::new(2000.0, 552, 8).take_until(1.0);
+        let configs = [
+            ImpairConfig {
+                dup_prob: 0.3,
+                reorder_prob: 0.3,
+                reorder_depth: 4,
+                seed: 3,
+                ..ImpairConfig::default()
+            },
+            ImpairConfig {
+                drop_prob: 0.1,
+                corrupt_prob: 0.1,
+                dup_prob: 0.1,
+                reorder_prob: 0.1,
+                reorder_depth: 4,
+                gilbert: Some(GilbertElliott::bursty(0.02, 5.0, 0.4)),
+                seed: 42,
+            },
+            ImpairConfig {
+                dup_prob: 1.0,
+                reorder_prob: 1.0,
+                reorder_depth: 100,
+                seed: 1,
+                ..ImpairConfig::default()
+            },
+        ];
+        for cfg in configs {
+            let mut chan = ImpairChannel::new(cfg);
+            let mut out = Vec::new();
+            for a in &poisson {
+                chan.send(*a, |d| out.push(d));
+                assert_eq!(
+                    out.len() + chan.held.len(),
+                    chan.counters().delivered as usize
+                );
+            }
+            chan.flush(|d| out.push(d));
+            let c = chan.counters();
+            assert_eq!((out.len(), chan.held.len()), (c.delivered as usize, 0));
+            assert!(c.duplicated > 0 && c.reordered > 0);
+            assert_eq!(c.offered, c.delivered + c.dropped - c.duplicated);
         }
     }
 

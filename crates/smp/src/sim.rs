@@ -77,6 +77,7 @@ use simnet::stats::{ClassReport, ClassSamples, RunTally, SimReport};
 use simnet::ImpairCounters;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::num::NonZeroU64;
 
 /// Where the shared mutable state lives in the flat simulated address
 /// space — disjoint from the code/data/mbuf windows `ldlp::synth` uses.
@@ -85,6 +86,12 @@ const CALL_TABLE_BASE: u64 = 0x3100_0000;
 const DESC_WINDOW_BASE: u64 = 0x3200_0000;
 /// One hand-off descriptor: a cache line's worth of message metadata.
 const DESC_BYTES: u64 = 64;
+/// The stock shared-table geometry of [`SmpConfig::new`].
+const STOCK_CALL_SLOTS: NonZeroU64 = NonZeroU64::new(signaling::call::CALL_TABLE_SLOTS).unwrap();
+const STOCK_REASS_SLOTS: NonZeroU64 = NonZeroU64::new(
+    netstack::ipfrag::REASSEMBLY_TABLE_BYTES / netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
+)
+.unwrap();
 /// Per-workload-class windows: each class's shared service table and
 /// handler code image live in their own stride of these two regions,
 /// disjoint from everything above and from the stack's code/data/mbuf
@@ -189,9 +196,9 @@ pub struct SmpConfig {
     /// million-flow experiments size it with
     /// [`SmpConfig::sized_for_flows`] so per-message slot RMWs spread
     /// over a realistic footprint instead of ping-ponging 64 entries.
-    pub call_table_slots: u64,
+    pub call_table_slots: NonZeroU64,
     /// Simulated shared reassembly-table capacity in slots.
-    pub reass_table_slots: u64,
+    pub reass_table_slots: NonZeroU64,
     /// Per-workload-class processing profiles, indexed by the
     /// [`FlowArrival::wclass`] tag. All-default profiles (the stock
     /// configuration) keep the simulator entirely class-blind.
@@ -217,9 +224,8 @@ impl SmpConfig {
             pool_bufs: 64,
             pool_buf_bytes: 1536,
             placement_seed: 1,
-            call_table_slots: signaling::call::CALL_TABLE_SLOTS,
-            reass_table_slots: netstack::ipfrag::REASSEMBLY_TABLE_BYTES
-                / netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
+            call_table_slots: STOCK_CALL_SLOTS,
+            reass_table_slots: STOCK_REASS_SLOTS,
             wclass: [WClassProfile::default(); MAX_WCLASS],
         }
     }
@@ -228,12 +234,47 @@ impl SmpConfig {
     /// way the open-addressing tables do: next power of two above
     /// `flows`, never below the stock defaults.
     pub fn sized_for_flows(mut self, flows: u64) -> Self {
-        let slots = flows.next_power_of_two();
-        self.call_table_slots = slots.max(signaling::call::CALL_TABLE_SLOTS);
-        self.reass_table_slots = slots.max(
-            netstack::ipfrag::REASSEMBLY_TABLE_BYTES / netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
-        );
+        let slots = NonZeroU64::new(flows.next_power_of_two()).unwrap_or(NonZeroU64::MIN);
+        self.call_table_slots = slots.max(STOCK_CALL_SLOTS);
+        self.reass_table_slots = slots.max(STOCK_REASS_SLOTS);
         self
+    }
+
+    /// Checks the simulated address windows this lays out — each shared
+    /// table's slots, each stage's descriptor ring — and that a ring
+    /// holds at least one descriptor.
+    fn check_geometry(&self) {
+        let ring = self.handoff_cap as u64;
+        let windows = [
+            (
+                "call_table_slots",
+                CALL_TABLE_BASE,
+                self.call_table_slots.get(),
+                signaling::call::CALL_SLOT_BYTES,
+            ),
+            (
+                "reass_table_slots",
+                REASS_TABLE_BASE,
+                self.reass_table_slots.get(),
+                netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
+            ),
+            (
+                "handoff_cap",
+                DESC_WINDOW_BASE,
+                ring.saturating_mul(self.cores as u64),
+                DESC_BYTES,
+            ),
+        ];
+        for (field, base, slots, slot_bytes) in windows {
+            let end = slots
+                .checked_mul(slot_bytes)
+                .and_then(|b| base.checked_add(b));
+            assert!(
+                end.is_some(),
+                "SmpConfig::{field} = {slots} overflows the simulated address space"
+            );
+        }
+        assert!(ring > 0, "SmpConfig::handoff_cap must be at least 1");
     }
 }
 
@@ -518,6 +559,7 @@ impl SmpSim {
     /// Builds the engines, queues, and fabric for `cfg`.
     pub fn new(cfg: &SmpConfig) -> SmpSim {
         assert!(cfg.cores > 0, "need at least one core");
+        cfg.check_geometry();
         let pipeline = cfg.dispatch == DispatchPolicy::LayerAffinity;
         let sizes = stage_partition(STACK_LAYERS, cfg.cores);
         let stages = if pipeline { sizes.len() } else { cfg.cores };
@@ -1059,16 +1101,13 @@ impl SmpSim {
 
     /// Shared-table slot for `flow_id`: `slots` entries of `slot_bytes`
     /// at `base`.
-    fn table_slot(base: u64, slots: u64, slot_bytes: u64, flow_id: u32) -> Region {
-        // analyze::allow(panic-path, reason = "slots is the nonzero shared-table geometry from SmpConfig")
+    fn table_slot(base: u64, slots: NonZeroU64, slot_bytes: u64, flow_id: u32) -> Region {
         Region::new(base + (u64::from(flow_id) % slots) * slot_bytes, slot_bytes)
     }
 
     /// Descriptor-ring slot `seq % cap` of the queue feeding `stage`.
-    fn desc_region(handoff_cap: usize, stage: usize, seq: u64) -> Region {
-        let cap = handoff_cap as u64;
-        let ring = DESC_WINDOW_BASE + stage as u64 * cap * DESC_BYTES;
-        // analyze::allow(panic-path, reason = "cap is the nonzero descriptor-ring size from SmpConfig")
+    fn desc_region(cap: NonZeroU64, stage: usize, seq: u64) -> Region {
+        let ring = DESC_WINDOW_BASE + stage as u64 * cap.get() * DESC_BYTES;
         Region::new(ring + (seq % cap) * DESC_BYTES, DESC_BYTES)
     }
 
@@ -1080,7 +1119,9 @@ impl SmpSim {
         let is_final = !has_down;
         let owns_bottom = !self.pipeline || c == 0;
         let owns_top = !self.pipeline || c + 1 == self.stages;
-        let handoff_cap = self.cfg.handoff_cap;
+        // `check_geometry` refused a zero ring in `SmpSim::new`.
+        let ring_slots =
+            NonZeroU64::new(self.cfg.handoff_cap as u64).unwrap_or(NonZeroU64::MIN);
 
         let stall_mode = self.cfg.flow_control == HandoffFlowControl::StallProducer;
         // Under StallProducer the batch is sized by the engine alone;
@@ -1141,7 +1182,7 @@ impl SmpSim {
                     break;
                 };
                 core.stage(d);
-                let slot = Self::desc_region(handoff_cap, c, popped0 + k);
+                let slot = Self::desc_region(ring_slots, c, popped0 + k);
                 self.shared.read(c as u8, slot, core.engine.machine_mut());
             }
         } else {
@@ -1226,7 +1267,7 @@ impl SmpSim {
                     let slots = self.cfg.wclass[w]
                         .table_slots
                         .min(WCLASS_STRIDE / WCLASS_SLOT_BYTES);
-                    if slots > 0 {
+                    if let Some(slots) = NonZeroU64::new(slots) {
                         let slot = Self::table_slot(
                             WCLASS_TABLE_BASE + w as u64 * WCLASS_STRIDE,
                             slots,
@@ -1255,7 +1296,7 @@ impl SmpSim {
             let mut seq = down.inbox.pushed();
             for k in 0..core.completions.len() {
                 if !core.completions[k].rejected {
-                    let slot = Self::desc_region(handoff_cap, c + 1, seq);
+                    let slot = Self::desc_region(ring_slots, c + 1, seq);
                     self.shared.write(c as u8, slot, core.engine.machine_mut());
                     seq += 1;
                 }
@@ -1511,16 +1552,19 @@ mod tests {
     #[test]
     fn shared_tables_size_with_the_flow_population() {
         let stock = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
-        assert_eq!(stock.call_table_slots, signaling::call::CALL_TABLE_SLOTS);
         assert_eq!(
-            stock.reass_table_slots,
+            stock.call_table_slots.get(),
+            signaling::call::CALL_TABLE_SLOTS
+        );
+        assert_eq!(
+            stock.reass_table_slots.get(),
             netstack::ipfrag::REASSEMBLY_TABLE_BYTES / netstack::ipfrag::REASSEMBLY_SLOT_BYTES
         );
         let big = stock.sized_for_flows(1_000_000);
-        assert_eq!(big.call_table_slots, 1 << 20);
-        assert_eq!(big.reass_table_slots, 1 << 20);
+        assert_eq!(big.call_table_slots.get(), 1 << 20);
+        assert_eq!(big.reass_table_slots.get(), 1 << 20);
         assert_eq!(
-            stock.sized_for_flows(1).call_table_slots,
+            stock.sized_for_flows(1).call_table_slots.get(),
             signaling::call::CALL_TABLE_SLOTS,
             "sizing never shrinks below the stock port"
         );
@@ -1589,6 +1633,24 @@ mod tests {
         assert_eq!(out.per_core.len(), 8);
         assert!(out.per_core[..5].iter().all(|r| r.msgs > 0));
         assert!(out.per_core[5..].iter().all(|r| r.msgs == 0));
+    }
+
+    /// A zero table is unrepresentable; the rest of the geometry is
+    /// refused once, at construction, rather than deep in a batch.
+    #[test]
+    #[should_panic(expected = "SmpConfig::handoff_cap must be at least 1")]
+    fn a_zero_descriptor_ring_is_refused_at_construction() {
+        let mut c = cfg(2, DispatchPolicy::LayerAffinity, Discipline::Conventional);
+        c.handoff_cap = 0;
+        SmpSim::new(&c);
+    }
+
+    #[test]
+    #[should_panic(expected = "SmpConfig::call_table_slots = 18446744073709551615 overflows")]
+    fn a_table_past_the_address_space_is_refused_at_construction() {
+        let mut c = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
+        c.call_table_slots = NonZeroU64::MAX;
+        SmpSim::new(&c);
     }
 
     #[test]
