@@ -101,8 +101,10 @@ impl MessagePool {
     pub fn make_message(&mut self, id: u64, len: u64) -> SimMessage {
         let buf = self.bufs[self.next];
         assert!(len <= buf.len, "message larger than pool buffers");
-        // analyze::allow(panic-path, reason = "pool construction asserts at least one buffer, so the ring modulus is nonzero")
-        self.next = (self.next + 1) % self.bufs.len();
+        self.next += 1;
+        if self.next == self.bufs.len() {
+            self.next = 0;
+        }
         SimMessage {
             id,
             arrival_cycles: 0,

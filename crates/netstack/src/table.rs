@@ -29,6 +29,7 @@
 //! index arithmetic over `get`/`get_mut`, never raw indexing.
 
 use crate::wire::ipv4::Ipv4Addr;
+use std::num::NonZeroUsize;
 
 /// Deterministic 64-bit hash for table keys.
 ///
@@ -637,7 +638,7 @@ pub const MAX_CACHE_SLOTS: usize = 64;
 #[derive(Debug, Clone)]
 pub struct LookupCache<K, V> {
     scheme: CacheScheme,
-    cap: usize,
+    max_entries: NonZeroUsize,
     entries: Vec<(K, V)>,
     rng: u64,
     stats: LookupCacheStats,
@@ -650,7 +651,7 @@ impl<K: Eq + Clone, V: Clone> LookupCache<K, V> {
         let cap = slots.clamp(1, MAX_CACHE_SLOTS);
         LookupCache {
             scheme,
-            cap,
+            max_entries: NonZeroUsize::new(cap).unwrap_or(NonZeroUsize::MIN),
             // Sized once: filling the cache is per-message work.
             entries: Vec::with_capacity(cap),
             // xorshift64 state must be non-zero.
@@ -661,7 +662,7 @@ impl<K: Eq + Clone, V: Clone> LookupCache<K, V> {
 
     /// Configured capacity in entries.
     pub fn slots(&self) -> usize {
-        self.cap
+        self.max_entries.get()
     }
 
     /// The replacement scheme.
@@ -726,14 +727,13 @@ impl<K: Eq + Clone, V: Clone> LookupCache<K, V> {
             }
             return;
         }
-        if self.entries.len() >= self.cap {
+        if self.entries.len() >= self.max_entries.get() {
             match self.scheme {
                 CacheScheme::Lru | CacheScheme::Fifo => {
                     self.entries.pop();
                 }
                 CacheScheme::Random => {
-                    // analyze::allow(panic-path, reason = "cap is a nonzero power of two fixed at construction")
-                    let at = (self.next_rand() % self.cap as u64) as usize;
+                    let at = self.next_rand() as usize % self.max_entries;
                     if let Some(e) = self.entries.get_mut(at) {
                         *e = (key, value);
                     }

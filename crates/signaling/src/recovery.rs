@@ -12,17 +12,18 @@
 //! channel, which is exactly what `run_sim_impaired` consumes — the goal
 //! experiment rerun under loss.
 //!
-//! Channel semantics per transmission: a *dropped* message delivers
-//! nothing and the timer fires; a *corrupted* message delivers its bytes
-//! (the switch spends cycles and rejects it at checksum verification) and
-//! the timer still fires; a clean delivery cancels the timer. Duplicates
-//! deliver twice. Reordering has no meaning at this per-call level and is
-//! ignored — run the deliveries through [`simnet::impair::impair_arrivals`]
-//! with a reorder-only channel to study it at the NIC; the corruption
-//! marked here rides through.
+//! Channel semantics per transmission, as in `simnet::closed`: every
+//! message crosses a depth-0 [`ImpairChannel`] (nothing is held;
+//! reordering is ignored per call), and the sender learns what happened
+//! only from what the channel hands out. Nothing: dropped, and the timer
+//! fires. A corrupted copy: the switch spends cycles on it and rejects it
+//! at checksum verification, and the timer still fires. One or two clean
+//! copies: delivered, and the timer is cancelled. To study reordering at
+//! the NIC, run the deliveries through [`simnet::impair::impair_arrivals`]
+//! with a reorder-only channel; the corruption marked here rides through.
 
 use crate::workload::{RELEASE_BYTES, SETUP_BYTES};
-use simnet::impair::{ImpairConfig, ImpairCounters, ImpairState};
+use simnet::impair::{ImpairChannel, ImpairConfig, ImpairCounters};
 use simnet::traffic::{Arrival, PoissonSource, TrafficSource};
 
 // The timer machinery is shared with the closed-loop client population
@@ -85,7 +86,7 @@ enum SendOutcome {
 fn send_reliable(
     t0_s: f64,
     bytes: u32,
-    chan: &mut ImpairState,
+    chan: &mut ImpairChannel<Arrival>,
     retry: RetryPolicy,
     out: &mut Vec<Arrival>,
     stats: &mut RecoveryStats,
@@ -97,20 +98,18 @@ fn send_reliable(
         if timer.transmissions() > 1 {
             stats.retransmits += 1;
         }
-        let fate = chan.next_fate();
-        if !fate.dropped {
-            let delivery = Arrival {
-                time_s: tx_s,
-                bytes,
-                corrupted: fate.corrupted,
-            };
-            out.push(delivery);
-            if fate.duplicated {
-                out.push(delivery);
-            }
-            if !fate.corrupted {
-                return SendOutcome::Delivered(tx_s);
-            }
+        let mut clean = false;
+        let sent = Arrival {
+            time_s: tx_s,
+            bytes,
+            corrupted: false,
+        };
+        chan.send(sent, |d| {
+            clean |= !d.corrupted;
+            out.push(d);
+        });
+        if clean {
+            return SendOutcome::Delivered(tx_s);
         }
         match timer.expire() {
             Some(retx_s) => tx_s = retx_s,
@@ -134,7 +133,10 @@ fn send_reliable(
 pub fn lossy_call_arrivals(
     cfg: &LossyCallConfig,
 ) -> (Vec<Arrival>, ImpairCounters, RecoveryStats) {
-    let mut chan = ImpairState::new(cfg.channel);
+    let mut chan = ImpairChannel::new(ImpairConfig {
+        reorder_depth: 0,
+        ..cfg.channel
+    });
     let mut stats = RecoveryStats::default();
     let mut out = Vec::new();
     let mut setups = PoissonSource::new(cfg.pairs_per_s, SETUP_BYTES, cfg.seed);

@@ -31,15 +31,16 @@
 //! precisely what the retry loop amplifies, so the bucket doubles as
 //! the metastability signal.
 //!
-//! Channel semantics per transmission mirror `signaling::recovery`: a
-//! *dropped* send never reaches the simulator (the client's timer fires
-//! anyway); a *corrupted* send is delivered, costs the server cycles,
-//! and is rejected at checksum verification (no acknowledgement); a
-//! *duplicated* send is delivered twice — the first copy to complete
-//! cleanly acknowledges the client and the second completes stale.
-//! Reordering has no meaning at this per-request level and is ignored.
+//! Channel semantics per transmission, as in `signaling::recovery`:
+//! every send crosses a depth-0 [`ImpairChannel`] (nothing is held;
+//! reordering is ignored per request), and the population learns what
+//! happened only from what the channel hands out. Nothing: the send was
+//! dropped and the client's timer fires anyway. A corrupted copy: it costs
+//! the server cycles and is rejected at checksum verification (no
+//! acknowledgement). One or two clean copies: delivered — the first to
+//! complete cleanly acknowledges the client, a duplicate completes stale.
 
-use crate::impair::{ImpairConfig, ImpairState};
+use crate::impair::{ImpairChannel, ImpairConfig, Payload};
 use crate::winner::WinnerTree;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -237,6 +238,16 @@ pub struct ClientSend {
     pub class: Class,
 }
 
+/// Damaged by its flag; a held send would take its releaser's time.
+impl Payload for ClientSend {
+    fn corrupt(&mut self) {
+        self.corrupted = true;
+    }
+    fn restamp(&mut self, by: &Self) {
+        self.time_s = by.time_s;
+    }
+}
+
 /// How the population classified a completion fed back via
 /// [`ClosedPopulation::ack`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -336,7 +347,7 @@ pub struct ClosedPopulation {
     /// Each client's next event time, by client id.
     events: WinnerTree,
     rng: StdRng,
-    chan: ImpairState,
+    chan: ImpairChannel<ClientSend>,
     stats: ClosedStats,
     latencies_us: Vec<f64>,
 }
@@ -361,7 +372,10 @@ impl ClosedPopulation {
             clients: Vec::with_capacity(cfg.clients as usize),
             events: WinnerTree::new(cfg.clients as usize),
             rng: StdRng::seed_from_u64(cfg.seed),
-            chan: ImpairState::new(cfg.channel),
+            chan: ImpairChannel::new(ImpairConfig {
+                reorder_depth: 0,
+                ..cfg.channel
+            }),
             stats: ClosedStats::default(),
             latencies_us: Vec::new(),
         };
@@ -491,25 +505,25 @@ impl ClosedPopulation {
         out: &mut Vec<ClientSend>,
     ) {
         self.stats.transmissions += 1;
-        let fate = self.chan.next_fate();
-        if fate.dropped {
-            // Lost on the wire: the client's timer fires regardless.
-            self.stats.channel_dropped += 1;
-            return;
-        }
         let send = ClientSend {
             time_s,
             client,
             req,
             bytes: class.bytes(),
-            corrupted: fate.corrupted,
+            corrupted: false,
             class,
         };
-        for _ in 0..1 + u32::from(fate.duplicated) {
+        let mut copies = 0;
+        self.chan.send(send, |s| {
             // analyze::allow(alloc-path, reason = "the driver's scratch vector, drained after every poll; capacity is warm after the first event")
-            out.push(send);
-            self.stats.offered += 1;
+            out.push(s);
+            copies += 1;
+        });
+        if copies == 0 {
+            // Lost on the wire: the client's timer fires regardless.
+            self.stats.channel_dropped += 1;
         }
+        self.stats.offered += copies;
     }
 
     /// Feeds a completion back: the simulator finished processing a

@@ -8,15 +8,17 @@
 //! which outcomes occur — the property the determinism tests and the CI
 //! golden file rely on.
 //!
-//! [`ImpairChannel`] is the one implementation of the hold-and-release
-//! rule, generic over what it carries through a corrupt hook and a
-//! release hook ([`Payload`]): [`Arrival`]s on their way to
-//! [`crate::sim::run_sim_impaired`] (via [`impair_arrivals`]), tagged
-//! arrivals in `smp`, and wire frames in front of a `netstack` device in
-//! the bench harness. The channel never reorders time backwards: a
-//! reordered arrival is held and re-released at the timestamp of a later
-//! delivery (at most [`ImpairConfig::reorder_depth`] packets later), so
-//! the output stream stays sorted.
+//! [`ImpairChannel`] is the one source of fates and the one
+//! implementation of the hold-and-release rule, generic over what it
+//! carries through a corrupt hook and a release hook ([`Payload`]):
+//! [`Arrival`]s on their way to [`crate::sim::run_sim_impaired`] (via
+//! [`impair_arrivals`]) and out of `signaling`'s retransmission loop,
+//! tagged arrivals in `smp`, the closed loop's
+//! [`crate::closed::ClientSend`]s, and wire frames in front of a
+//! `netstack` device in the bench harness. The channel never reorders
+//! time backwards: a reordered arrival is held and re-released at the
+//! timestamp of a later delivery (at most [`ImpairConfig::reorder_depth`]
+//! packets later), so the output stream stays sorted.
 
 use crate::traffic::Arrival;
 use rand::rngs::StdRng;
@@ -125,20 +127,6 @@ impl ImpairConfig {
     }
 }
 
-/// The fate of one packet entering the channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fate {
-    /// Lost on the wire: never delivered.
-    pub dropped: bool,
-    /// Delivered with a damaged payload.
-    pub corrupted: bool,
-    /// Delivered twice.
-    pub duplicated: bool,
-    /// 0 = delivered in place; k > 0 = held back and released after k
-    /// subsequent deliveries.
-    pub reorder_slip: usize,
-}
-
 /// Counters of everything the channel did, threaded into
 /// [`crate::stats::SimReport`] as the `net_*` fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -157,35 +145,91 @@ pub struct ImpairCounters {
     pub reordered: u64,
 }
 
-/// The seeded impairment chain. Usable directly (per-packet
-/// [`ImpairState::next_fate`] verdicts, for a model that never holds a
-/// packet, such as a retransmission loop) or inside an
-/// [`ImpairChannel`], which adds holding and release.
+/// What the channel needs of the packets it carries: a corrupt hook and
+/// a release hook.
+pub trait Payload: Clone {
+    /// The corrupt hook: the packet was damaged on the wire.
+    fn corrupt(&mut self);
+    /// The release hook: a held packet takes on what it must from `by`,
+    /// a later packet crossing the channel. It is called at every
+    /// crossing while the packet is held, so the packet goes out stamped
+    /// by the delivery that releases it, or by the latest crossing when
+    /// the stream is flushed.
+    fn restamp(&mut self, by: &Self);
+}
+
+/// An arrival is damaged by its flag and takes the releasing delivery's
+/// time, so a reordered stream stays sorted.
+impl Payload for Arrival {
+    fn corrupt(&mut self) {
+        self.corrupted = true;
+    }
+    fn restamp(&mut self, by: &Self) {
+        self.time_s = by.time_s;
+    }
+}
+
+/// A wire frame is damaged by flipping its middle byte (the tail may be
+/// link-layer padding outside any checksum) and released unchanged.
+impl Payload for Vec<u8> {
+    fn corrupt(&mut self) {
+        let mid = self.len() / 2;
+        if let Some(b) = self.get_mut(mid) {
+            *b ^= 0xff;
+        }
+    }
+    fn restamp(&mut self, _: &Self) {}
+}
+
+/// The fate of one packet entering the channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fate {
+    /// Lost on the wire: never delivered.
+    dropped: bool,
+    /// Delivered with a damaged payload.
+    corrupted: bool,
+    /// Delivered twice.
+    duplicated: bool,
+    /// 0 = delivered in place; k > 0 = held back and released after k
+    /// subsequent deliveries.
+    reorder_slip: usize,
+}
+
+/// The impairment channel over a stream of [`Payload`]s, and the one
+/// source of fates. Every packet sent gets one: a dropped one vanishes,
+/// a corrupted one goes through the corrupt hook, a duplicated one goes
+/// out twice back to back, and one held `k` slots goes out ahead of the
+/// `k`-th later packet to cross the channel, through the release hook.
+///
+/// A sender learns what happened only from what [`ImpairChannel::send`]
+/// hands out. At `reorder_depth: 0` nothing is ever held, so a send
+/// hands out nothing (dropped), or one or two copies of the packet at
+/// once — the channel a per-request model such as a retransmission loop
+/// uses.
 #[derive(Debug)]
-pub struct ImpairState {
+pub struct ImpairChannel<P: Payload> {
     cfg: ImpairConfig,
     /// [`ImpairConfig::is_transparent`], computed once.
     transparent: bool,
     rng: StdRng,
+    /// The Gilbert–Elliott chain's state (good until the first move).
     in_bad: bool,
     counters: ImpairCounters,
+    /// Held (reordered) packets: (crossings still to pass them, packet).
+    held: Vec<(usize, P)>,
 }
 
-impl ImpairState {
-    /// A fresh chain in the good state.
+impl<P: Payload> ImpairChannel<P> {
+    /// A channel applying `cfg`, its chain in the good state.
     pub fn new(cfg: ImpairConfig) -> Self {
-        ImpairState {
+        ImpairChannel {
             rng: StdRng::seed_from_u64(cfg.seed),
             transparent: cfg.is_transparent(),
             cfg,
             in_bad: false,
             counters: ImpairCounters::default(),
+            held: Vec::new(),
         }
-    }
-
-    /// The configuration the chain was built with.
-    pub fn config(&self) -> &ImpairConfig {
-        &self.cfg
     }
 
     /// Everything the channel has done so far.
@@ -202,7 +246,7 @@ impl ImpairState {
     // draws: 6, or 0 when transparent — the fixed per-packet budget; R2
     // (rng-draw-budget) cross-checks this count against the call sites
     // below.
-    pub fn next_fate(&mut self) -> Fate {
+    fn next_fate(&mut self) -> Fate {
         if self.transparent {
             self.counters.offered += 1;
             self.counters.delivered += 1;
@@ -269,75 +313,12 @@ impl ImpairState {
             reorder_slip: reorder_slip.min(self.cfg.reorder_depth),
         }
     }
-}
 
-/// What the channel needs of the packets it carries: a corrupt hook and
-/// a release hook.
-pub trait Payload: Clone {
-    /// The corrupt hook: the packet was damaged on the wire.
-    fn corrupt(&mut self);
-    /// The release hook: a held packet takes on what it must from `by`,
-    /// a later packet crossing the channel. It is called at every
-    /// crossing while the packet is held, so the packet goes out stamped
-    /// by the delivery that releases it, or by the latest crossing when
-    /// the stream is flushed.
-    fn restamp(&mut self, by: &Self);
-}
-
-/// An arrival is damaged by its flag and takes the releasing delivery's
-/// time, so a reordered stream stays sorted.
-impl Payload for Arrival {
-    fn corrupt(&mut self) {
-        self.corrupted = true;
-    }
-    fn restamp(&mut self, by: &Self) {
-        self.time_s = by.time_s;
-    }
-}
-
-/// A wire frame is damaged by flipping its middle byte (the tail may be
-/// link-layer padding outside any checksum) and released unchanged.
-impl Payload for Vec<u8> {
-    fn corrupt(&mut self) {
-        let mid = self.len() / 2;
-        if let Some(b) = self.get_mut(mid) {
-            *b ^= 0xff;
-        }
-    }
-    fn restamp(&mut self, _: &Self) {}
-}
-
-/// The impairment channel over a stream of [`Payload`]s. Every packet
-/// sent gets one [`Fate`]: a dropped one vanishes, a corrupted one goes
-/// through the corrupt hook, a duplicated one goes out twice back to
-/// back, and one held `k` slots goes out ahead of the `k`-th later
-/// packet to cross the channel, through the release hook.
-pub struct ImpairChannel<P: Payload> {
-    state: ImpairState,
-    /// Held (reordered) packets: (crossings still to pass them, packet).
-    held: Vec<(usize, P)>,
-}
-
-impl<P: Payload> ImpairChannel<P> {
-    /// A channel applying `cfg`.
-    pub fn new(cfg: ImpairConfig) -> Self {
-        ImpairChannel {
-            state: ImpairState::new(cfg),
-            held: Vec::new(),
-        }
-    }
-
-    /// Everything the channel has done so far.
-    pub fn counters(&self) -> ImpairCounters {
-        self.state.counters()
-    }
-
-    /// Sends `p` across the channel (one [`ImpairState::next_fate`])
-    /// and hands every packet that comes out to `deliver`, in delivery
-    /// order: held packets `p` releases, then `p` itself unless it was
-    /// dropped or held.
+    /// Sends `p` across the channel (one fate) and hands every packet
+    /// that comes out to `deliver`, in delivery order: held packets `p`
+    /// releases, then `p` itself unless it was dropped or held.
     pub fn send(&mut self, mut p: P, mut deliver: impl FnMut(P)) {
-        let fate = self.state.next_fate();
+        let fate = self.next_fate();
         if fate.dropped {
             return;
         }
@@ -358,17 +339,13 @@ impl<P: Payload> ImpairChannel<P> {
         }
         // A duplicate travels with its original, held or not, so the
         // two go out back to back either way.
+        let copies = [fate.duplicated.then(|| p.clone()), Some(p)].into_iter().flatten();
         if fate.reorder_slip > 0 {
-            if fate.duplicated {
-                self.held.push((fate.reorder_slip, p.clone()));
-            }
-            self.held.push((fate.reorder_slip, p));
-            return;
+            // analyze::allow(alloc-path, reason = "only a channel with reorder_depth > 0 holds; the closed loop's channel is built at depth 0, so the event loop never gets here")
+            self.held.extend(copies.map(|q| (fate.reorder_slip, q)));
+        } else {
+            copies.for_each(deliver);
         }
-        if fate.duplicated {
-            deliver(p.clone());
-        }
-        deliver(p);
     }
 
     /// The stream ended: releases every held packet, oldest first, so
@@ -552,8 +529,8 @@ mod tests {
             gilbert: Some(GilbertElliott::bursty(0.02, 5.0, 0.4)),
             seed: 42,
         };
-        let mut a = ImpairState::new(cfg);
-        let mut b = ImpairState::new(cfg);
+        let mut a = ImpairChannel::<Arrival>::new(cfg);
+        let mut b = ImpairChannel::<Arrival>::new(cfg);
         let fa: Vec<Fate> = (0..1000).map(|_| a.next_fate()).collect();
         let fb: Vec<Fate> = (0..1000).map(|_| b.next_fate()).collect();
         assert_eq!(fa, fb);
@@ -573,8 +550,8 @@ mod tests {
             ..ImpairConfig::default()
         };
         assert!(cfg.is_transparent());
-        let mut fast = ImpairState::new(cfg);
-        let mut drawing = ImpairState::new(cfg);
+        let mut fast = ImpairChannel::<Arrival>::new(cfg);
+        let mut drawing = ImpairChannel::<Arrival>::new(cfg);
         drawing.transparent = false;
         let untouched = StdRng::seed_from_u64(cfg.seed).random::<u64>();
         for _ in 0..10_000 {
@@ -592,7 +569,7 @@ mod tests {
             seed: 77,
             ..ImpairConfig::default()
         };
-        let mut live = ImpairState::new(cfg);
+        let mut live = ImpairChannel::<Arrival>::new(cfg);
         let mut reference = StdRng::seed_from_u64(cfg.seed);
         live.next_fate();
         for _ in 0..6 {

@@ -62,7 +62,7 @@ pub use sim::{
     run_sim, run_sim_impaired, run_sim_lookup, run_sim_traced, BatchRecord, LookupCharge,
     SimConfig,
 };
-pub use stats::{RunTally, SimReport};
+pub use stats::{MissTotals, RunTally, SimReport};
 pub use traffic::{
     Arrival, MmppSource, PoissonSource, SelfSimilarSource, TraceSource, TrafficSource,
     TrainSource,

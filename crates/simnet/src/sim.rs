@@ -18,7 +18,7 @@
 //! vanishes.
 
 use crate::impair::ImpairCounters;
-use crate::stats::{RunTally, SimReport};
+use crate::stats::{MissTotals, RunTally, SimReport};
 use crate::traffic::Arrival;
 use cachesim::round_to_cycles;
 use ldlp::synth::MessagePool;
@@ -185,8 +185,7 @@ fn run_core(
         std::collections::VecDeque::with_capacity(cfg.buffer_cap);
 
     let mut latencies_us: Vec<f64> = Vec::with_capacity(arrivals.len());
-    let mut imisses: Vec<u64> = Vec::with_capacity(arrivals.len());
-    let mut dmisses: Vec<u64> = Vec::with_capacity(arrivals.len());
+    let mut misses = MissTotals::default();
     let mut drops = 0u64;
     let mut shed = 0u64;
     let mut rejected = 0u64;
@@ -304,8 +303,7 @@ fn run_core(
             last_finish = last_finish.max(finish);
             // Cycles and misses are spent either way; only clean
             // completions count as useful work with a latency sample.
-            imisses.push(c.imisses);
-            dmisses.push(c.dmisses + lookup_dm.get(k).copied().unwrap_or(0));
+            misses.add(c.imisses, c.dmisses + lookup_dm.get(k).copied().unwrap_or(0));
             if c.rejected {
                 rejected += 1;
             } else {
@@ -338,10 +336,9 @@ fn run_core(
          + rejected {rejected} + drops {drops} + shed {shed} + in-flight {in_flight}"
     );
 
-    SimReport::from_samples(
+    SimReport::from_totals(
         &mut latencies_us,
-        &imisses,
-        &dmisses,
+        misses,
         RunTally {
             offered,
             rejected,

@@ -14,8 +14,31 @@
 use crate::impair::ImpairCounters;
 use std::fmt;
 
-/// Raw run-level tallies handed to [`SimReport::from_samples`] alongside
-/// the per-message samples.
+/// Cache-miss totals over the messages that left the machine, rejected
+/// ones included (they still cost cache lines). Integer sums are exact,
+/// so a report built from totals equals one built from per-message
+/// samples bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MissTotals {
+    /// Messages whose misses are summed.
+    pub messages: u64,
+    /// Their I-cache misses.
+    pub imisses: u64,
+    /// Their D-cache misses.
+    pub dmisses: u64,
+}
+
+impl MissTotals {
+    /// Adds one message's misses.
+    pub fn add(&mut self, imisses: u64, dmisses: u64) {
+        self.messages += 1;
+        self.imisses += imisses;
+        self.dmisses += dmisses;
+    }
+}
+
+/// Raw run-level tallies handed to [`SimReport::from_totals`] alongside
+/// the per-message latencies and the miss totals.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunTally {
     /// Arrivals presented to the NIC (after any impairment channel).
@@ -106,14 +129,26 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Builds a report from raw per-message observations. `latencies_us`
-    /// holds one sample per *completed* (not rejected) message.
+    /// Builds a report from raw per-message observations: totals the
+    /// miss samples (one per processed message) and defers to
+    /// [`SimReport::from_totals`].
     pub fn from_samples(
         latencies_us: &mut [f64],
         imisses: &[u64],
         dmisses: &[u64],
         tally: RunTally,
     ) -> SimReport {
+        let misses = MissTotals {
+            messages: imisses.len() as u64,
+            imisses: imisses.iter().sum(),
+            dmisses: dmisses.iter().sum(),
+        };
+        SimReport::from_totals(latencies_us, misses, tally)
+    }
+
+    /// Builds a report from the run's latencies, one sample per
+    /// *completed* (not rejected) message, and its miss totals.
+    pub fn from_totals(latencies_us: &mut [f64], misses: MissTotals, tally: RunTally) -> SimReport {
         let span_s = if tally.span_s > 0.0 {
             tally.span_s
         } else {
@@ -155,10 +190,10 @@ impl SimReport {
         if n == 0 {
             return r;
         }
-        // Misses are recorded for every processed message (rejected ones
-        // still cost cache lines), so these slices can be longer than
-        // the latency sample set.
-        let miss_n = imisses.len().max(1) as f64;
+        // Misses are totalled over every processed message (rejected
+        // ones still cost cache lines), so `misses.messages` can exceed
+        // the latency sample count.
+        let miss_n = misses.messages.max(1) as f64;
         // Ties under `total_cmp` are bit-identical, so the unstable sort
         // yields the stable one's sequence without its scratch buffer.
         latencies_us.sort_unstable_by(f64::total_cmp);
@@ -166,8 +201,8 @@ impl SimReport {
         r.p50_latency_us = percentile(latencies_us, 0.50);
         r.p99_latency_us = percentile(latencies_us, 0.99);
         r.max_latency_us = latencies_us.last().copied().unwrap_or_default();
-        r.mean_imiss = imisses.iter().sum::<u64>() as f64 / miss_n;
-        r.mean_dmiss = dmisses.iter().sum::<u64>() as f64 / miss_n;
+        r.mean_imiss = misses.imisses as f64 / miss_n;
+        r.mean_dmiss = misses.dmisses as f64 / miss_n;
         r
     }
 

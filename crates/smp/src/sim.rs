@@ -73,7 +73,7 @@ use ldlp::{
 };
 use obs::{NameId, SpanEvent};
 use simnet::closed::{AckKind, Class, ClientSend, ClosedPopulation};
-use simnet::stats::{ClassReport, ClassSamples, RunTally, SimReport};
+use simnet::stats::{ClassReport, ClassSamples, MissTotals, RunTally, SimReport};
 use simnet::ImpairCounters;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -523,8 +523,7 @@ pub struct SmpSim {
     clock_mhz: f64,
     cycles_per_s: f64,
     latencies_us: Vec<f64>,
-    imisses: Vec<u64>,
-    dmisses: Vec<u64>,
+    misses: MissTotals,
     offered: u64,
     last_finish: u64,
     handoff_msgs: u64,
@@ -641,8 +640,7 @@ impl SmpSim {
             clock_mhz,
             cycles_per_s: clock_mhz * 1e6,
             latencies_us: Vec::new(),
-            imisses: Vec::new(),
-            dmisses: Vec::new(),
+            misses: MissTotals::default(),
             offered: 0,
             last_finish: 0,
             handoff_msgs: 0,
@@ -916,10 +914,9 @@ impl SmpSim {
             drops += core.rep.drops;
             shed += core.rep.shed;
         }
-        let report = SimReport::from_samples(
+        let report = SimReport::from_totals(
             &mut self.latencies_us,
-            &self.imisses,
-            &self.dmisses,
+            self.misses,
             RunTally {
                 offered: self.offered,
                 rejected,
@@ -971,8 +968,7 @@ impl SmpSim {
 
     fn reset_run(&mut self) {
         self.latencies_us.clear();
-        self.imisses.clear();
-        self.dmisses.clear();
+        self.misses = MissTotals::default();
         self.offered = 0;
         self.last_finish = 0;
         self.handoff_msgs = 0;
@@ -1342,8 +1338,7 @@ impl SmpSim {
                 // clock advance now.
                 let finish = (comp.done_cycles - core.m0) + offset;
                 self.last_finish = self.last_finish.max(finish);
-                push_warm(&mut self.imisses, im);
-                push_warm(&mut self.dmisses, dm);
+                self.misses.add(im, dm);
                 if let Some(ws) = self.wsamples.get_mut(wi) {
                     ws.rejected += u64::from(comp.rejected);
                     ws.imiss_sum += im;

@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simnet::{Arrival, Payload};
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 /// How arrivals are dispatched to cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +173,7 @@ pub fn tag_flows(arrivals: &[Arrival], flows: u32, seed: u64) -> Vec<FlowArrival
 #[derive(Debug, Clone)]
 pub struct Steerer {
     policy: DispatchPolicy,
-    cores: usize,
+    core_count: NonZeroUsize,
     assigned: BTreeMap<FlowKey, usize>,
     next_rr: usize,
 }
@@ -183,7 +184,7 @@ impl Steerer {
         assert!(cores > 0, "steering needs at least one core");
         Steerer {
             policy,
-            cores,
+            core_count: NonZeroUsize::new(cores).unwrap_or(NonZeroUsize::MIN),
             assigned: BTreeMap::new(),
             next_rr: 0,
         }
@@ -194,15 +195,13 @@ impl Steerer {
     /// the next core and the mapping is remembered.
     pub fn core_for(&mut self, flow: &FlowKey) -> usize {
         match self.policy {
-            // analyze::allow(panic-path, reason = "cores >= 1 is asserted by SmpConfig construction")
-            DispatchPolicy::FlowHash => flow.rss_hash() as usize % self.cores,
+            DispatchPolicy::FlowHash => flow.rss_hash() as usize % self.core_count,
             DispatchPolicy::LayerAffinity => 0,
             DispatchPolicy::RoundRobin => {
                 if let Some(&core) = self.assigned.get(flow) {
                     core
                 } else {
-                    // analyze::allow(panic-path, reason = "cores >= 1 is asserted by SmpConfig construction")
-                    let core = self.next_rr % self.cores;
+                    let core = self.next_rr % self.core_count;
                     self.next_rr += 1;
                     // analyze::allow(alloc-path, reason = "per-flow steering entry inserted on first sight of a flow; bounded by the flow population")
                     self.assigned.insert(*flow, core);

@@ -206,13 +206,15 @@ proptest! {
 
     /// The conservation law for the *closed-loop* source: with retrying
     /// clients feeding back on completions, an arbitrary
-    /// duplication + corruption channel, any admission policy
+    /// loss + duplication + corruption channel, any admission policy
     /// (including weighted-fair with arbitrary weights), either
     /// hand-off flow-control mode, and any retry budget, a drained run
     /// splits `offered` exactly into
     /// `completed + rejected + drops + shed + abandoned` — duplicate
     /// copies the server finishes after the client was acknowledged
-    /// land in `abandoned`, never vanish.
+    /// land in `abandoned`, never vanish. The channel's own law holds
+    /// too: every copy it counts as delivered was handed to the
+    /// simulator (its depth-0 channel holds nothing).
     #[test]
     fn closed_loop_conservation_holds_under_impairments(
         cores in 1usize..9,
@@ -227,16 +229,19 @@ proptest! {
         stall in any::<bool>(),
     ) {
         // Derived, not drawn: the vendored proptest samples tuples of at
-        // most ten strategies. Spans 1..=7 per class across seeds.
+        // most ten strategies. Weights span 1..=7 per class and the drop
+        // rate 0..=20 % across seeds.
         let weights = [
             1 + (seed % 7) as u32,
             1 + ((seed / 7) % 7) as u32,
             1 + ((seed / 49) % 7) as u32,
         ];
+        let drop_prob = ((seed / 3) % 5) as f64 * 0.05;
         let duration_s = 0.02;
         let mut pc = ClosedConfig::new(clients, 0.002, duration_s, seed);
         pc.retry_budget_on = budget_on;
         pc.channel = ImpairConfig {
+            drop_prob,
             dup_prob: dup_pct as f64 / 100.0,
             corrupt_prob: corrupt_pct as f64 / 100.0,
             seed: seed ^ 0xc0de,
@@ -270,6 +275,10 @@ proptest! {
         let st = pop.stats();
         prop_assert!(r.conservation_holds(), "conservation violated: {r:?}");
         prop_assert_eq!(r.offered, st.offered, "every delivered copy is offered");
+        let net = pop.channel_counters();
+        prop_assert_eq!(r.offered, net.delivered, "every copy the channel delivered was handed out");
+        prop_assert_eq!(st.transmissions, net.offered, "every transmission crossed the channel");
+        prop_assert_eq!(st.channel_dropped, net.dropped, "a send handed out nothing iff it was dropped");
         prop_assert_eq!(
             r.offered,
             r.completed + r.rejected + r.drops + r.shed + r.abandoned,
@@ -277,8 +286,9 @@ proptest! {
         );
         prop_assert_eq!(r.completed, st.useful, "completions are exactly useful acks");
         prop_assert!(st.useful <= st.requests, "acks never exceed requests");
-        prop_assert_eq!(r.net_duplicated, pop.channel_counters().duplicated);
-        prop_assert_eq!(r.net_corrupted, pop.channel_counters().corrupted);
+        prop_assert_eq!(r.net_dropped, net.dropped);
+        prop_assert_eq!(r.net_duplicated, net.duplicated);
+        prop_assert_eq!(r.net_corrupted, net.corrupted);
         if corrupt_pct == 0 {
             prop_assert_eq!(r.rejected, 0, "clean runs reject nothing");
         }

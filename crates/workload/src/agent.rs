@@ -197,8 +197,8 @@ pub struct Session {
     pub id: u64,
     phase: SessionPhase,
     next_seq: u32,
-    /// Requests sent but not yet answered.
-    outstanding: u32,
+    /// Sequence numbers of the requests sent but not yet answered.
+    in_flight: Vec<u32>,
 }
 
 impl Session {
@@ -208,7 +208,7 @@ impl Session {
             id,
             phase: SessionPhase::Idle,
             next_seq: 0,
-            outstanding: 0,
+            in_flight: Vec::new(),
         }
     }
 
@@ -219,7 +219,7 @@ impl Session {
 
     /// Requests in flight.
     pub fn outstanding(&self) -> u32 {
-        self.outstanding
+        self.in_flight.len() as u32
     }
 
     /// Starts the handshake. Only valid from `Idle`.
@@ -259,7 +259,7 @@ impl Session {
         }
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.outstanding += 1;
+        self.in_flight.push(seq);
         Some(AgentMsg {
             kind: AgentKind::Request,
             session: self.id,
@@ -268,17 +268,19 @@ impl Session {
         })
     }
 
-    /// Handles a response: retires the outstanding request and emits
-    /// the delivery `Ack` the peer is waiting for.
+    /// Handles a response: retires the request it answers and emits the
+    /// delivery `Ack` the peer is waiting for. Each request is retired
+    /// exactly once: a duplicate response, or one whose `seq` was never
+    /// issued, returns `None` and changes nothing.
     pub fn on_response(&mut self, resp: &AgentMsg) -> Option<AgentMsg> {
         if self.phase != SessionPhase::Established
             || resp.kind != AgentKind::Response
             || resp.session != self.id
-            || self.outstanding == 0
         {
             return None;
         }
-        self.outstanding -= 1;
+        let at = self.in_flight.iter().position(|&seq| seq == resp.seq)?;
+        self.in_flight.swap_remove(at);
         Some(AgentMsg::control(AgentKind::Ack, self.id, resp.seq))
     }
 }
@@ -495,6 +497,31 @@ mod tests {
         assert_eq!(delivery_ack.kind, AgentKind::Ack);
         assert_eq!(client.outstanding(), 0);
         assert_eq!(client.on_response(&resp), None, "nothing left to ack");
+    }
+
+    #[test]
+    fn a_response_retires_its_own_request_exactly_once() {
+        let mut client = Session::new(9);
+        let hello = client.hello().unwrap();
+        assert!(client.on_hello_ack(&Session::accept(&hello).unwrap()));
+        let first = client.request(b"a".to_vec()).unwrap();
+        let second = client.request(b"b".to_vec()).unwrap();
+        let response = |seq| AgentMsg {
+            kind: AgentKind::Response,
+            session: 9,
+            seq,
+            body: Vec::new(),
+        };
+        // Response 1 arrives twice: the copy changes nothing.
+        assert!(client.on_response(&response(first.seq)).is_some());
+        assert_eq!(client.on_response(&response(first.seq)), None, "duplicate response");
+        assert_eq!(client.outstanding(), 1, "request 2 is still in flight");
+        // A seq that was never issued is refused too.
+        assert_eq!(client.on_response(&response(second.seq + 1)), None, "unknown seq");
+        // The real Response 2 still gets its Ack.
+        let ack = client.on_response(&response(second.seq)).unwrap();
+        assert_eq!((ack.kind, ack.seq), (AgentKind::Ack, second.seq));
+        assert_eq!(client.outstanding(), 0);
     }
 
     #[test]

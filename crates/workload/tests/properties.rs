@@ -10,6 +10,8 @@
 //! * Agent envelopes: decode/encode round-trip, and the alloc-free
 //!   dispatch peek agrees with the full decoder wherever the decoder
 //!   accepts.
+//! * Relay: under any sequence of puts, fetches and TTL sweeps the
+//!   store-and-forward books close and no mailbox outgrows its cap.
 //! * Mixed stream: generation is a pure function of its config, and
 //!   the per-class conservation law holds through the multi-core
 //!   simulator for every class, policy, and discipline.
@@ -18,10 +20,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use workload::cbor::{self, Value};
+use workload::agent::MAILBOX_CAP;
 use workload::{
     class_counts, generate, profiles, to_flow_arrivals, AgentKind, AgentMsg, Frame, FrameVersion,
-    MixConfig, WireClass,
+    MixConfig, Relay, WireClass,
 };
+
+use cachesim::{Machine, MachineConfig};
 
 use ldlp::{BatchPolicy, Discipline};
 use smp::{run_smp, DispatchPolicy, SmpConfig};
@@ -181,6 +186,57 @@ proptest! {
         for cut in 0..bytes.len() {
             prop_assert!(AgentMsg::decode(&bytes[..cut]).is_err());
         }
+    }
+
+    /// The relay's store-and-forward books close under any sequence of
+    /// puts (three in four ops, so mailboxes fill), fetches and TTL
+    /// sweeps: every put is stored or refused and counted once either
+    /// way, no mailbox banks more than `MAILBOX_CAP`, and
+    /// `stored == delivered + expired + still banked`, where still
+    /// banked is what a final drain of every destination returns.
+    #[test]
+    fn relay_books_close_under_put_fetch_expire(
+        ops in proptest::collection::vec((0u32..16, 0u64..3, 0u64..10), 1..400),
+        ttl in 1u64..120,
+    ) {
+        let mut relay = Relay::new(4, ttl);
+        let mut m = Machine::new(MachineConfig::synthetic_benchmark());
+        let mut out = Vec::new();
+        let mut now = 0u64;
+        for (op, dest, dt) in ops {
+            now += dt;
+            let before = relay.stats();
+            match op {
+                0..12 => {
+                    let stored = relay.put(dest, &[op as u8], now, &mut m);
+                    let after = relay.stats();
+                    prop_assert_eq!(
+                        (after.stored - before.stored, after.refused - before.refused),
+                        if stored { (1, 0) } else { (0, 1) }
+                    );
+                }
+                12..14 => {
+                    out.clear();
+                    let n = relay.fetch_into(dest, &mut out, &mut m);
+                    prop_assert!(n <= MAILBOX_CAP, "a mailbox banked {n}");
+                    prop_assert_eq!(n, out.len());
+                    prop_assert_eq!(relay.stats().delivered - before.delivered, n as u64);
+                }
+                _ => {
+                    let n = relay.expire(now);
+                    prop_assert_eq!(relay.stats().expired - before.expired, n as u64);
+                }
+            }
+        }
+        let st = relay.stats();
+        let mut banked = 0u64;
+        for dest in 0..3 {
+            out.clear();
+            let n = relay.fetch_into(dest, &mut out, &mut m);
+            prop_assert!(n <= MAILBOX_CAP, "a mailbox banked {n}");
+            banked += n as u64;
+        }
+        prop_assert_eq!(st.stored, st.delivered + st.expired + banked);
     }
 
     /// The generator is a pure function of its config, and the class
