@@ -158,24 +158,24 @@ enum TokKind {
 }
 
 #[derive(Debug, Clone)]
-struct Tok {
-    s: String,
-    line: usize,
+pub(crate) struct Tok {
+    pub(crate) s: String,
+    pub(crate) line: usize,
     kind: TokKind,
 }
 
 impl Tok {
-    fn is(&self, s: &str) -> bool {
+    pub(crate) fn is(&self, s: &str) -> bool {
         self.s == s
     }
-    fn is_ident(&self) -> bool {
+    pub(crate) fn is_ident(&self) -> bool {
         self.kind == TokKind::Ident
     }
 }
 
 /// Tokenizes scrubbed code: identifiers, numeric literals, and
 /// punctuation (with `::`, `->`, `..`, `=>` kept as single tokens).
-fn tokenize(code: &[String]) -> Vec<Tok> {
+pub(crate) fn tokenize(code: &[String]) -> Vec<Tok> {
     let mut out = Vec::new();
     for (idx, line) in code.iter().enumerate() {
         let ln = idx + 1;
@@ -230,6 +230,43 @@ fn tokenize(code: &[String]) -> Vec<Tok> {
         }
     }
     out
+}
+
+/// Skips a balanced `<...>` group starting at `i` (which must be `<`).
+pub(crate) fn skip_angles(toks: &[Tok], mut i: usize) -> usize {
+    let mut depth = 0i32;
+    while i < toks.len() {
+        match toks[i].s.as_str() {
+            "<" => depth += 1,
+            ">" => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    i
+}
+
+/// Skips a balanced brace/paren/bracket group starting at the
+/// opener `i`; returns the index after the closer.
+pub(crate) fn skip_group(toks: &[Tok], mut i: usize, open: &str, close: &str) -> usize {
+    let mut depth = 0i32;
+    while i < toks.len() {
+        if toks[i].is(open) {
+            depth += 1;
+        } else if toks[i].is(close) {
+            depth -= 1;
+            if depth == 0 {
+                return i + 1;
+            }
+        }
+        i += 1;
+    }
+    i
 }
 
 // ---------------------------------------------------------------
@@ -292,7 +329,7 @@ const TRANSPARENT_WRAPPERS: &[&str] = &["Box", "Rc", "Arc", "Option", "RefCell",
 /// [`TRANSPARENT_WRAPPERS`], then takes the last path segment before
 /// any remaining generic argument list. Tuples, slices and fn-pointer
 /// types yield `None`.
-fn type_base(toks: &[Tok]) -> Option<String> {
+pub(crate) fn type_base(toks: &[Tok]) -> Option<String> {
     let mut i = 0;
     loop {
         let t = toks.get(i)?;
@@ -541,41 +578,6 @@ fn parse_file(fi: usize, file: &SourceFile, fns: &mut Vec<FnDef>, out: &mut Pars
         }
         (None, None)
     }
-    /// Skips a balanced `<...>` group starting at `i` (which must be `<`).
-    fn skip_angles(toks: &[Tok], mut i: usize) -> usize {
-        let mut depth = 0i32;
-        while i < toks.len() {
-            match toks[i].s.as_str() {
-                "<" => depth += 1,
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return i + 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        i
-    }
-    /// Skips a balanced brace/paren/bracket group starting at the
-    /// opener `i`; returns the index after the closer.
-    fn skip_group(toks: &[Tok], mut i: usize, open: &str, close: &str) -> usize {
-        let mut depth = 0i32;
-        while i < toks.len() {
-            if toks[i].is(open) {
-                depth += 1;
-            } else if toks[i].is(close) {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        i
-    }
     /// Reads a `path::like::This` at `i`; returns (last segment, next index).
     fn read_path(toks: &[Tok], mut i: usize) -> (Option<String>, usize) {
         let mut last = None;
@@ -816,21 +818,7 @@ fn parse_struct(toks: &[Tok], i: usize, out: &mut ParseOut) -> usize {
     };
     let mut j = i + 2;
     if toks.get(j).is_some_and(|t| t.is("<")) {
-        let mut depth = 0i32;
-        while j < toks.len() {
-            match toks[j].s.as_str() {
-                "<" => depth += 1,
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        j = skip_angles(toks, j);
     }
     match toks.get(j).map(|t| t.s.as_str()) {
         Some("(") => {
@@ -858,21 +846,7 @@ fn parse_struct(toks: &[Tok], i: usize, out: &mut ParseOut) -> usize {
                     "pub" if depth == 1 => {
                         k += 1;
                         if toks.get(k).is_some_and(|t| t.is("(")) {
-                            let mut pd = 0i32;
-                            while k < toks.len() {
-                                match toks[k].s.as_str() {
-                                    "(" => pd += 1,
-                                    ")" => {
-                                        pd -= 1;
-                                        if pd == 0 {
-                                            k += 1;
-                                            break;
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                                k += 1;
-                            }
+                            k = skip_group(toks, k, "(", ")");
                         }
                     }
                     _ if depth == 1
@@ -939,21 +913,7 @@ fn parse_fn(
     let mut j = i + 2;
     // Generics.
     if toks.get(j).is_some_and(|t| t.is("<")) {
-        let mut depth = 0i32;
-        while j < toks.len() {
-            match toks[j].s.as_str() {
-                "<" => depth += 1,
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        j = skip_angles(toks, j);
     }
     // Params.
     let mut params: Vec<(String, String)> = Vec::new();

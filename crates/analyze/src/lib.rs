@@ -20,6 +20,7 @@
 //! | G1 `panic-path`      | may-panic facts (unwrap/expect/panic!/indexing/division) reachable from `hot_path` roots |
 //! | G2 `alloc-path`      | may-allocate facts reachable from `hot_path` roots |
 //! | G3 `charge-coverage` | charged-structure touches in measured windows reach a cachesim charge |
+//! | G4 `dead-surface`    | every `pub` library item is reached from a bin, example, test, doctest or `benchmark/src` |
 //! | — `allow-grammar`    | malformed allows, or allows naming no suppressible rule (unsuppressible) |
 //! | — `graph-config`     | missing roots / dangling annotations / stale config (unsuppressible) |
 //!
@@ -27,7 +28,10 @@
 //! judged where a hot path can reach them); G1–G3 propagate leaf facts
 //! across function boundaries over the workspace call graph (`graph`
 //! module, see `DESIGN.md` §5.8). Roots are marked
-//! `// analyze::hot_path(<name>[, rules = "..."])` above a `fn`.
+//! `// analyze::hot_path(<name>[, rules = "..."])` above a `fn`. G4
+//! walks name mentions instead of calls, from every program that uses
+//! the libraries; its edges over-approximate, so it can miss dead code
+//! but never lists live code (`rules::dead_surface`).
 //!
 //! Escape hatch (reviewed, justified, reported):
 //! `// analyze::allow(<rule>, reason = "...")` — suppresses the rule
@@ -68,6 +72,15 @@ pub struct Finding {
     pub message: String,
     /// Violation or justified.
     pub status: Status,
+}
+
+/// A whole scan: every finding, plus the `dead-surface` totals.
+#[derive(Debug, Clone)]
+pub struct Scan {
+    /// Violations and justified hazards, sorted by path and line.
+    pub findings: Vec<Finding>,
+    /// Roots, candidates and unreached candidates of `dead-surface`.
+    pub dead_surface: rules::dead_surface::Totals,
 }
 
 /// Applies the allow-annotation policy to one raw hit.
@@ -131,16 +144,18 @@ pub fn scan_source(path: &str, crate_dir: &str, role: FileRole, text: &str) -> V
 }
 
 /// Scans a whole set of parsed files: per-file rules on each file,
-/// then the call-graph taint rules and configuration checks over the
-/// set. This is the full analysis `scan_workspace` runs; tests call it
-/// with synthetic file sets and custom configs.
-pub fn scan_sources(files: &[SourceFile], cfg: &GraphConfig) -> Vec<Finding> {
+/// then the call-graph taint rules, configuration checks and
+/// `dead-surface` over the set. This is the full analysis
+/// `scan_workspace` runs; tests call it with synthetic file sets and
+/// custom configs.
+pub fn scan_sources(files: &[SourceFile], cfg: &GraphConfig) -> Scan {
     let mut out = Vec::new();
     for file in files {
         out.extend(scan_file(file));
     }
     let g = graph::build(files);
-    for gf in rules::graph_rules::check(files, &g, cfg) {
+    let (dead, dead_surface) = rules::dead_surface::check(files);
+    for gf in rules::graph_rules::check(files, &g, cfg).into_iter().chain(dead) {
         let (path, status) = match gf.file {
             Some(fi) => {
                 let file = &files[fi];
@@ -162,7 +177,7 @@ pub fn scan_sources(files: &[SourceFile], cfg: &GraphConfig) -> Vec<Finding> {
         });
     }
     out.sort_by(|a, b| (&a.path, a.line, &a.rule, &a.message).cmp(&(&b.path, b.line, &b.rule, &b.message)));
-    out
+    Scan { findings: out, dead_surface }
 }
 
 /// Classifies a file path inside a crate directory.
@@ -172,7 +187,7 @@ fn role_of(rel_in_crate: &Path) -> FileRole {
         FileRole::Test
     } else if s.starts_with("benches/") {
         FileRole::Bench
-    } else if s.starts_with("src/bin/") || s == "src/main.rs" {
+    } else if s.starts_with("src/bin/") || s == "src/main.rs" || s.starts_with("examples/") {
         FileRole::Bin
     } else {
         FileRole::Lib
@@ -205,8 +220,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Parses every `.rs` file of every crate under `<root>/crates`, plus
 /// the root-level `tests/` and `examples/` trees (which belong to
-/// `crates/core` via path-mapped targets). `third_party/` stand-ins
-/// are outside the determinism boundary and are not collected.
+/// `crates/core` via path-mapped targets) and `benchmark/src`.
+/// `third_party/` stand-ins are outside the determinism boundary and
+/// are not collected.
 pub fn collect_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
@@ -215,7 +231,6 @@ pub fn collect_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             format!("{} is not a workspace root (no crates/ dir)", root.display()),
         ));
     }
-    let mut sources = Vec::new();
     let mut crate_dirs: Vec<_> = std::fs::read_dir(&crates_dir)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -223,16 +238,30 @@ pub fn collect_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
         .filter(|p| p.is_dir())
         .collect();
     crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let crate_name = crate_dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
+    // (tree, crate, role): each crate judges its files' roles by path.
+    // The root-level integration tests and examples are path-mapped
+    // targets of crates/core, scanned as Test/Bin roles so only the
+    // universally scoped rules (R3, allow-grammar) apply, and they stay
+    // out of the call graph (graph covers Lib files only).
+    // `benchmark/src` is its own workspace, read as a bin: a
+    // `dead-surface` root.
+    let mut trees: Vec<(PathBuf, String, Option<FileRole>)> = crate_dirs
+        .into_iter()
+        .map(|d| {
+            let name = d.file_name().map(|n| n.to_string_lossy().into_owned());
+            (d.clone(), name.unwrap_or_default(), None)
+        })
+        .collect();
+    let bin = FileRole::Bin;
+    for (dir, role) in [("tests", FileRole::Test), ("examples", bin), ("benchmark/src", bin)] {
+        trees.push((root.join(dir), "core".to_string(), Some(role)));
+    }
+    let mut sources = Vec::new();
+    for (dir, crate_name, role) in trees.into_iter().filter(|t| t.0.is_dir()) {
         let mut files = Vec::new();
-        collect_rs(&crate_dir, &mut files)?;
+        collect_rs(&dir, &mut files)?;
         for f in files {
-            let rel_in_crate = f.strip_prefix(&crate_dir).unwrap_or(&f).to_path_buf();
-            let role = role_of(&rel_in_crate);
+            let role = role.unwrap_or_else(|| role_of(f.strip_prefix(&dir).unwrap_or(&f)));
             let rel = f.strip_prefix(root).unwrap_or(&f);
             let text = std::fs::read_to_string(&f)?;
             sources.push(SourceFile::parse(
@@ -243,42 +272,21 @@ pub fn collect_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             ));
         }
     }
-    // Root-level integration tests and examples: path-mapped targets of
-    // crates/core. Scanned as Test/Bin roles so only the universally
-    // scoped rules (R3, allow-grammar) apply, and they stay out of the
-    // call graph (graph covers Lib files only).
-    for (dir, role) in [("tests", FileRole::Test), ("examples", FileRole::Bin)] {
-        let d = root.join(dir);
-        if !d.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs(&d, &mut files)?;
-        for f in files {
-            let rel = f.strip_prefix(root).unwrap_or(&f);
-            let text = std::fs::read_to_string(&f)?;
-            sources.push(SourceFile::parse(
-                PathBuf::from(rel.to_string_lossy().replace('\\', "/")),
-                "core".to_string(),
-                role,
-                &text,
-            ));
-        }
-    }
     Ok(sources)
 }
 
 /// Scans the whole workspace: per-file rules plus the call-graph taint
 /// rules with the production [`GraphConfig`].
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+pub fn scan_workspace(root: &Path) -> std::io::Result<Scan> {
     let sources = collect_workspace(root)?;
     Ok(scan_sources(&sources, &GraphConfig::default()))
 }
 
-/// Serialises findings as the `results/analyze_report.json` document.
+/// Serialises a scan as the `results/analyze_report.json` document.
 /// Hand-rolled (the workspace has no serde) but strict: all strings
 /// are escaped.
-pub fn report_json(findings: &[Finding]) -> String {
+pub fn report_json(scan: &Scan) -> String {
+    let findings = &scan.findings;
     fn esc(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
         for c in s.chars() {
@@ -308,6 +316,12 @@ pub fn report_json(findings: &[Finding]) -> String {
         findings.len(),
         violations,
         allowed
+    );
+    let d = scan.dead_surface;
+    let _ = writeln!(
+        out,
+        "  \"dead_surface\": {{ \"roots\": {}, \"candidates\": {}, \"unreached\": {} }},",
+        d.roots, d.candidates, d.unreached
     );
     let _ = writeln!(out, "  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
@@ -356,7 +370,7 @@ mod tests {
             message: "quote \" and backslash \\".into(),
             status: Status::Violation,
         }];
-        let j = report_json(&fs);
+        let j = report_json(&Scan { findings: fs, dead_surface: Default::default() });
         assert!(j.contains("\"violations\": 1"));
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("backslash \\\\"));

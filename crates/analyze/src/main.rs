@@ -8,7 +8,7 @@
 //! ```
 
 use analyze::source::FileRole;
-use analyze::{scan_source, scan_workspace, Finding, Status};
+use analyze::{scan_source, scan_workspace, Finding, Scan, Status};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -103,7 +103,7 @@ fn workspace_root(opts: &Opts) -> PathBuf {
 fn main() -> ExitCode {
     let opts = parse_args();
 
-    let findings: Vec<Finding> = if let Some(path) = &opts.path {
+    let scan: Scan = if let Some(path) = &opts.path {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -111,7 +111,8 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        scan_source(&path.to_string_lossy(), &opts.crate_name, opts.role, &text)
+        let findings = scan_source(&path.to_string_lossy(), &opts.crate_name, opts.role, &text);
+        Scan { findings, dead_surface: Default::default() }
     } else {
         match scan_workspace(&workspace_root(&opts)) {
             Ok(f) => f,
@@ -122,6 +123,7 @@ fn main() -> ExitCode {
         }
     };
 
+    let findings = &scan.findings;
     let violations: Vec<&Finding> = findings
         .iter()
         .filter(|f| f.status == Status::Violation)
@@ -133,7 +135,7 @@ fn main() -> ExitCode {
         let results = root.join("results");
         let out = results.join("analyze_report.json");
         if let Err(e) = std::fs::create_dir_all(&results)
-            .and_then(|()| std::fs::write(&out, analyze::report_json(&findings)))
+            .and_then(|()| std::fs::write(&out, analyze::report_json(&scan)))
         {
             eprintln!("analyze: cannot write {}: {e}", out.display());
             return ExitCode::from(2);

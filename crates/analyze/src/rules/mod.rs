@@ -5,6 +5,7 @@
 
 use crate::source::SourceFile;
 
+pub mod dead_surface;
 pub mod float_reduction;
 pub mod graph_rules;
 pub mod nondeterminism;
@@ -39,6 +40,9 @@ pub const RULE_ALLOC_PATH: &str = "alloc-path";
 /// G3 — charged-structure touches in a measured window must reach a
 /// cachesim charge call.
 pub const RULE_CHARGE_COVERAGE: &str = "charge-coverage";
+/// `pub` items no bin, example, integration test, doctest or
+/// `benchmark/src` call site reaches (see [`dead_surface`]).
+pub const RULE_DEAD_SURFACE: &str = "dead-surface";
 /// Graph/rule configuration errors: missing required roots, dangling
 /// annotations, stale path/crate lists (not suppressible).
 pub const RULE_GRAPH_CONFIG: &str = "graph-config";
@@ -54,6 +58,7 @@ pub const ALLOWABLE_RULES: &[&str] = &[
     RULE_PANIC_PATH,
     RULE_ALLOC_PATH,
     RULE_CHARGE_COVERAGE,
+    RULE_DEAD_SURFACE,
 ];
 
 /// Runs every rule over `file`.

@@ -213,7 +213,7 @@ fn workspace_findings() -> &'static [Finding] {
             .ancestors()
             .nth(2)
             .expect("workspace root");
-        scan_workspace(root).expect("scan workspace")
+        scan_workspace(root).expect("scan workspace").findings
     })
 }
 
@@ -286,7 +286,7 @@ fn scan_graph_fixtures(names: &[&str], roots: &[&str]) -> Vec<Finding> {
         sim_crates: Vec::new(),
         path_markers: Vec::new(),
     };
-    scan_sources(&files, &cfg)
+    scan_sources(&files, &cfg).findings
 }
 
 #[test]
@@ -374,7 +374,7 @@ fn stale_graph_config_fails_loudly_not_silently() {
         sim_crates: vec!["fixturecrate".into(), "deleted_crate".into()],
         path_markers: vec!["impair".into()],
     };
-    let f = scan_sources(&files, &cfg);
+    let f = scan_sources(&files, &cfg).findings;
     let v = violations(&f, "graph-config");
     let msgs: Vec<&str> = v.iter().map(|x| x.message.as_str()).collect();
     assert!(
@@ -397,6 +397,82 @@ fn graph_config_violations_cannot_be_suppressed() {
     // must stay violations even in a file full of allow comments.
     let f = scan_graph_fixtures(&["graph_panic_path_good.rs"], &["no-such-root"]);
     assert!(!violations(&f, "graph-config").is_empty(), "{f:#?}");
+}
+
+// ------------------------------------------------------------------
+// dead-surface: what keeps a `pub` item reached
+// ------------------------------------------------------------------
+
+/// A library with two roots' worth of surface: `step` is reached only
+/// as a fn pointer, `dead` only from its own unit test, `Table::unused`
+/// from nowhere, and `Default::default` is a trait-impl method.
+const SURFACE: &str = "\
+pub struct Table { n: u64 }
+impl Table {
+    pub fn run(&self) -> u64 { self.n }
+    pub fn unused(&self) -> u64 { self.n }
+}
+impl Default for Table {
+    fn default() -> Self { Table { n: 1 } }
+}
+pub fn step(t: &Table) -> u64 { t.run() }
+pub fn dead() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls_dead() { super::dead(); }
+}
+";
+
+/// Scans `lib` (a library file) with one root file; returns the scan
+/// and the `dead-surface` violations' messages.
+fn dead_surface(lib: &str, path: &str, role: FileRole, root: &str) -> (analyze::Scan, Vec<String>) {
+    let files = [
+        SourceFile::parse("crates/x/src/lib.rs".into(), "x".into(), FileRole::Lib, lib),
+        SourceFile::parse(path.into(), "x".into(), role, root),
+    ];
+    let cfg = GraphConfig { required_roots: vec![], sim_crates: vec![], path_markers: vec![] };
+    let scan = scan_sources(&files, &cfg);
+    let msgs = violations(&scan.findings, "dead-surface").into_iter();
+    let msgs = msgs.map(|f| f.message.clone()).collect();
+    (scan, msgs)
+}
+
+#[test]
+fn dead_surface_follows_fn_pointers_and_ignores_test_callers_and_trait_impls() {
+    let root = "fn main() { let f: fn(&x::Table) -> u64 = x::step; f(&Default::default()); }";
+    let (scan, msgs) = dead_surface(SURFACE, "crates/x/src/main.rs", FileRole::Bin, root);
+    assert_eq!(msgs.len(), 2, "{msgs:#?}");
+    assert!(msgs[0].contains("`pub fn Table::unused`"), "{}", msgs[0]);
+    assert!(msgs[1].contains("`pub fn dead`"), "a #[cfg(test)] caller keeps nothing: {}", msgs[1]);
+    let d = scan.dead_surface;
+    assert_eq!((d.roots, d.candidates, d.unreached), (1, 5, 2), "{d:?}");
+}
+
+#[test]
+fn dead_surface_roots_include_benchmark_sources_and_doctests() {
+    let root = "fn main() { x::dead(); }";
+    let (_, msgs) = dead_surface(SURFACE, "benchmark/src/main.rs", FileRole::Bin, root);
+    assert!(!msgs.iter().any(|m| m.contains("`pub fn dead`")), "{msgs:#?}");
+
+    let doc = SURFACE.replace("pub fn dead()", "/// ```\n/// x::dead();\n/// ```\npub fn dead()");
+    let (scan, msgs) = dead_surface(&doc, "tests/t.rs", FileRole::Test, "#[test]\nfn t() {}");
+    assert!(!msgs.iter().any(|m| m.contains("`pub fn dead`")), "{msgs:#?}");
+    assert_eq!(scan.dead_surface.roots, 2, "the test file and the doctest");
+}
+
+#[test]
+fn dead_surface_keeps_are_reported_with_their_reason() {
+    let kept = SURFACE.replace(
+        "    pub fn unused",
+        "    // analyze::allow(dead-surface, reason = \"kept for the fixture\")\n    pub fn unused",
+    );
+    let root = "fn main() { x::step(&Default::default()); x::dead(); }";
+    let (scan, msgs) = dead_surface(&kept, "src/main.rs", FileRole::Bin, root);
+    assert!(msgs.is_empty(), "{msgs:#?}");
+    assert!(scan.findings.iter().any(|f| f.rule == "dead-surface"
+        && matches!(&f.status, Status::Allowed(r) if r == "kept for the fixture")));
+    assert_eq!(scan.dead_surface.unreached, 1, "an allowed item still counts as unreached");
 }
 
 // ------------------------------------------------------------------

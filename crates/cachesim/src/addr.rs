@@ -59,22 +59,15 @@ impl Region {
         let first = if self.len == 0 {
             1
         } else {
-            // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-            self.base / line_size
+            self.base / line_size.max(1)
         };
         let last = if self.len == 0 {
             0
         } else {
-            // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-            (self.end() - 1) / line_size
+            (self.end() - 1) / line_size.max(1)
         };
         (first..=last).map(move |l| l * line_size)
     }
-}
-
-/// Rounds `addr` down to a multiple of `align` (must be a power of two).
-pub const fn align_down(addr: Addr, align: u64) -> Addr {
-    addr & !(align - 1)
 }
 
 /// Rounds `addr` up to a multiple of `align` (must be a power of two).
@@ -141,8 +134,6 @@ mod tests {
 
     #[test]
     fn alignment_helpers() {
-        assert_eq!(align_down(33, 32), 32);
-        assert_eq!(align_down(32, 32), 32);
         assert_eq!(align_up(33, 32), 64);
         assert_eq!(align_up(32, 32), 32);
         assert_eq!(align_up(0, 32), 0);

@@ -89,13 +89,6 @@ pub struct CoherenceStats {
     pub stall_cycles: CycleCount,
 }
 
-impl CoherenceStats {
-    /// Coherence events per message-ish unit: transfers + invalidations.
-    pub fn coherence_events(&self) -> u64 {
-        self.transfers + self.invalidations
-    }
-}
-
 /// Lines per directory page: 8 KB of address space at 32-byte lines.
 const OWNER_PAGE_LINES: u64 = 256;
 

@@ -3,7 +3,7 @@
 use crate::addr::Region;
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
 use crate::replay::{ReplayCache, Transition};
-use crate::stats::{ReplayReport, ReplayStats};
+use crate::stats::ReplayStats;
 use crate::tlb::{Tlb, TlbConfig, TlbStats};
 
 /// Simulated cycle counts.
@@ -156,21 +156,6 @@ impl MachineConfig {
         self.clock_mhz = mhz;
         self
     }
-
-    /// Returns a copy with a different line size in every cache
-    /// (Table 3 sweeps this).
-    pub fn with_line_size(mut self, line_size: u64) -> Self {
-        self.icache.line_size = line_size;
-        if let Some(d) = &mut self.dcache {
-            d.line_size = line_size;
-        }
-        self
-    }
-
-    /// Cycles per microsecond at this clock.
-    pub fn cycles_per_us(&self) -> f64 {
-        self.clock_mhz
-    }
 }
 
 /// Aggregated statistics for a [`Machine`].
@@ -193,11 +178,6 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
-    /// Total simulated cycles (execution plus stalls).
-    pub fn total_cycles(&self) -> CycleCount {
-        self.instr_cycles + self.stall_cycles
-    }
-
     /// Total misses across both caches.
     pub fn total_misses(&self) -> u64 {
         self.icache.misses + self.dcache.misses
@@ -238,8 +218,6 @@ pub struct Machine {
     /// Master switch for the memoizer (tests and benches compare
     /// memoized against plain simulation with this).
     replay_enabled: bool,
-    /// Why sweeps bypassed the memo, when any did (first reason sticks).
-    bypass_reason: Option<&'static str>,
 }
 
 impl Machine {
@@ -256,7 +234,6 @@ impl Machine {
             replay: None,
             key_buf: Vec::new(),
             replay_enabled: true,
-            bypass_reason: None,
             cfg,
         }
     }
@@ -276,11 +253,6 @@ impl Machine {
         }
     }
 
-    /// The first reason any sweep bypassed the memo, if one ever did.
-    pub fn replay_bypass_reason(&self) -> Option<&'static str> {
-        self.bypass_reason
-    }
-
     /// Enables or disables the replay memoizer. Disabling materializes
     /// any live memo state first, so simulation continues exactly where
     /// it was; results are identical either way — only speed changes.
@@ -289,12 +261,6 @@ impl Machine {
             self.sync_replay();
         }
         self.replay_enabled = on;
-    }
-
-    fn note_bypass_reason(&mut self, reason: &'static str) {
-        if self.bypass_reason.is_none() {
-            self.bypass_reason = Some(reason);
-        }
     }
 
     /// Materializes `replay`'s live state token (if any) back into the
@@ -354,18 +320,17 @@ impl Machine {
         tr.ret
     }
 
-    /// Counts one footprint sweep that could not use the memo, remembers
-    /// why, and simulates it directly.
-    fn bypass_sweep(&mut self, lines: &[u64], reason: &'static str) -> u64 {
-        self.note_bypass_reason(reason);
+    /// Counts one footprint sweep that could not use the memo and
+    /// simulates it directly.
+    fn bypass_sweep(&mut self, lines: &[u64]) -> u64 {
         let replay = self.replay.get_or_insert_default();
         replay.stats_mut().bypasses += 1;
         Self::materialize(&mut self.icache, self.itlb.as_mut(), replay);
         self.fetch_lines_walk(lines)
     }
 
-    /// Fetches every line of a fixed code footprint, exactly like calling
-    /// [`Machine::fetch_code_line`] per line, but memoized: the
+    /// Fetches every line of a fixed code footprint, exactly like
+    /// walking it line by line, but memoized: the
     /// `(cache+TLB state, footprint)` outcome is recorded so recurring
     /// sweeps cost one table lookup. `fid` must identify this exact
     /// `lines` sequence for the lifetime of the machine; a conflicting
@@ -379,12 +344,12 @@ impl Machine {
         if lines.is_empty() {
             return 0;
         }
-        if let Some(why) = self.replay_ineligibility() {
-            return self.bypass_sweep(lines, why);
+        if self.replay_ineligibility().is_some() {
+            return self.bypass_sweep(lines);
         }
         let replay = self.replay.get_or_insert_default();
         if !replay.check_footprint(fid, lines) {
-            return self.bypass_sweep(lines, "footprint-collision");
+            return self.bypass_sweep(lines);
         }
         if let Some(tr) = replay.cur.and_then(|cur| replay.follow(cur, fid)) {
             return self.apply_transition(tr);
@@ -418,7 +383,6 @@ impl Machine {
                 };
                 let Some(t) = interned else {
                     replay.stats_mut().bypasses += 1;
-                    self.note_bypass_reason("state-table-full");
                     return self.fetch_lines_walk(lines);
                 };
                 t
@@ -477,11 +441,6 @@ impl Machine {
     /// The replay memo's counters (zero if never used).
     pub fn replay_stats(&self) -> ReplayStats {
         self.replay.as_ref().map(|r| r.stats()).unwrap_or_default()
-    }
-
-    /// Counter-and-size snapshot of the replay memo.
-    pub fn replay_report(&self) -> ReplayReport {
-        self.replay.as_ref().map(|r| r.report()).unwrap_or_default()
     }
 
     /// The configuration this machine was built with.
@@ -550,18 +509,12 @@ impl Machine {
         }
     }
 
-    /// Fetches a single I-cache line by line number.
-    pub fn fetch_code_line(&mut self, line: u64) -> bool {
-        self.sync_replay();
-        self.fetch_line_inner(line)
-    }
-
-    /// [`Machine::fetch_code_line`] without the memo sync: the walk body
-    /// shared by the public per-line API and the memo-miss recorder.
-    /// `#[inline]` because [`Machine::fetch_lines_walk`]'s per-line loop
-    /// is the whole cost of a memo miss on machines with an ITLB, an L2
-    /// or prefetch: left to the inliner the body stayed a call per line
-    /// and the walk measured 3.8 → 5.3 ns/line.
+    /// Fetches a single I-cache line by line number: the walk body of
+    /// every footprint sweep the memo does not answer. `#[inline]`
+    /// because [`Machine::fetch_lines_walk`]'s per-line loop is the whole
+    /// cost of a memo miss on machines with an ITLB, an L2 or prefetch:
+    /// left to the inliner the body stayed a call per line and the walk
+    /// measured 3.8 → 5.3 ns/line.
     #[inline]
     fn fetch_line_inner(&mut self, line: u64) -> bool {
         if let Some(tlb) = &mut self.itlb {
@@ -682,8 +635,7 @@ impl Machine {
         let line_size = self.cfg.icache.line_size;
         let mut misses = 0;
         for line_addr in region.line_addrs(line_size) {
-            // analyze::allow(panic-path, reason = "line_size is a validated nonzero cache-geometry parameter")
-            let line = line_addr / line_size;
+            let line = line_addr / line_size.max(1);
             let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
             if !cache.access_line(line, kind) {
                 misses += 1;
@@ -694,51 +646,15 @@ impl Machine {
         misses
     }
 
-    /// Loads a single D-cache line by line number.
-    pub fn read_data_line(&mut self, line: u64) -> bool {
-        if self.dcache.is_none() {
-            self.sync_replay();
-        }
-        let penalty = self.cfg.read_miss_penalty;
-        let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
-        let hit = cache.access_line(line, AccessKind::Read);
-        if !hit {
-            self.stall_cycles += penalty;
-        }
-        hit
-    }
-
     /// Invalidates both primary caches (cold start) without resetting
     /// counters; the L2 (when configured) keeps its contents, as a warm
-    /// board cache would across a context switch. TLB contents survive
-    /// (flushing those is [`Machine::flush_tlbs`]' job), so any live
-    /// memo state is materialized first.
+    /// board cache would across a context switch. TLB contents survive,
+    /// so any live memo state is materialized first.
     pub fn flush_caches(&mut self) {
         self.sync_replay();
         self.icache.flush();
         if let Some(d) = &mut self.dcache {
             d.flush();
-        }
-    }
-
-    /// Invalidates the second-level cache too.
-    pub fn flush_all_caches(&mut self) {
-        self.flush_caches();
-        if let Some(l2) = &mut self.l2 {
-            l2.flush();
-        }
-    }
-
-    /// Invalidates the TLBs (context switch) without resetting counters.
-    /// Cache contents survive, so any live memo state is materialized
-    /// first.
-    pub fn flush_tlbs(&mut self) {
-        self.sync_replay();
-        if let Some(t) = &mut self.itlb {
-            t.flush();
-        }
-        if let Some(t) = &mut self.dtlb {
-            t.flush();
         }
     }
 
@@ -794,16 +710,6 @@ impl Machine {
     #[inline]
     pub fn cycles(&self) -> CycleCount {
         self.instr_cycles + self.stall_cycles
-    }
-
-    /// Converts a cycle count to microseconds at the configured clock.
-    pub fn cycles_to_us(&self, cycles: CycleCount) -> f64 {
-        cycles as f64 / self.cfg.clock_mhz
-    }
-
-    /// Converts microseconds to (rounded) cycles at the configured clock.
-    pub fn us_to_cycles(&self, us: f64) -> CycleCount {
-        round_to_cycles(us * self.cfg.clock_mhz)
     }
 
     /// Direct access to the I-cache (e.g. for warm-up or probing).
@@ -973,8 +879,6 @@ mod tests {
         let mut m = Machine::new(MachineConfig::synthetic_benchmark());
         m.execute(1652);
         assert_eq!(m.cycles(), 1652);
-        assert!((m.cycles_to_us(100) - 1.0).abs() < 1e-12, "100 cycles at 100 MHz is 1 us");
-        assert_eq!(m.us_to_cycles(2.5), 250);
     }
 
     #[test]
@@ -1026,14 +930,11 @@ mod tests {
         let added = m.stats().stall_cycles - before;
         assert!(added < lines * 30, "L2 should absorb most fills: {added}");
         assert!(m.stats().l2.hits > 0);
-        // flush_caches keeps the L2 warm; flush_all_caches does not.
+        // flush_caches keeps the L2 warm.
         m.flush_caches();
         let before = m.stats().l2.misses;
         m.fetch_code(Region::new(0, 1024));
         assert_eq!(m.stats().l2.misses, before, "board cache still warm");
-        m.flush_all_caches();
-        m.fetch_code(Region::new(0, 1024));
-        assert!(m.stats().l2.misses > before);
     }
 
     #[test]
@@ -1051,9 +952,6 @@ mod tests {
         // Data TLB is independent.
         m.read_data(Region::new(0x100_0000, 8192));
         assert_eq!(m.stats().dtlb.misses, 1);
-        m.flush_tlbs();
-        m.fetch_code(Region::new(0, 32));
-        assert_eq!(m.stats().itlb.misses, 5, "flushed ITB refills again");
     }
 
     #[test]
@@ -1088,12 +986,7 @@ mod tests {
         let schedule = [0usize, 1, 2, 0, 1, 2, 0, 0, 1, 2, 1, 0, 2, 2, 0, 1];
         for (step, &f) in schedule.iter().enumerate() {
             let a = memo.fetch_code_footprint(f as u32, &fp[f]);
-            let mut b = 0;
-            for &line in &fp[f] {
-                if !walk.fetch_code_line(line) {
-                    b += 1;
-                }
-            }
+            let b = walk.fetch_code_footprint(f as u32, &fp[f]);
             assert_eq!(a, b, "misses diverged at step {step}");
             assert_eq!(
                 memo.stats().icache,
@@ -1166,10 +1059,6 @@ mod tests {
                     "read misses diverged at step {step}"
                 );
             }
-            if step % 97 == 0 {
-                memo.flush_tlbs();
-                walk.flush_tlbs();
-            }
             if step % 151 == 0 {
                 memo.flush_caches();
                 walk.flush_caches();
@@ -1183,7 +1072,6 @@ mod tests {
         }
         assert!(memo.replay_stats().hits > 0, "the schedule must replay");
         assert_eq!(walk.replay_stats().hits, 0);
-        assert_eq!(walk.replay_bypass_reason(), Some("memoizer-disabled"));
     }
 
     /// Prefetch configurations are memoizable too: the install is a pure
@@ -1240,7 +1128,7 @@ mod tests {
         m.read_data(Region::new(0x9000, 256));
         assert_eq!(m.replay_stats().hits, 0);
         assert_eq!(m.replay_stats().bypasses, 2, "every footprint sweep counted");
-        assert_eq!(m.replay_bypass_reason(), Some("l2-configured"));
+        assert_eq!(m.replay_ineligibility(), Some("l2-configured"));
         // And the fetches still happened.
         assert!(m.stats().icache.fetch_misses > 0);
 
@@ -1251,7 +1139,6 @@ mod tests {
         let misses = m.fetch_code_footprint(0, &other);
         assert_eq!(misses, 64, "collision path still simulates correctly");
         assert_eq!(m.replay_stats().bypasses, 1);
-        assert_eq!(m.replay_bypass_reason(), Some("footprint-collision"));
     }
 
     /// A footprint is its line list, not the slice it was first passed
@@ -1273,11 +1160,9 @@ mod tests {
         let after = m.replay_stats();
         assert_eq!(after.hits, before.hits + 1, "equal lines at a new address hit");
         assert_eq!(after.bypasses, 0);
-        assert_eq!(m.replay_bypass_reason(), None);
         let other_lines: Vec<u64> = (64..128).collect();
         assert_eq!(m.fetch_code_footprint(0, &other_lines), 64);
         assert_eq!(m.replay_stats().bypasses, 1);
-        assert_eq!(m.replay_bypass_reason(), Some("footprint-collision"));
     }
 
     /// The hazard behind the identity shortcut: the registering slice's
@@ -1306,11 +1191,4 @@ mod tests {
         assert!(!m.icache().probe(100 * 32));
     }
 
-    #[test]
-    fn line_size_override() {
-        let cfg = MachineConfig::dec3000_400().with_line_size(64);
-        assert_eq!(cfg.icache.line_size, 64);
-        assert_eq!(cfg.dcache.unwrap().line_size, 64);
-        assert_eq!(cfg.icache.num_lines(), 128);
-    }
 }

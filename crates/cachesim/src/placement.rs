@@ -30,26 +30,11 @@ impl AddressAllocator {
         }
     }
 
-    /// Starts at address 0 with the given alignment.
-    pub fn at_zero(align: u64) -> Self {
-        Self::new(0, align)
-    }
-
     /// Returns the next free region of `len` bytes.
     pub fn alloc(&mut self, len: u64) -> Region {
         let base = self.next;
         self.next = align_up(base + len, self.align);
         Region::new(base, len)
-    }
-
-    /// Skips ahead so the next allocation begins at or after `addr`.
-    pub fn skip_to(&mut self, addr: Addr) {
-        self.next = align_up(self.next.max(addr), self.align);
-    }
-
-    /// The address the next allocation would receive.
-    pub fn watermark(&self) -> Addr {
-        self.next
     }
 }
 
@@ -111,11 +96,6 @@ impl RandomPlacement {
             self.placed.iter().map(|r| r.len).sum::<u64>()
         );
     }
-
-    /// Places one segment per entry of `sizes`, in order.
-    pub fn place_all(&mut self, sizes: &[u64]) -> Vec<Region> {
-        sizes.iter().map(|&s| self.place(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -136,19 +116,9 @@ mod tests {
     }
 
     #[test]
-    fn skip_to_moves_forward_only() {
-        let mut a = AddressAllocator::at_zero(32);
-        a.alloc(64);
-        a.skip_to(32); // behind watermark: no-op
-        assert_eq!(a.watermark(), 64);
-        a.skip_to(1000);
-        assert_eq!(a.alloc(1).base, 1024);
-    }
-
-    #[test]
     fn random_placement_is_disjoint_and_aligned() {
         let mut p = RandomPlacement::new(42, Region::new(0, 1 << 20), 32);
-        let regions = p.place_all(&[6144, 6144, 6144, 6144, 6144]);
+        let regions: Vec<Region> = (0..5).map(|_| p.place(6144)).collect();
         for (i, a) in regions.iter().enumerate() {
             assert_eq!(a.base % 32, 0);
             for b in &regions[i + 1..] {
@@ -160,9 +130,11 @@ mod tests {
     #[test]
     fn random_placement_is_deterministic_per_seed() {
         let window = Region::new(0, 1 << 20);
-        let a = RandomPlacement::new(7, window, 32).place_all(&[1000, 2000]);
-        let b = RandomPlacement::new(7, window, 32).place_all(&[1000, 2000]);
-        let c = RandomPlacement::new(8, window, 32).place_all(&[1000, 2000]);
+        let place = |seed| {
+            let mut p = RandomPlacement::new(seed, window, 32);
+            [p.place(1000), p.place(2000)]
+        };
+        let (a, b, c) = (place(7), place(7), place(8));
         assert_eq!(a, b);
         assert_ne!(a, c, "different seed should (almost surely) move segments");
     }

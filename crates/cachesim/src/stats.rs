@@ -19,7 +19,7 @@ pub struct ReplayStats {
     /// (`unified-cache`, `l2-configured`), the footprint id collided
     /// (`footprint-collision`), or the live state was new and the state
     /// table was full (`state-table-full`). See
-    /// [`crate::Machine::replay_bypass_reason`].
+    /// [`crate::Machine::replay_ineligibility`].
     pub bypasses: u64,
 }
 

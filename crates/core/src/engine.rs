@@ -234,12 +234,6 @@ impl StackEngine {
             .map(|rec| rec.intern(&format!("{obs_prefix}{name}")))
     }
 
-    /// Overrides the per-boundary queueing cost (default 40 instructions).
-    pub fn with_queue_instr(mut self, instr: u64) -> Self {
-        self.queue_instr = instr;
-        self
-    }
-
     /// Sets the layer index whose checksum rejects corrupted messages
     /// (default 0: the bottom layer's CRC, as in AAL5 or Ethernet+IP).
     /// A corrupted message runs layers `0..=index` and is then dropped:

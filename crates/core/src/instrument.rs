@@ -65,6 +65,7 @@ impl<L> CostedLayer<L> {
     /// `graph:<name>` stamped in the shared machine's cycles. (`name` is
     /// passed explicitly rather than read from the layer because the
     /// message type the layer handles is not known here.)
+    // analyze::allow(dead-surface, reason = "per-activation spans of the functional layer graph: no experiment attaches a recorder, and costed_layer_records_activation_spans pins that cold code fetches show up as I-misses")
     pub fn with_recorder(mut self, rec: SharedRecorder, name: &str) -> Self {
         let id = rec.borrow_mut().intern(&format!("graph:{name}"));
         self.obs = Some((rec, id));

@@ -84,8 +84,11 @@ pub struct MessagePool {
 impl MessagePool {
     /// `count` buffers of `buf_bytes` each. Buffers are spread across the
     /// mbuf window with a seeded random offset so different runs see
-    /// different cache colourings.
+    /// different cache colourings. `count` must be at least 1: a pool
+    /// of no buffers forms only empty batches, and an event loop
+    /// batching from it never advances its clock.
     pub fn new(count: usize, buf_bytes: u64, seed: u64) -> Self {
+        assert!(count >= 1, "pool_bufs must be at least 1: a pool of no buffers batches nothing");
         let window = Region::new(MBUF_WINDOW_BASE, 8 << 20);
         let mut place = cachesim::RandomPlacement::new(seed ^ 0xb0f, window, 64);
         let bufs = (0..count).map(|_| place.place(buf_bytes)).collect();

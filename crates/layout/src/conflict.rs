@@ -22,17 +22,6 @@ pub struct ConflictReport {
     pub total_lines: u64,
 }
 
-impl ConflictReport {
-    /// Fraction of lines that conflict (0 = perfect layout).
-    pub fn conflict_fraction(&self) -> f64 {
-        if self.total_lines == 0 {
-            0.0
-        } else {
-            self.excess_lines as f64 / self.total_lines as f64
-        }
-    }
-}
-
 /// Computes per-set occupancy counts for a group of regions in a cache of
 /// `cfg` geometry. The returned vector has one entry per cache set.
 pub fn set_occupancy(regions: &[Region], cfg: &CacheConfig) -> Vec<u32> {
@@ -88,7 +77,6 @@ mod tests {
         assert_eq!(rep.excess_lines, 0);
         assert_eq!(rep.conflicting_sets, 0);
         assert_eq!(rep.sets_used, 192);
-        assert_eq!(rep.conflict_fraction(), 0.0);
     }
 
     #[test]
@@ -98,7 +86,7 @@ mod tests {
         let rep = conflict_score(&r, &dm8k());
         assert_eq!(rep.conflicting_sets, 32);
         assert_eq!(rep.excess_lines, 32);
-        assert!((rep.conflict_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(rep.total_lines, 64, "half the lines are excess");
     }
 
     #[test]
@@ -135,6 +123,6 @@ mod tests {
     fn empty_input() {
         let rep = conflict_score(&[], &dm8k());
         assert_eq!(rep.total_lines, 0);
-        assert_eq!(rep.conflict_fraction(), 0.0);
+        assert_eq!(rep.excess_lines, 0);
     }
 }

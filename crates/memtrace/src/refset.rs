@@ -65,17 +65,6 @@ impl ByteRefSet {
             .is_some_and(|(_, &e)| addr < e)
     }
 
-    /// Whether any byte of `[addr, addr + len)` is in the set.
-    pub fn intersects(&self, addr: u64, len: u64) -> bool {
-        if len == 0 {
-            return false;
-        }
-        self.intervals
-            .range(..addr + len)
-            .next_back()
-            .is_some_and(|(_, &e)| e > addr)
-    }
-
     /// Exact number of distinct bytes in the set.
     pub fn bytes(&self) -> u64 {
         self.intervals.iter().map(|(s, e)| e - s).sum()
@@ -107,26 +96,6 @@ impl ByteRefSet {
     /// Iterates the maximal intervals in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.intervals.iter().map(|(&s, &e)| (s, e))
-    }
-
-    /// Number of distinct bytes falling inside `[base, base + len)`.
-    pub fn bytes_in(&self, base: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let end = base + len;
-        let mut total = 0;
-        // Include a possible predecessor interval reaching into the range.
-        if let Some((&s, &e)) = self.intervals.range(..base).next_back() {
-            if e > base {
-                total += e.min(end) - base;
-                let _ = s;
-            }
-        }
-        for (&s, &e) in self.intervals.range(base..end) {
-            total += e.min(end) - s;
-        }
-        total
     }
 
     /// True if no bytes are in the set.
@@ -190,10 +159,11 @@ mod tests {
         assert!(s.contains(149));
         assert!(!s.contains(150));
         assert!(!s.contains(99));
-        assert!(s.intersects(140, 100));
-        assert!(!s.intersects(150, 100));
-        assert!(!s.intersects(0, 100));
-        assert!(!s.intersects(100, 0));
+        let intersects = |addr: u64, len: u64| (addr..addr + len).any(|a| s.contains(a));
+        assert!(intersects(140, 100));
+        assert!(!intersects(150, 100));
+        assert!(!intersects(0, 100));
+        assert!(!intersects(100, 0));
     }
 
     #[test]
@@ -226,18 +196,6 @@ mod tests {
         assert_eq!(s.lines(32), 1);
         s.insert(30, 4); // [30,34) straddles into line 1
         assert_eq!(s.lines(32), 2);
-    }
-
-    #[test]
-    fn bytes_in_range() {
-        let mut s = ByteRefSet::new();
-        s.insert(10, 20); // [10,30)
-        s.insert(50, 10); // [50,60)
-        assert_eq!(s.bytes_in(0, 100), 30);
-        assert_eq!(s.bytes_in(0, 15), 5);
-        assert_eq!(s.bytes_in(25, 30), 10); // 5 from first, 5 from second
-        assert_eq!(s.bytes_in(30, 20), 0);
-        assert_eq!(s.bytes_in(55, 0), 0);
     }
 
     #[test]

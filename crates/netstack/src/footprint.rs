@@ -569,12 +569,6 @@ pub fn build_receive_ack_trace() -> Trace {
     build_trace(&default_layout())
 }
 
-/// The paper's published Table 1 totals in bytes at 32-byte lines
-/// (code, read-only data, mutable data) — the values the regenerated
-/// table is validated against. The code total is the sum of the published
-/// per-layer rows.
-pub const PAPER_TABLE1_TOTALS: (u64, u64, u64) = (30304, 5088, 3648);
-
 /// The paper's published per-layer code bytes (Table 1, top to bottom).
 pub const PAPER_CODE_BYTES: [u64; 10] =
     [4480, 2784, 3168, 5536, 608, 1184, 2208, 5472, 1632, 3232];
@@ -628,9 +622,11 @@ mod tests {
             assert_eq!(row.ro_data.bytes, PAPER_RO_BYTES[li], "ro row {li}");
             assert_eq!(row.mut_data.bytes, PAPER_MUT_BYTES[li], "mut row {li}");
         }
-        assert_eq!(ws.total.code.bytes, PAPER_TABLE1_TOTALS.0);
-        assert_eq!(ws.total.ro_data.bytes, PAPER_TABLE1_TOTALS.1);
-        assert_eq!(ws.total.mut_data.bytes, PAPER_TABLE1_TOTALS.2);
+        // The paper's published totals; the code total is the sum of
+        // its per-layer rows.
+        assert_eq!(ws.total.code.bytes, 30304);
+        assert_eq!(ws.total.ro_data.bytes, 5088);
+        assert_eq!(ws.total.mut_data.bytes, 3648);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::error::{Error, Result};
 use crate::ipfrag::{fragment, Reassembler, ReassemblyStats};
 use crate::tcp::machine::{Instant, TcpStack};
 use crate::wire::arp::{ArpOp, ArpRepr};
-use crate::wire::ethernet::{EtherType, EthernetAddr, EthernetRepr, ETHERNET_HEADER_LEN};
+use crate::wire::ethernet::{EtherType, EthernetAddr, EthernetRepr};
 use crate::wire::icmp::{IcmpRepr, IcmpType};
 use crate::wire::ipv4::{Ipv4Addr, Ipv4Repr, Protocol, IPV4_HEADER_LEN};
 use crate::wire::udp::UdpRepr;
@@ -623,9 +623,6 @@ pub const MTU: usize = 1500;
 /// padded with zeros (collision-detection requirement in real Ethernet).
 pub const MIN_FRAME: usize = 60;
 
-/// Convenience: the overhead of Ethernet + IPv4 headers.
-pub const IP_OVERHEAD: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,18 +850,14 @@ mod tests {
         a.ping(&mut ad, b_ip, 1, 1, b"x"); // one corrupted frame en route
         settle(&mut a, &mut ad, &mut b, &mut bd, 3);
         let stats = *b.stats();
-        let mut rec = b.take_sink().into_recorder().expect("sink was attached");
-        let count = |rec: &mut obs::Recorder, name: &str| {
-            let id = rec.intern(name);
-            rec.span_accum(id).map(|a| a.spans).unwrap_or(0)
+        let rec = b.take_sink().into_recorder().expect("sink was attached");
+        let count = |name: &str| {
+            rec.iter_spans().find(|&(n, _)| n == name).map_or(0, |(_, a)| a.spans)
         };
-        assert_eq!(count(&mut rec, "b/frame_in"), stats.frames_in);
-        assert_eq!(count(&mut rec, "b/fragment_in"), stats.fragments_in);
-        assert_eq!(
-            count(&mut rec, "b/datagram_reassembled"),
-            stats.datagrams_reassembled
-        );
-        assert_eq!(count(&mut rec, "b/parse_error"), stats.parse_errors);
+        assert_eq!(count("b/frame_in"), stats.frames_in);
+        assert_eq!(count("b/fragment_in"), stats.fragments_in);
+        assert_eq!(count("b/datagram_reassembled"), stats.datagrams_reassembled);
+        assert_eq!(count("b/parse_error"), stats.parse_errors);
         assert!(stats.frames_in > 0 && stats.fragments_in > 0);
         // Events are stamped with the poll clock, in milliseconds.
         assert!(rec.events().iter().all(|ev| ev.start == 3 && ev.dur == 0));
@@ -887,9 +880,11 @@ mod tests {
         // Poll far past the reassembly deadline: the half datagram expires.
         b.poll(&mut bd, 120_000);
         assert_eq!(b.reassembly_stats().timeouts, 1);
-        let mut rec = b.take_sink().into_recorder().expect("sink was attached");
-        let id = rec.intern("b/reassembly_timeout");
-        let acc = rec.span_accum(id).expect("timeout instants recorded");
+        let rec = b.take_sink().into_recorder().expect("sink was attached");
+        let (_, acc) = rec
+            .iter_spans()
+            .find(|&(n, _)| n == "b/reassembly_timeout")
+            .expect("timeout instants recorded");
         assert_eq!(acc.spans, 1);
     }
 }

@@ -57,13 +57,7 @@ impl Mbuf {
 
     /// The data as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        // analyze::allow(panic-path, reason = "Mbuf invariant 0 <= start <= end <= buf.len() is established at construction and on every adjust")
-        &self.storage[self.start..self.end]
-    }
-
-    /// The data as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.storage[self.start..self.end]
+        self.storage.get(self.start..self.end).unwrap_or_default()
     }
 
     /// Unused space in front of the data.
@@ -254,23 +248,6 @@ impl MbufChain {
         }
         out
     }
-
-    /// Copies up to `dst.len()` bytes from the front of the chain into
-    /// `dst` and strips them; returns the number of bytes moved.
-    pub fn read_into(&mut self, dst: &mut [u8]) -> usize {
-        let n = dst.len().min(self.len());
-        let mut copied = 0;
-        for b in &self.bufs {
-            if copied == n {
-                break;
-            }
-            let take = (n - copied).min(b.len());
-            dst[copied..copied + take].copy_from_slice(&b.as_slice()[..take]);
-            copied += take;
-        }
-        self.strip(n).expect("n bounded by len");
-        n
-    }
 }
 
 impl FromIterator<Mbuf> for MbufChain {
@@ -375,18 +352,5 @@ mod tests {
         assert_eq!(c.pullup(5).unwrap(), b"01234");
         assert_eq!(c.to_vec(), b"0123456789", "contents preserved");
         assert_eq!(c.pullup(11), Err(Error::Truncated));
-    }
-
-    #[test]
-    fn read_into_partial_and_full() {
-        let mut c = MbufChain::from_slice(b"hello");
-        c.concat(MbufChain::from_slice(b" world"));
-        let mut buf = [0u8; 8];
-        assert_eq!(c.read_into(&mut buf), 8);
-        assert_eq!(&buf, b"hello wo");
-        let mut buf = [0u8; 8];
-        assert_eq!(c.read_into(&mut buf), 3);
-        assert_eq!(&buf[..3], b"rld");
-        assert!(c.is_empty());
     }
 }

@@ -1,12 +1,10 @@
-//! Socket buffers and process wakeup modelling.
+//! Socket buffers.
 //!
 //! The socket layer of the traced stack does two jobs on the receive path:
 //! `sbappend` adds mbufs to the receive buffer at interrupt level, and
 //! `sowakeup`/`soreceive` wake the sleeping process and copy the data out
 //! (Table 2's "device interrupt" and "exit" phases). [`SockBuf`] models
-//! the buffer with byte-counted backpressure; [`Wakeup`] models the
-//! sleeping-process handshake so tests can assert when a wakeup would
-//! occur.
+//! the buffer with byte-counted backpressure.
 
 use crate::error::{Error, Result};
 use std::collections::VecDeque;
@@ -66,43 +64,6 @@ impl SockBuf {
         }
         n
     }
-
-    /// Drains everything into a `Vec`.
-    pub fn read_all(&mut self) -> Vec<u8> {
-        self.data.drain(..).collect()
-    }
-}
-
-/// Models a process sleeping on a socket (`tsleep`/`wakeup`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Wakeup {
-    sleeping: bool,
-    /// Number of wakeups delivered (for test assertions).
-    pub wakeups: u64,
-}
-
-impl Wakeup {
-    /// The process blocks waiting for data (`sbwait`/`tsleep`).
-    pub fn sleep(&mut self) {
-        self.sleeping = true;
-    }
-
-    /// Data arrived (`sowakeup`): wakes the process if it was sleeping,
-    /// returning whether a wakeup was delivered.
-    pub fn wake(&mut self) -> bool {
-        if self.sleeping {
-            self.sleeping = false;
-            self.wakeups += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the process is currently blocked.
-    pub fn is_sleeping(&self) -> bool {
-        self.sleeping
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +79,9 @@ mod tests {
         let mut out = [0u8; 5];
         assert_eq!(b.read(&mut out), 5);
         assert_eq!(&out, b"hello");
-        assert_eq!(b.read_all(), b" world");
+        let mut rest = [0u8; 8];
+        assert_eq!(b.read(&mut rest), 6);
+        assert_eq!(&rest[..6], b" world");
         assert!(b.is_empty());
     }
 
@@ -138,16 +101,5 @@ mod tests {
         let mut out = [0u8; 8];
         assert_eq!(b.read(&mut out), 3);
         assert_eq!(&out[..3], b"abc");
-    }
-
-    #[test]
-    fn wakeup_only_fires_when_sleeping() {
-        let mut w = Wakeup::default();
-        assert!(!w.wake(), "nobody sleeping");
-        w.sleep();
-        assert!(w.is_sleeping());
-        assert!(w.wake());
-        assert!(!w.wake(), "already awake");
-        assert_eq!(w.wakeups, 1);
     }
 }

@@ -412,11 +412,6 @@ impl<K: StableHash + Eq, V> OaTable<K, V> {
         self.slots.iter().filter_map(|s| s.as_ref().map(|(k, v)| (k, v)))
     }
 
-    /// Iterates values mutably in slot order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut().map(|(_, v)| v))
-    }
-
     /// Keeps only the entries for which `f` returns `true` (e.g.
     /// expiring relay mailboxes past their deadline). Like a growth
     /// rehash this is a bulk maintenance event, not a per-message

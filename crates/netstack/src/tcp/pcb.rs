@@ -9,7 +9,7 @@
 //! and no-match lookups separately so tests and benches can observe it.
 
 use crate::socket::SockBuf;
-use crate::table::{CacheScheme, LookupCache, LookupCacheStats, OaTable};
+use crate::table::{CacheScheme, LookupCache, OaTable};
 use crate::tcp::assembler::Assembler;
 use crate::wire::ipv4::Ipv4Addr;
 use crate::wire::tcp::SeqNumber;
@@ -360,11 +360,6 @@ impl PcbTable {
         self.stats
     }
 
-    /// Front-end cache counters (hit/miss as the cache itself saw them).
-    pub fn lookup_cache_stats(&self) -> LookupCacheStats {
-        self.cache.stats()
-    }
-
     /// Slot indices probed by the most recent tuple-index operation,
     /// for charging the walk as data references.
     pub fn last_probes(&self) -> &[u32] {
@@ -458,7 +453,6 @@ mod tests {
                 assert_eq!(t.lookup_mut(A, 80, B, 5000 + i).unwrap().id, i as SocketId);
             }
             assert_eq!(t.cache_stats().cache_hits, 4, "{scheme:?}");
-            assert_eq!(t.lookup_cache_stats().hits, 4);
         }
     }
 

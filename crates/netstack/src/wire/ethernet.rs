@@ -17,17 +17,6 @@ impl EthernetAddr {
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
-
-    /// Whether the multicast (group) bit is set.
-    pub fn is_multicast(&self) -> bool {
-        let [first, ..] = self.0;
-        first & 0x01 != 0
-    }
-
-    /// Whether this is a unicast address (not multicast, not all-zero).
-    pub fn is_unicast(&self) -> bool {
-        !self.is_multicast() && self.0 != [0; 6]
-    }
 }
 
 impl std::fmt::Display for EthernetAddr {
@@ -135,10 +124,8 @@ mod tests {
     #[test]
     fn address_predicates() {
         assert!(EthernetAddr::BROADCAST.is_broadcast());
-        assert!(EthernetAddr::BROADCAST.is_multicast());
-        assert!(EthernetAddr([2, 0, 0, 0, 0, 1]).is_unicast());
-        assert!(EthernetAddr([1, 0, 0, 0, 0, 0]).is_multicast());
-        assert!(!EthernetAddr([0; 6]).is_unicast());
+        assert!(!EthernetAddr([2, 0, 0, 0, 0, 1]).is_broadcast());
+        assert!(!EthernetAddr([0; 6]).is_broadcast());
     }
 
     #[test]

@@ -25,17 +25,6 @@ impl Ipv4Addr {
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
-
-    /// Whether this is a class-D multicast address.
-    pub fn is_multicast(&self) -> bool {
-        let [first, ..] = self.0;
-        first & 0xf0 == 0xe0
-    }
-
-    /// Whether the address is a plain unicast address.
-    pub fn is_unicast(&self) -> bool {
-        !self.is_broadcast() && !self.is_multicast() && *self != Self::UNSPECIFIED
-    }
 }
 
 impl std::fmt::Display for Ipv4Addr {
@@ -270,9 +259,8 @@ mod tests {
     #[test]
     fn address_predicates() {
         assert!(Ipv4Addr::BROADCAST.is_broadcast());
-        assert!(Ipv4Addr::new(224, 0, 0, 1).is_multicast());
-        assert!(Ipv4Addr::new(10, 1, 2, 3).is_unicast());
-        assert!(!Ipv4Addr::UNSPECIFIED.is_unicast());
+        assert!(!Ipv4Addr::new(10, 1, 2, 3).is_broadcast());
+        assert!(!Ipv4Addr::UNSPECIFIED.is_broadcast());
         assert_eq!(Ipv4Addr::new(10, 0, 0, 1).to_string(), "10.0.0.1");
     }
 

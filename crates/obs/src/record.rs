@@ -134,11 +134,6 @@ impl Recorder {
         }
     }
 
-    /// Whether raw events are kept for trace export.
-    pub fn collects_spans(&self) -> bool {
-        self.collect_spans
-    }
-
     /// Interns a name, reusing the id if it is already known. Ids are
     /// dense and assigned in first-intern order, which instrumented
     /// code drives deterministically. Once the (absurd) 65 535-name
@@ -198,23 +193,6 @@ impl Recorder {
     /// Raw events, in record order (empty unless span collection is on).
     pub fn events(&self) -> &[SpanEvent] {
         &self.events
-    }
-
-    /// Span accumulator for an interned name.
-    pub fn span_accum(&self, id: NameId) -> Option<&SpanAccum> {
-        self.spans.get(usize::from(id))
-    }
-
-    /// Value histogram for an interned name.
-    pub fn value_hist(&self, id: NameId) -> Option<&Histogram> {
-        self.values.get(usize::from(id))
-    }
-
-    /// Value histogram looked up by name, for consumers (benches,
-    /// tests) that never held the interned id. `None` when the name
-    /// was never interned.
-    pub fn value_hist_named(&self, name: &str) -> Option<&Histogram> {
-        self.ids.get(name).and_then(|&id| self.value_hist(id))
     }
 
     /// `(name, accum)` pairs in id (first-intern) order.
@@ -349,7 +327,7 @@ mod tests {
         let id = r.intern("rx:ip");
         r.span(ev(id, 100, 50, 14, 3, 7));
         r.span(ev(id, 200, 30, 14, 1, 2));
-        let acc = r.span_accum(id).unwrap();
+        let (_, acc) = r.iter_spans().find(|&(n, _)| n == "rx:ip").unwrap();
         assert_eq!(acc.spans, 2);
         assert_eq!(acc.messages, 28);
         assert_eq!(acc.cycles, 80);
@@ -389,11 +367,12 @@ mod tests {
         b.record_value(b_ip, 9);
 
         a.merge(&b);
-        let ip = a.span_accum(a_ip).unwrap();
-        let udp = a.span_accum(a_udp).unwrap();
-        assert_eq!((ip.cycles, ip.imisses), (110, 11));
+        let mut spans = a.iter_spans();
+        let (_, ip) = spans.next().unwrap();
+        let (_, udp) = spans.next().unwrap();
+        assert_eq!((ip.cycles, ip.imisses), (110, 11), "a's ids are kept: rx:ip first");
         assert_eq!((udp.cycles, udp.imisses), (220, 22));
-        let vh = a.value_hist(a_ip).unwrap();
+        let (_, vh) = a.iter_values().next().unwrap();
         assert_eq!((vh.count(), vh.sum()), (2, 16));
     }
 

@@ -13,23 +13,16 @@ use std::collections::BTreeMap;
 /// Call states (a condensed Q.2931 state set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallState {
-    Null,
-    /// SETUP received, CALL PROCEEDING sent (network side).
-    Incoming,
     /// CONNECT sent, awaiting CONNECT ACK.
     ConnectRequest,
     /// The call is up.
     Active,
-    /// RELEASE sent, awaiting RELEASE COMPLETE.
-    ReleaseRequest,
 }
 
 /// One call's record in the switch.
 #[derive(Debug, Clone)]
 struct Call {
     state: CallState,
-    vpi: u16,
-    vci: u16,
 }
 
 /// Switch counters.
@@ -51,8 +44,6 @@ pub const CALL_SLOT_BYTES: u64 = 64;
 /// Simulated VC-table capacity used by the SMP model (a modest switch
 /// port; the in-memory [`SignalingSwitch`] capacity is per-instance).
 pub const CALL_TABLE_SLOTS: u64 = 64;
-/// Total simulated footprint of the shared call table.
-pub const CALL_TABLE_BYTES: u64 = CALL_TABLE_SLOTS * CALL_SLOT_BYTES;
 
 /// The network-side call controller of one switch port.
 ///
@@ -89,14 +80,6 @@ impl SignalingSwitch {
     /// Number of calls currently in the table.
     pub fn active_calls(&self) -> usize {
         self.calls.len()
-    }
-
-    /// State of a call reference, `Null` if unknown.
-    pub fn call_state(&self, call_ref: u32) -> CallState {
-        self.calls
-            .get(&call_ref)
-            .map(|c| c.state)
-            .unwrap_or(CallState::Null)
     }
 
     fn alloc_vci(&mut self) -> u16 {
@@ -137,8 +120,6 @@ impl SignalingSwitch {
                     msg.call_ref,
                     Call {
                         state: CallState::ConnectRequest,
-                        vpi: 0,
-                        vci,
                     },
                 );
                 self.stats.connects += 1;
@@ -184,11 +165,6 @@ impl SignalingSwitch {
                 vec![]
             }
         }
-    }
-
-    /// The VPI/VCI assigned to an active call, if any.
-    pub fn connection_of(&self, call_ref: u32) -> Option<(u16, u16)> {
-        self.calls.get(&call_ref).map(|c| (c.vpi, c.vci))
     }
 }
 
@@ -290,11 +266,11 @@ mod tests {
         assert_eq!(replies[1].kind, MessageType::Connect);
         let vci = replies[1].connection_id().unwrap().1;
         assert!(vci >= 32);
-        assert_eq!(switch.call_state(setup.call_ref), CallState::ConnectRequest);
+        assert_eq!(switch.active_calls(), 1, "awaiting the connect ack");
 
         let ack = caller.handle(&replies[1]).expect("connect ack");
-        assert!(switch.handle(&ack).is_empty());
-        assert_eq!(switch.call_state(setup.call_ref), CallState::Active);
+        assert!(switch.handle(&ack).is_empty(), "the ack activates the call");
+        assert_eq!(switch.stats().protocol_errors, 0);
         assert_eq!(caller.active_calls(), 1);
 
         let release = caller.release(None).unwrap();

@@ -27,14 +27,14 @@ use ldlp::{AdmissionPolicy, SimMessage, StackEngine};
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// NIC buffer capacity in packets (paper: 500).
+    /// NIC buffer capacity in packets (paper: 500), at least 1.
     pub buffer_cap: usize,
     /// What to do with an arrival when the buffer is full.
     pub admission: AdmissionPolicy,
     /// How long the arrival stream runs, in seconds.
     pub duration_s: f64,
-    /// Message-buffer pool entries (ring size). Must exceed the largest
-    /// batch the engine can form.
+    /// Message-buffer pool entries (ring size), at least 1. Must exceed
+    /// the largest batch the engine can form.
     pub pool_bufs: usize,
     /// Message-buffer size in bytes (must hold the largest message).
     pub pool_buf_bytes: u64,
@@ -161,6 +161,10 @@ fn run_core(
     flow_ids: &[u32],
     mut lookup: Option<&mut dyn LookupCharge>,
 ) -> SimReport {
+    assert!(
+        cfg.buffer_cap >= 1,
+        "SimConfig::buffer_cap must be at least 1: head-drop would evict from an empty buffer"
+    );
     let clock_mhz = engine.machine().config().clock_mhz;
     let cycles_per_s = clock_mhz * 1e6;
     let mut pool = MessagePool::new(cfg.pool_bufs, cfg.pool_buf_bytes, cfg.pool_seed);
@@ -488,13 +492,14 @@ mod tests {
         let mut e = engine(Discipline::Ldlp(BatchPolicy::DCacheFit), 1);
         e.set_sink(obs::Sink::record(true), "ldlp/");
         let r = run_sim(&mut e, &arrivals, &cfg);
-        let mut rec = e.take_sink().into_recorder().expect("sink was attached");
+        let rec = e.take_sink().into_recorder().expect("sink was attached");
+        let value_hist = |name: &str| rec.iter_values().find(|&(n, _)| n == name).map(|(_, h)| h);
 
         // One span per batch, carrying the batch size.
-        let batch_id = rec.intern("ldlp/batch");
-        let lat_id = rec.intern("ldlp/latency_us");
-        let im_id = rec.intern("ldlp/imiss_per_msg");
-        let spans = rec.span_accum(batch_id).expect("batch spans recorded");
+        let (_, spans) = rec
+            .iter_spans()
+            .find(|&(n, _)| n == "ldlp/batch")
+            .expect("batch spans recorded");
         assert!(spans.spans > 0);
         assert_eq!(
             spans.messages,
@@ -507,7 +512,7 @@ mod tests {
         );
 
         // Value histograms mirror the report's aggregates.
-        let lat = rec.value_hist(lat_id).expect("latency histogram recorded");
+        let lat = value_hist("ldlp/latency_us").expect("latency histogram recorded");
         assert_eq!(lat.count(), r.completed);
         let mean = lat.mean();
         assert!(
@@ -515,7 +520,7 @@ mod tests {
             "histogram mean {mean} vs report {}",
             r.mean_latency_us
         );
-        let im = rec.value_hist(im_id).expect("imiss histogram recorded");
+        let im = value_hist("ldlp/imiss_per_msg").expect("imiss histogram recorded");
         assert_eq!(im.count(), r.completed + r.rejected);
 
         // Trace mode also kept the raw per-layer + per-batch events.
@@ -642,6 +647,30 @@ mod tests {
             r.mean_latency_us > base.mean_latency_us,
             "lookup stalls must show up in latency"
         );
+    }
+
+    /// A zero-buffer pool forms only empty batches and the clock never
+    /// advances: refused before the loop starts.
+    #[test]
+    #[should_panic(expected = "pool_bufs must be at least 1")]
+    fn a_zero_buffer_pool_is_refused() {
+        let arrivals = ConstantSource::new(0.001, 552).take_until(0.009);
+        let cfg = SimConfig { pool_bufs: 0, ..SimConfig::default() };
+        run_sim(&mut engine(Discipline::Conventional, 1), &arrivals, &cfg);
+    }
+
+    /// Head-drop into a zero-packet buffer would shed a phantom packet
+    /// per arrival and break conservation: refused up front.
+    #[test]
+    #[should_panic(expected = "SimConfig::buffer_cap must be at least 1")]
+    fn a_zero_packet_buffer_is_refused() {
+        let arrivals = ConstantSource::new(0.001, 552).take_until(0.009);
+        let cfg = SimConfig {
+            buffer_cap: 0,
+            admission: AdmissionPolicy::HeadDrop,
+            ..SimConfig::default()
+        };
+        run_sim(&mut engine(Discipline::Conventional, 1), &arrivals, &cfg);
     }
 
     #[test]

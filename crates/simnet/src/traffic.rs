@@ -212,13 +212,6 @@ pub struct SizeMix {
 }
 
 impl SizeMix {
-    /// A fixed size for every packet.
-    pub fn fixed(bytes: u32) -> Self {
-        SizeMix {
-            entries: vec![(1000, bytes)],
-        }
-    }
-
     /// The bimodal-ish mix of late-80s Ethernet traffic: most packets are
     /// minimum-size (interactive, ACKs), a long tail are near-MTU bulk
     /// segments.
@@ -240,17 +233,6 @@ impl SizeMix {
         // The last bucket is the cumulative distribution's fallback.
         let hit = self.entries.iter().find(|&&(cum, _)| p < cum);
         hit.or(self.entries.last()).map_or(0, |&(_, bytes)| bytes)
-    }
-
-    /// Mean packet size of the mix in bytes.
-    pub fn mean_bytes(&self) -> f64 {
-        let mut prev = 0u32;
-        let mut mean = 0.0;
-        for &(cum, bytes) in &self.entries {
-            mean += ((cum - prev) as f64 / 1000.0) * bytes as f64;
-            prev = cum;
-        }
-        mean
     }
 }
 
@@ -451,7 +433,8 @@ mod tests {
         // The order the max-heap on (-time, source) gave: at equal
         // times the larger source id pops first.
         let n = 8;
-        let mut s = SelfSimilarSource::new(n, 1000.0, 1.4, SizeMix::fixed(64), 3);
+        let fixed = SizeMix { entries: vec![(1000, 64)] };
+        let mut s = SelfSimilarSource::new(n, 1000.0, 1.4, fixed, 3);
         for i in 0..n {
             s.next.set(n - 1 - i, if i == 3 || i == 5 { 1.0 } else { 2.0 });
         }
@@ -475,8 +458,6 @@ mod tests {
         }
         assert!((3_500..5_500).contains(&seen_small), "{seen_small} minimum-size");
         assert!((800..2_000).contains(&seen_big), "{seen_big} MTU-size");
-        assert!((300.0..500.0).contains(&mix.mean_bytes()));
-        assert_eq!(SizeMix::fixed(552).mean_bytes(), 552.0);
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! * `offered == completed + rejected + drops + shed + in_flight` must
 //!   hold under arbitrary duplication and corruption impairments (the
 //!   accounting seam where double-counting bugs would hide).
+//! * A [`ClosedPopulation`] fed random acknowledgements — duplicates,
+//!   acks for abandoned requests, acks naming a request or client that
+//!   never existed — retires each request once and keeps its books.
 
 use proptest::prelude::*;
 use simnet::impair::{impair_arrivals, ImpairConfig};
 use simnet::stats::percentile;
 use simnet::traffic::{PoissonSource, TrafficSource};
-use simnet::{run_sim_impaired, SimConfig};
+use simnet::{run_sim_impaired, AckKind, ClosedConfig, ClosedPopulation, SimConfig};
+use std::collections::BTreeSet;
 
 use cachesim::MachineConfig;
 use ldlp::synth::paper_stack;
@@ -125,6 +129,69 @@ proptest! {
         prop_assert_eq!(r.net_corrupted, counters.corrupted);
         if corrupt_pct == 0 {
             prop_assert_eq!(r.rejected, 0, "clean runs reject nothing");
+        }
+    }
+
+    /// Random `poll_sends`/`ack` sequences against a lossy, duplicating
+    /// channel. Op 0 advances the clock and polls; op 1 acks a copy that
+    /// was sent (maybe a duplicate, maybe already acked or abandoned);
+    /// op 2 acks a request number never issued; op 3 acks a client that
+    /// does not exist. After every step: each `(client, req)` gets at
+    /// most one `Useful`, a `Stale` ack changes no counter, and
+    /// `requests == useful + abandoned + outstanding`.
+    #[test]
+    fn closed_population_retires_each_request_once(
+        clients in 1u32..6,
+        seed in 1u64..1000,
+        drop_pct in 0u32..30,
+        dup_pct in 0u32..50,
+        ops in proptest::collection::vec((0u8..4, any::<u32>(), 0.0f64..0.02), 1..120),
+    ) {
+        let mut cfg = ClosedConfig::new(clients, 0.004, 0.2, seed);
+        cfg.channel = ImpairConfig {
+            drop_prob: drop_pct as f64 / 100.0,
+            dup_prob: dup_pct as f64 / 100.0,
+            seed: seed ^ 0xfeed,
+            ..ImpairConfig::default()
+        };
+        let mut pop = ClosedPopulation::new(&cfg);
+        let (mut now, mut out, mut sent) = (0.0, Vec::new(), Vec::new());
+        let mut useful = BTreeSet::new();
+        for (op, pick, dt) in ops {
+            let before = *pop.stats();
+            let ack = match op {
+                0 => {
+                    now += dt;
+                    pop.poll_sends(now, &mut out);
+                    sent.extend(out.drain(..).map(|s| (s.client, s.req)));
+                    None
+                }
+                _ if sent.is_empty() => None,
+                _ => {
+                    let (client, req) = sent[pick as usize % sent.len()];
+                    let (client, req) = match op {
+                        1 => (client, req),
+                        2 => (client, 0),
+                        _ => (clients + pick % 3, req),
+                    };
+                    let kind = pop.ack(client, req, now);
+                    if op != 1 {
+                        prop_assert_eq!(kind, AckKind::Stale, "op {} acked a bogus request", op);
+                    }
+                    Some((client, req, kind))
+                }
+            };
+            let s = *pop.stats();
+            match ack {
+                Some((c, r, AckKind::Useful { .. })) => {
+                    prop_assert!(useful.insert((c, r)), "({}, {}) useful twice", c, r);
+                }
+                Some((.., AckKind::Stale)) => prop_assert_eq!(s, before, "a stale ack moved a counter"),
+                None => {}
+            }
+            prop_assert_eq!(s.useful, useful.len() as u64);
+            prop_assert_eq!(s.requests, s.useful + s.abandoned_requests + pop.outstanding());
+            prop_assert_eq!(pop.latencies_us().len() as u64, s.useful);
         }
     }
 }

@@ -184,7 +184,7 @@ pub struct SmpConfig {
     pub flow_control: HandoffFlowControl,
     /// Arrival-window length in seconds (for rate accounting).
     pub duration_s: f64,
-    /// Message-buffer pool entries per entry core.
+    /// Message-buffer pool entries per entry core, at least 1.
     pub pool_bufs: usize,
     /// Message-buffer size in bytes.
     pub pool_buf_bytes: u64,
@@ -192,10 +192,9 @@ pub struct SmpConfig {
     /// one kernel image, mapped on every core.
     pub placement_seed: u64,
     /// Simulated shared call-table capacity in slots. The default is the
-    /// modest switch port of `signaling::call::CALL_TABLE_SLOTS`;
-    /// million-flow experiments size it with
-    /// [`SmpConfig::sized_for_flows`] so per-message slot RMWs spread
-    /// over a realistic footprint instead of ping-ponging 64 entries.
+    /// modest switch port of `signaling::call::CALL_TABLE_SLOTS`; a
+    /// population-sized table spreads per-message slot RMWs over a
+    /// realistic footprint instead of ping-ponging 64 entries.
     pub call_table_slots: NonZeroU64,
     /// Simulated shared reassembly-table capacity in slots.
     pub reass_table_slots: NonZeroU64,
@@ -228,16 +227,6 @@ impl SmpConfig {
             reass_table_slots: STOCK_REASS_SLOTS,
             wclass: [WClassProfile::default(); MAX_WCLASS],
         }
-    }
-
-    /// Sizes both shared tables for a concurrent-flow population, the
-    /// way the open-addressing tables do: next power of two above
-    /// `flows`, never below the stock defaults.
-    pub fn sized_for_flows(mut self, flows: u64) -> Self {
-        let slots = NonZeroU64::new(flows.next_power_of_two()).unwrap_or(NonZeroU64::MIN);
-        self.call_table_slots = slots.max(STOCK_CALL_SLOTS);
-        self.reass_table_slots = slots.max(STOCK_REASS_SLOTS);
-        self
     }
 
     /// Checks the simulated address windows this lays out — each shared
@@ -661,11 +650,6 @@ impl SmpSim {
     /// The configuration this simulator was built from.
     pub fn config(&self) -> &SmpConfig {
         &self.cfg
-    }
-
-    /// Number of cores that actually run protocol code.
-    pub fn active_cores(&self) -> usize {
-        self.stages
     }
 
     /// Attaches one observability sink per active core, with `c<i>/`
@@ -1541,9 +1525,9 @@ mod tests {
     }
 
     /// Table sizing: defaults reproduce the stock constants (so every
-    /// pre-existing figure-9 cell is bit-identical), and
-    /// `sized_for_flows` spreads per-message RMWs over a
-    /// population-sized footprint, cutting slot ping-pong.
+    /// pre-existing figure-9 cell is bit-identical), and tables sized
+    /// for the flow population spread per-message RMWs over a larger
+    /// footprint, cutting slot ping-pong.
     #[test]
     fn shared_tables_size_with_the_flow_population() {
         let stock = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
@@ -1555,20 +1539,13 @@ mod tests {
             stock.reass_table_slots.get(),
             netstack::ipfrag::REASSEMBLY_TABLE_BYTES / netstack::ipfrag::REASSEMBLY_SLOT_BYTES
         );
-        let big = stock.sized_for_flows(1_000_000);
-        assert_eq!(big.call_table_slots.get(), 1 << 20);
-        assert_eq!(big.reass_table_slots.get(), 1 << 20);
-        assert_eq!(
-            stock.sized_for_flows(1).call_table_slots.get(),
-            signaling::call::CALL_TABLE_SLOTS,
-            "sizing never shrinks below the stock port"
-        );
-
         // 4096 flows hammering 64 slots ping-pong constantly; the same
         // flows over a 4096-slot table mostly own distinct lines.
         let arr = arrivals(2000.0, 0.2, 4096, 4);
         let out_small = run_smp(&stock, &arr);
-        let out_big = run_smp(&stock.sized_for_flows(4096), &arr);
+        let slots = NonZeroU64::new(4096).unwrap();
+        let big = SmpConfig { call_table_slots: slots, reass_table_slots: slots, ..stock };
+        let out_big = run_smp(&big, &arr);
         assert!(out_small.report.conservation_holds());
         assert!(out_big.report.conservation_holds());
         assert_eq!(out_small.report.completed, out_big.report.completed);
@@ -1638,6 +1615,15 @@ mod tests {
         let mut c = cfg(2, DispatchPolicy::LayerAffinity, Discipline::Conventional);
         c.handoff_cap = 0;
         SmpSim::new(&c);
+    }
+
+    /// A zero-buffer pool would spin the event loop on empty batches.
+    #[test]
+    #[should_panic(expected = "pool_bufs must be at least 1")]
+    fn a_zero_buffer_pool_is_refused() {
+        let mut c = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
+        c.pool_bufs = 0;
+        SmpSim::new(&c).run(&arrivals(1000.0, 0.009, 4, 1));
     }
 
     #[test]
@@ -2019,5 +2005,74 @@ mod tests {
         assert_eq!(wfq.per_core, tail.per_core);
         assert_eq!(wfq.shed_by_class, tail.shed_by_class);
         assert_eq!(wfq.drops_by_class, tail.drops_by_class);
+    }
+
+    /// The replay memo changes speed, never results. Each cell runs as
+    /// shipped and again with the memo off on every core's machine; the
+    /// two outcomes agree in every field but `replay`: report, per-core
+    /// reports (`bp_stall_cycles` included), coherence, per-class
+    /// reports and shed/drops by class.
+    #[test]
+    fn memo_off_runs_match_memo_on_runs_in_every_field_but_replay() {
+        fn with_memo(c: &SmpConfig, memo: bool) -> SmpSim {
+            let mut sim = SmpSim::new(c);
+            for core in &mut sim.cores {
+                core.engine.machine_mut().set_replay_enabled(memo);
+            }
+            sim
+        }
+        fn same(cell: &str, mut on: SmpOutcome, off: SmpOutcome) {
+            assert!(on.replay.hits > 0, "{cell}: the shipped run replays");
+            assert_eq!(off.replay.hits + off.replay.misses, 0, "{cell}: the memo is off");
+            assert!(on.report.completed > 0, "{cell}");
+            on.replay = off.replay;
+            assert_eq!(format!("{on:?}"), format!("{off:?}"), "{cell}");
+        }
+        let ldlp = Discipline::Ldlp(BatchPolicy::DCacheFit);
+        let mut wclass = cfg(2, DispatchPolicy::FlowHash, ldlp);
+        let profile = |handler_code_bytes, table_slots, slo_us| WClassProfile {
+            handler_code_bytes,
+            table_slots,
+            slo_us,
+        };
+        wclass.wclass[1] = profile(4096, 256, 500.0);
+        wclass.wclass[2] = profile(512, 16, 50.0);
+        let mut tagged = arrivals(6000.0, 0.2, 64, 4);
+        tag_classes(&mut tagged, &[0, 1, 2, 2]);
+        let open = [
+            ("flow-hash", cfg(4, DispatchPolicy::FlowHash, ldlp), arrivals(8000.0, 0.2, 64, 1)),
+            ("round-robin", cfg(4, DispatchPolicy::RoundRobin, ldlp), arrivals(8000.0, 0.2, 64, 2)),
+            (
+                "layer-affinity",
+                cfg(4, DispatchPolicy::LayerAffinity, Discipline::Conventional),
+                arrivals(3000.0, 0.2, 64, 3),
+            ),
+            ("wclass", wclass, tagged),
+        ];
+        for (cell, c, arr) in &open {
+            let run = |memo| {
+                let mut sim = with_memo(c, memo);
+                sim.run(arr);
+                sim.outcome(ImpairCounters::default())
+            };
+            same(cell, run(true), run(false));
+        }
+
+        let mut closed = simnet::ClosedConfig::new(60, 0.002, 0.2, 9);
+        closed.channel = simnet::ImpairConfig {
+            drop_prob: 0.05,
+            dup_prob: 0.1,
+            seed: 17,
+            ..simnet::ImpairConfig::default()
+        };
+        let run = |memo| {
+            let mut pop = ClosedPopulation::new(&closed);
+            let mut sim = with_memo(&cfg(2, DispatchPolicy::FlowHash, ldlp), memo);
+            sim.run_closed(&mut pop, [1, 1, 1]);
+            sim.outcome(pop.channel_counters())
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(on.report.net_dropped > 0 && on.report.net_duplicated > 0);
+        same("closed, lossy and duplicating", on, off);
     }
 }

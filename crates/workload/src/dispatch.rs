@@ -39,13 +39,6 @@ pub struct DispatchStats {
     pub relay_delivered: u64,
 }
 
-impl DispatchStats {
-    /// Messages dispatched across all classes.
-    pub fn total_seen(&self) -> u64 {
-        self.seen.iter().sum()
-    }
-}
-
 /// Classifies a buffer by its leading bytes, without parsing.
 ///
 /// * [`frame::MAGIC`] first byte → the framed classes, routed on the
@@ -153,7 +146,7 @@ mod tests {
         assert_eq!(stats.seen[WireClass::SvcRpc.index()], 2);
         assert_eq!(stats.seen[WireClass::Dns.index()], 1);
         assert_eq!(stats.malformed, 1);
-        assert_eq!(stats.total_seen(), 4);
+        assert_eq!(stats.seen.iter().sum::<u64>(), 4);
     }
 
     #[test]
@@ -207,6 +200,6 @@ mod tests {
         );
         assert_eq!(stats.seen[WireClass::Agent.index()], 2);
         assert_eq!(stats.malformed, 2);
-        assert_eq!(relay.mailboxes(), 0);
+        assert_eq!(relay.stats().stored, 0);
     }
 }

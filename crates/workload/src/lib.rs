@@ -42,7 +42,7 @@ pub use agent::{AgentKind, AgentMsg, Relay, RelayStats, Session, SessionPhase};
 pub use class::{profiles, WireClass};
 pub use dispatch::{classify, dispatch_batch, DispatchStats};
 pub use frame::{Frame, FrameError, FrameVersion};
-pub use slo::{all_met, evaluate, SloVerdict, ATTAINMENT_TARGET};
+pub use slo::{evaluate, SloVerdict, ATTAINMENT_TARGET};
 pub use stream::{
     class_counts, generate, to_flow_arrivals, ClassedArrival, MixConfig, MixedStream,
 };

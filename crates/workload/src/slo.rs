@@ -50,11 +50,6 @@ pub fn evaluate(classes: &[ClassReport]) -> Vec<SloVerdict> {
         .collect()
 }
 
-/// True when every judged class met its SLO.
-pub fn all_met(verdicts: &[SloVerdict]) -> bool {
-    verdicts.iter().all(|v| v.met)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,8 +77,6 @@ mod tests {
         assert!(v[0].met);
         assert_eq!(v[1].class, WireClass::MediaCtl);
         assert!(!v[1].met);
-        assert!(!all_met(&v));
-        assert!(all_met(&v[..1]));
     }
 
     #[test]
@@ -97,7 +90,6 @@ mod tests {
     #[test]
     fn empty_and_short_inputs_are_fine() {
         assert!(evaluate(&[]).is_empty());
-        assert!(all_met(&[]));
         // A vector shorter than the class indices must not panic.
         assert!(evaluate(&[ClassReport::default()]).is_empty());
     }
