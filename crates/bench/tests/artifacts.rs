@@ -4,8 +4,7 @@
 //! that writes `<stem>.csv`), every declared file is committed, and the
 //! committed bytes are what the producers write: every declared CSV's
 //! smoke golden and `metrics_smoke_golden.json` here, every full output
-//! but figure9's and figure13's under
-//! `cargo test --release -p bench --test artifacts -- --ignored`.
+//! under `cargo test --release -p bench --test artifacts -- --ignored`.
 
 use bench::harness::{artifact_name, experiment, Experiment, Flags, EXPERIMENTS};
 use std::path::PathBuf;
@@ -95,8 +94,8 @@ fn smoke_goldens_and_the_metrics_golden_reproduce() {
 #[test]
 #[ignore = "full grids: cargo test --release -p bench --test artifacts -- --ignored"]
 fn full_grids_reproduce_the_committed_results() {
-    // figure9 and figure13 are 70 % of the suite's time; their smoke
-    // goldens and the determinism test hold them.
+    // figure9 and figure13 are 70 % of the suite's time: the test below
+    // holds them at one thread count.
     for e in EXPERIMENTS.iter().filter(|e| !["figure9", "figure13"].contains(&e.name)) {
         for threads in [1, 4] {
             let files = run(e, &format!("--threads {threads}"));
@@ -106,6 +105,18 @@ fn full_grids_reproduce_the_committed_results() {
                     "{file} at {threads} threads drifted from results/{file}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+#[ignore = "full grids: cargo test --release -p bench --test artifacts -- --ignored"]
+fn figure9_and_figure13_full_grids_reproduce_the_committed_results() {
+    for name in ["figure9", "figure13"] {
+        let e = experiment(name);
+        let files = run(e, "--threads 2");
+        for &file in e.files {
+            assert!(text(&files, file) == read(file), "{file} drifted from results/{file}");
         }
     }
 }

@@ -39,5 +39,5 @@ pub use coherence::{CoherenceStats, SharedL2, SharedL2Config};
 pub use machine::{round_to_cycles, CycleCount, Machine, MachineConfig, MachineStats};
 pub use placement::{AddressAllocator, RandomPlacement};
 pub use replay::ReplayCache;
-pub use stats::{ReplayReport, ReplayStats};
+pub use stats::ReplayStats;
 pub use tlb::{Tlb, TlbConfig, TlbStats};

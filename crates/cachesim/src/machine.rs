@@ -1109,11 +1109,7 @@ mod tests {
             }
         }
         let s = m.replay_stats();
-        assert!(
-            s.hit_rate() > 0.9,
-            "steady-state hit rate {:.3} should approach 1",
-            s.hit_rate()
-        );
+        assert!(s.hits * 10 > s.accesses() * 9, "steady-state hit rate should approach 1: {s:?}");
         assert_eq!(s.accesses(), 500);
     }
 

@@ -43,7 +43,7 @@
 //!   cardinality degrades to plain simulation instead of exhausting
 //!   memory.
 
-use crate::stats::{ReplayReport, ReplayStats};
+use crate::stats::ReplayStats;
 use std::hash::{BuildHasherDefault, Hasher};
 // The memoizer's state interner is lookup-only (get/insert, never
 // iterated) and uses a fixed-seed hasher, so not even its internal order
@@ -307,16 +307,6 @@ impl ReplayCache {
     pub fn stats(&self) -> ReplayStats {
         self.stats
     }
-
-    /// Snapshot of counters and table sizes.
-    pub fn report(&self) -> ReplayReport {
-        ReplayReport {
-            stats: self.stats,
-            states: self.states.len(),
-            transitions: self.states.iter().map(|s| s.transitions.len()).sum(),
-            footprints: self.footprints.iter().filter(|f| !f.is_empty()).count(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,7 +332,7 @@ mod tests {
         assert!(r.check_footprint(0, &[1, 2, 3]), "exact repeat is fine");
         assert!(!r.check_footprint(0, &[1, 2, 4]), "different lines collide");
         assert!(r.check_footprint(5, &[9]), "gaps auto-register");
-        assert_eq!(r.report().footprints, 2);
+        assert_eq!(r.footprints.iter().filter(|f| !f.is_empty()).count(), 2);
     }
 
     #[test]
@@ -381,7 +371,7 @@ mod tests {
         assert_eq!(got.next, 3);
         assert_eq!(r.lookup(s, 1).unwrap().ret, 1);
         assert!(r.lookup(s, 2).is_none());
-        assert_eq!(r.report().transitions, 2);
+        assert_eq!(r.states[s as usize].transitions.len(), 2);
     }
 
     #[test]
@@ -444,6 +434,6 @@ mod tests {
         assert!(r.saturated());
         assert_eq!(r.intern_hashed(42, &[9, 9]), None, "cap binds on a chain");
         assert_eq!(r.intern_hashed(42, &[5, 6]), Some(2), "known chained state resolves");
-        assert_eq!(r.report().states, 5);
+        assert_eq!(r.states.len(), 5);
     }
 }

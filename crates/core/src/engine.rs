@@ -139,9 +139,6 @@ pub struct StackEngine {
     /// reused round-robin).
     reply_bufs: Vec<cachesim::Region>,
     reply_next: usize,
-    /// Per-batch scratch, reused across batches so the steady-state hot
-    /// path allocates nothing.
-    scratch: BatchScratch,
     /// Observability sink ([`Sink::Off`] by default: every probe is one
     /// branch, no allocation — `tests/alloc.rs` proves it).
     sink: Sink,
@@ -153,15 +150,6 @@ pub struct StackEngine {
     obs_rx: Vec<NameId>,
     /// Pre-interned span names for the transmit layers (empty when off).
     obs_tx: Vec<NameId>,
-}
-
-/// Reusable per-batch buffers for the blocked (LDLP) path.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    imiss: Vec<u64>,
-    dmiss: Vec<u64>,
-    done: Vec<u64>,
-    replies: Vec<cachesim::Region>,
 }
 
 impl StackEngine {
@@ -185,7 +173,6 @@ impl StackEngine {
             reply_bufs: Vec::new(),
             reply_next: 0,
             verify_layer: 0,
-            scratch: BatchScratch::default(),
             sink: Sink::Off,
             obs_prefix: String::new(),
             obs_rx: Vec::new(),
@@ -387,21 +374,17 @@ impl StackEngine {
     /// when duplex, the replies then descend the transmit layers in the
     /// same blocked pattern.
     fn run_blocked(&mut self, msgs: &[SimMessage], out: &mut Vec<Completion>) {
-        let n = msgs.len();
-        // Take the scratch buffers so they can be indexed while the
-        // engine is borrowed by the apply calls; restored on return.
-        let mut imiss = std::mem::take(&mut self.scratch.imiss);
-        let mut dmiss = std::mem::take(&mut self.scratch.dmiss);
-        let mut done = std::mem::take(&mut self.scratch.done);
-        imiss.clear();
+        // One completion per message up front; each (layer, message)
+        // application adds its miss deltas and stamps `done_cycles` in
+        // place.
         // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
-        imiss.resize(n, 0);
-        dmiss.clear();
-        // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
-        dmiss.resize(n, 0);
-        done.clear();
-        // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
-        done.resize(n, 0);
+        out.extend(msgs.iter().map(|msg| Completion {
+            msg_id: msg.id,
+            done_cycles: 0,
+            imisses: 0,
+            dmisses: 0,
+            rejected: msg.corrupted,
+        }));
         let last = self.layers.len() - 1;
         for li in 0..self.layers.len() {
             // One span per layer *pass* over the batch — the unit LDLP's
@@ -412,7 +395,7 @@ impl StackEngine {
                 None
             };
             let mut active = 0u32;
-            for (mi, msg) in msgs.iter().enumerate() {
+            for (msg, comp) in msgs.iter().zip(out.iter_mut()) {
                 // Corrupted messages leave the batch after verification.
                 if msg.corrupted && li > self.verify_layer {
                     continue;
@@ -424,14 +407,14 @@ impl StackEngine {
                 self.machine.execute(self.queue_instr);
                 self.apply_layer(li, msg, true, false);
                 let (i1, d1) = self.machine.miss_counts();
-                imiss[mi] += i1 - i0;
-                dmiss[mi] += d1 - d0;
+                comp.imisses += i1 - i0;
+                comp.dmisses += d1 - d0;
                 // A corrupted message finishes (rejected) at the verify
                 // layer; clean simplex messages finish at the top.
                 if (msg.corrupted && li == self.verify_layer)
                     || (li == last && !self.is_duplex())
                 {
-                    done[mi] = self.machine.cycles();
+                    comp.done_cycles = self.machine.cycles();
                 }
             }
             if let Some((sc, si, sd)) = pass {
@@ -439,61 +422,39 @@ impl StackEngine {
             }
         }
         if self.is_duplex() {
-            let mut replies = std::mem::take(&mut self.scratch.replies);
-            replies.clear();
-            for msg in msgs {
-                // Rejected messages generate no reply; a placeholder keeps
-                // the vector index-aligned with the batch.
-                let r = if msg.corrupted {
-                    Region::new(0, 0)
-                } else {
-                    self.next_reply_buf()
-                };
-                // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
-                replies.push(r);
-            }
+            // Each clean message takes the next reply slot, the same one
+            // in every transmit pass; rejected messages generate no reply.
+            let first_reply = self.reply_next;
             let tx_last = self.tx_layers.len() - 1;
             for li in 0..self.tx_layers.len() {
+                self.reply_next = first_reply;
                 let pass = if self.sink.is_on() {
                     Some(self.obs_begin())
                 } else {
                     None
                 };
                 let mut active = 0u32;
-                for (mi, &reply) in replies.iter().enumerate() {
-                    if msgs[mi].corrupted {
+                for comp in out.iter_mut() {
+                    if comp.rejected {
                         continue;
                     }
                     active += 1;
+                    let reply = self.next_reply_buf();
                     let (i0, d0) = self.machine.miss_counts();
                     self.machine.execute(self.queue_instr);
                     self.apply_tx(li, reply);
                     let (i1, d1) = self.machine.miss_counts();
-                    imiss[mi] += i1 - i0;
-                    dmiss[mi] += d1 - d0;
+                    comp.imisses += i1 - i0;
+                    comp.dmisses += d1 - d0;
                     if li == tx_last {
-                        done[mi] = self.machine.cycles();
+                        comp.done_cycles = self.machine.cycles();
                     }
                 }
                 if let Some((sc, si, sd)) = pass {
                     self.obs_span(self.obs_tx.get(li).copied(), sc, si, sd, active);
                 }
             }
-            self.scratch.replies = replies;
         }
-        // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
-        out.reserve(n);
-        // analyze::allow(alloc-path, reason = "reused caller buffer: no-op once capacity is warm (tests/alloc.rs pins zero steady-state allocs)")
-        out.extend(msgs.iter().enumerate().map(|(mi, msg)| Completion {
-            msg_id: msg.id,
-            done_cycles: done[mi],
-            imisses: imiss[mi],
-            dmisses: dmiss[mi],
-            rejected: msg.corrupted,
-        }));
-        self.scratch.imiss = imiss;
-        self.scratch.dmiss = dmiss;
-        self.scratch.done = done;
     }
 
     /// One application of one transmit layer to one reply buffer: the
@@ -906,5 +867,82 @@ mod tests {
         let (observed, cycles_obs) = run(Some(obs::Sink::record(true)));
         assert_eq!(plain, observed, "observation must not perturb the run");
         assert_eq!(cycles_plain, cycles_obs);
+    }
+
+    proptest::proptest! {
+        /// Whatever the batch, the discipline or the stack, every miss
+        /// the machine counts during a batch is attributed to exactly
+        /// one message; clean messages finish in input order, no later
+        /// than the machine's clock; and a corrupted message finishes
+        /// inside a span of the verify layer (checked on a second,
+        /// observed run, which must match the plain one exactly).
+        #[test]
+        fn completions_account_for_every_miss_once(
+            batch in proptest::collection::vec((0u64..1537, proptest::prelude::any::<bool>()), 0..20),
+            duplex in proptest::prelude::any::<bool>(),
+            verify in 0usize..5,
+            seed in 0u64..1000,
+        ) {
+            for discipline in [
+                Discipline::Conventional,
+                Discipline::Ilp,
+                Discipline::Ldlp(BatchPolicy::DCacheFit),
+            ] {
+                let mk = || {
+                    let (m, rx) = paper_stack(MachineConfig::synthetic_benchmark(), seed);
+                    let e = StackEngine::new(m, rx, discipline).with_verify_layer(verify);
+                    if duplex {
+                        let cfg = MachineConfig::synthetic_benchmark();
+                        let (_, tx) = crate::synth::stack_with(cfg, seed ^ 0x7a, 3, 4 * 1024, 256);
+                        e.with_tx(tx, 58)
+                    } else {
+                        e
+                    }
+                };
+                let mut pool = MessagePool::new(32, 1536, seed);
+                let msgs: Vec<SimMessage> = batch
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(len, corrupted))| SimMessage {
+                        corrupted,
+                        ..pool.make_message(i as u64, len)
+                    })
+                    .collect();
+                let (mut plain, mut observed) = (mk(), mk());
+                // A cold batch, then the same batch again on warm caches.
+                for _ in 0..2 {
+                    let (i0, d0) = plain.machine().miss_counts();
+                    let c = plain.process_batch(&msgs);
+                    let (i1, d1) = plain.machine().miss_counts();
+                    proptest::prop_assert_eq!(c.len(), msgs.len());
+                    proptest::prop_assert_eq!(c.iter().map(|c| c.imisses).sum::<u64>(), i1 - i0);
+                    proptest::prop_assert_eq!(c.iter().map(|c| c.dmisses).sum::<u64>(), d1 - d0);
+                    let mut last = 0;
+                    for (c, m) in c.iter().zip(&msgs) {
+                        proptest::prop_assert_eq!((c.msg_id, c.rejected), (m.id, m.corrupted));
+                        if !c.rejected {
+                            proptest::prop_assert!(last <= c.done_cycles);
+                            last = c.done_cycles;
+                        }
+                        proptest::prop_assert!(c.done_cycles <= plain.machine().cycles());
+                    }
+
+                    observed.set_sink(obs::Sink::record(true), "");
+                    let verify_span = observed.obs_rx[verify];
+                    proptest::prop_assert_eq!(&observed.process_batch(&msgs), &c, "{:?}", discipline);
+                    let rec = observed.take_sink().into_recorder().expect("sink was on");
+                    for c in c.iter().filter(|c| c.rejected) {
+                        proptest::prop_assert!(
+                            rec.events().iter().any(|ev| ev.name == verify_span
+                                && ev.start < c.done_cycles
+                                && c.done_cycles <= ev.start + ev.dur),
+                            "{:?}: message {} did not finish at the verify layer",
+                            discipline,
+                            c.msg_id
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -607,18 +607,6 @@ pub struct LookupCacheStats {
     pub misses: u64,
 }
 
-impl LookupCacheStats {
-    /// Hits over all lookups (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Largest front-end cache Jain's study sweeps.
 pub const MAX_CACHE_SLOTS: usize = 64;
 
@@ -927,7 +915,6 @@ mod tests {
         assert_eq!(c.get(&5), Some(50));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         c.invalidate(&5);
         assert_eq!(c.get(&5), None);
     }

@@ -205,7 +205,6 @@ fn run_core(
     // Batch buffers, reused every iteration: the steady-state loop
     // allocates nothing per batch.
     let mut batch: Vec<SimMessage> = Vec::with_capacity(cfg.pool_bufs);
-    let mut batch_arrivals: Vec<u64> = Vec::with_capacity(cfg.pool_bufs);
     let mut batch_flows: Vec<u32> = Vec::with_capacity(cfg.pool_bufs);
     let mut lookup_dm: Vec<u64> = Vec::with_capacity(cfg.pool_bufs);
     let mut completions: Vec<ldlp::Completion> = Vec::with_capacity(cfg.pool_bufs);
@@ -248,7 +247,6 @@ fn run_core(
             .min(nic.len())
             .min(cfg.pool_bufs);
         batch.clear();
-        batch_arrivals.clear();
         batch_flows.clear();
         for _ in 0..limit {
             let Some((arr, bytes, corrupted, flow)) = nic.pop_front() else {
@@ -259,7 +257,6 @@ fn run_core(
             m.corrupted = corrupted;
             msg_id += 1;
             batch.push(m);
-            batch_arrivals.push(arr);
             batch_flows.push(flow);
         }
         batches += 1;
@@ -302,7 +299,7 @@ fn run_core(
         }
         // Batch runs in sim time [now, now + cost).
         let offset = now - machine_before;
-        for (k, (c, &arr)) in completions.iter().zip(&batch_arrivals).enumerate() {
+        for (k, (c, m)) in completions.iter().zip(&batch).enumerate() {
             let finish = c.done_cycles + offset;
             last_finish = last_finish.max(finish);
             // Cycles and misses are spent either way; only clean
@@ -311,17 +308,17 @@ fn run_core(
             if c.rejected {
                 rejected += 1;
             } else {
-                let lat_cycles = finish.saturating_sub(arr);
+                let lat_cycles = finish.saturating_sub(m.arrival_cycles);
                 latencies_us.push(lat_cycles as f64 / clock_mhz);
             }
         }
         if let Some((_, lat_id, im_id, dm_id)) = obs_ids {
             if let Some(rec) = engine.sink_mut().on_mut() {
-                for (k, (c, &arr)) in completions.iter().zip(&batch_arrivals).enumerate() {
+                for (k, (c, m)) in completions.iter().zip(&batch).enumerate() {
                     rec.record_value(im_id, c.imisses);
                     rec.record_value(dm_id, c.dmisses + lookup_dm.get(k).copied().unwrap_or(0));
                     if !c.rejected {
-                        let lat_cycles = (c.done_cycles + offset).saturating_sub(arr);
+                        let lat_cycles = (c.done_cycles + offset).saturating_sub(m.arrival_cycles);
                         rec.record_value(lat_id, (lat_cycles as f64 / clock_mhz) as u64);
                     }
                 }

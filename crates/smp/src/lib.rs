@@ -17,9 +17,8 @@
 //! * [`sim`] — the deterministic event loop, one scheduler fed by an
 //!   open-loop arrival schedule or a closed-loop client population:
 //!   per-core engines over a [`cachesim::SharedL2`] coherence fabric,
-//!   bounded structure-of-arrays descriptor rings between pipeline
-//!   stages (`ring`), and a cross-core conservation law asserted on
-//!   every run.
+//!   bounded descriptor rings between pipeline stages (`ring`), and a
+//!   cross-core conservation law asserted on every run.
 //!
 //! The headline experiment is `figure9` in `crates/bench`: arrival rate
 //! × core count × dispatch policy, Conventional vs. LDLP, reporting

@@ -21,10 +21,10 @@
 //! * **LayerAffinity** — the stack is partitioned contiguously across
 //!   cores ([`ldlp::stage_partition`]); all packets enter stage 0 and
 //!   whole layer-batches move between stages through bounded
-//!   structure-of-arrays descriptor rings ([`crate::ring::DescRing`]),
-//!   paying descriptor-ring traffic through the fabric instead. Each
-//!   shared table has a single owning stage, so after warm-up its
-//!   lines never migrate.
+//!   descriptor rings ([`crate::ring::DescRing`]), paying
+//!   descriptor-ring traffic through the fabric instead. Each shared
+//!   table has a single owning stage, so after warm-up its lines never
+//!   migrate.
 //!
 //! Boundedness gives backpressure, in one of two flavours
 //! ([`HandoffFlowControl`]): the stock mode sizes every batch to the
@@ -364,7 +364,7 @@ struct CoreState {
     engine: StackEngine,
     pool: MessagePool,
     entry: VecDeque<EntryPkt>,
-    /// Hand-off queue feeding this core: an SoA descriptor ring (see
+    /// Hand-off queue feeding this core: a descriptor ring (see
     /// [`crate::ring`]) carrying each message's accumulated per-message
     /// cost so the final stage can emit whole-path samples.
     inbox: DescRing,
@@ -387,21 +387,16 @@ struct CoreState {
     obs: Option<ObsIds>,
     rep: CoreReport,
     // Reused per-batch scratch: the steady-state loop allocates
-    // nothing. Per-message bookkeeping for the batch in flight is
-    // columnar (parallel arrays indexed by batch position) to match
-    // the descriptor-ring layout.
+    // nothing. `staged[k]` is the descriptor `batch[k]` (the engine's
+    // input) arrived with.
     batch: Vec<SimMessage>,
-    b_arr: Vec<u64>,
-    b_flow: Vec<u32>,
-    b_wclass: Vec<u8>,
-    b_imiss: Vec<u64>,
-    b_dmiss: Vec<u64>,
+    staged: Vec<Desc>,
     completions: Vec<Completion>,
 }
 
 /// Appends to one of the run loop's reused buffers.
 fn push_warm<T>(buf: &mut Vec<T>, item: T) {
-    // analyze::allow(alloc-path, reason = "batch columns and per-run sample/routing buffers keep their capacity across batches and runs and grow by at most one entry per message: a warm simulator replaying a load it has seen allocates nothing (tests/alloc.rs)")
+    // analyze::allow(alloc-path, reason = "batch scratch and per-run sample/routing buffers keep their capacity across batches and runs and grow by at most one entry per message: a warm simulator replaying a load it has seen allocates nothing (tests/alloc.rs)")
     buf.push(item);
 }
 
@@ -410,11 +405,7 @@ impl CoreState {
     /// cost it has accumulated upstream.
     fn stage(&mut self, d: Desc) {
         push_warm(&mut self.batch, d.msg);
-        push_warm(&mut self.b_arr, d.arr);
-        push_warm(&mut self.b_flow, d.flow_id);
-        push_warm(&mut self.b_wclass, d.wclass);
-        push_warm(&mut self.b_imiss, d.imiss);
-        push_warm(&mut self.b_dmiss, d.dmiss);
+        push_warm(&mut self.staged, d);
     }
 }
 
@@ -585,11 +576,7 @@ impl SmpSim {
                 obs: None,
                 rep: CoreReport::default(),
                 batch: Vec::with_capacity(cfg.pool_bufs),
-                b_arr: Vec::with_capacity(cfg.pool_bufs),
-                b_flow: Vec::with_capacity(cfg.pool_bufs),
-                b_wclass: Vec::with_capacity(cfg.pool_bufs),
-                b_imiss: Vec::with_capacity(cfg.pool_bufs),
-                b_dmiss: Vec::with_capacity(cfg.pool_bufs),
+                staged: Vec::with_capacity(cfg.pool_bufs),
                 completions: Vec::with_capacity(cfg.pool_bufs),
             });
         }
@@ -1119,8 +1106,7 @@ impl SmpSim {
 
         // Candidate set: how many messages are takeable right now, and
         // how big the largest is (batch limits are sized conservatively
-        // by the largest candidate, as in the single-core loop). The
-        // ring scan reads only the ready-time and buffer-length columns.
+        // by the largest candidate, as in the single-core loop).
         let (avail, max_bytes) = if core.entry.is_empty() {
             core.inbox.takeable(start)
         } else if matches!(core.engine.discipline(), Discipline::Ldlp(_)) {
@@ -1150,11 +1136,7 @@ impl SmpSim {
         // pipeline stages pop handed-off messages and pay the
         // consumer-side descriptor-ring read through the fabric.
         core.batch.clear();
-        core.b_arr.clear();
-        core.b_flow.clear();
-        core.b_wclass.clear();
-        core.b_imiss.clear();
-        core.b_dmiss.clear();
+        core.staged.clear();
         if core.entry.is_empty() {
             let popped0 = core.inbox.popped();
             for k in 0..limit as u64 {
@@ -1183,7 +1165,6 @@ impl SmpSim {
                 }
                 core.stage(Desc {
                     msg,
-                    arr: pkt.arr,
                     flow_id: pkt.flow_id,
                     wclass: pkt.wclass,
                     imiss: 0,
@@ -1198,8 +1179,8 @@ impl SmpSim {
         // every core does both, so slots ping-pong through the fabric;
         // under layer affinity each table has one owning stage and its
         // lines stop migrating after warm-up.
-        for k in 0..core.b_flow.len() {
-            let flow = core.b_flow[k];
+        for d in &core.staged {
+            let flow = d.flow_id;
             if owns_bottom {
                 let slot = Self::table_slot(
                     REASS_TABLE_BASE,
@@ -1232,8 +1213,8 @@ impl SmpSim {
         // Untracked runs skip the whole block.
         if self.wtrack && owns_top {
             for w in 0..MAX_WCLASS {
-                for k in 0..core.b_flow.len() {
-                    if usize::from(core.b_wclass[k]) & (MAX_WCLASS - 1) != w {
+                for d in &mut core.staged {
+                    if usize::from(d.wclass) & (MAX_WCLASS - 1) != w {
                         continue;
                     }
                     let (i0, d0) = core.engine.machine().miss_counts();
@@ -1252,7 +1233,7 @@ impl SmpSim {
                             WCLASS_TABLE_BASE + w as u64 * WCLASS_STRIDE,
                             slots,
                             WCLASS_SLOT_BYTES,
-                            core.b_flow[k],
+                            d.flow_id,
                         );
                         self.shared.rmw(c as u8, slot, core.engine.machine_mut());
                     }
@@ -1261,8 +1242,8 @@ impl SmpSim {
                     // the first message of a class in the batch absorbs
                     // the handler image's misses, followers ride warm.
                     let (i1, d1) = core.engine.machine().miss_counts();
-                    core.b_imiss[k] += i1 - i0;
-                    core.b_dmiss[k] += d1 - d0;
+                    d.imiss += i1 - i0;
+                    d.dmiss += d1 - d0;
                 }
             }
         }
@@ -1312,10 +1293,10 @@ impl SmpSim {
 
         for k in 0..core.completions.len() {
             let comp = core.completions[k];
-            let arr = core.b_arr[k];
-            let im = core.b_imiss[k] + comp.imisses;
-            let dm = core.b_dmiss[k] + comp.dmisses;
-            let wi = usize::from(core.b_wclass[k]) & (MAX_WCLASS - 1);
+            let d = core.staged[k];
+            let im = d.imiss + comp.imisses;
+            let dm = d.dmiss + comp.dmisses;
+            let wi = usize::from(d.wclass) & (MAX_WCLASS - 1);
             if comp.rejected || is_final {
                 // The message leaves the machine here. Whatever becomes
                 // of it, the work is spent: miss samples and the span
@@ -1340,16 +1321,20 @@ impl SmpSim {
                     // Useful or stale is the client's call, made when
                     // the acknowledgement is delivered.
                     // analyze::allow(alloc-path, reason = "holds completions between their batch and the frontier reaching their finish cycle: at most one per message in the machine, which the entry queues and rings bound")
-                    self.ready_acks.push(Reverse((finish, core.batch[k].id, c)));
+                    self.ready_acks.push(Reverse((finish, d.msg.id, c)));
                 } else {
-                    let lat_us = finish.saturating_sub(arr) as f64 / self.clock_mhz;
+                    let lat_us =
+                        finish.saturating_sub(d.msg.arrival_cycles) as f64 / self.clock_mhz;
                     Self::complete(core, &mut self.latencies_us, &mut self.wsamples, wi, lat_us);
                 }
             } else if let Some(down) = down.as_deref_mut() {
-                let (fl, wc) = (core.b_flow[k], core.b_wclass[k]);
-                // analyze::allow(alloc-path, reason = "ring storage is preallocated at construction; push writes in place")
-                let pushed = down.inbox.push(end_global, &core.batch[k], arr, fl, wc, im, dm);
-                if pushed {
+                let d = Desc {
+                    imiss: im,
+                    dmiss: dm,
+                    ..d
+                };
+                // analyze::allow(alloc-path, reason = "ring storage is reserved at construction; push never grows it")
+                if down.inbox.push(end_global, d) {
                     self.handoff_msgs += 1;
                 } else {
                     // Only StallProducer sizes batches past downstream
@@ -1358,14 +1343,7 @@ impl SmpSim {
                     // stalls until the consumer pops.
                     debug_assert!(stall_mode, "batch was sized by downstream free space");
                     // analyze::allow(alloc-path, reason = "held buffer is bounded by one batch (pool_bufs); capacity is reserved at construction")
-                    core.held.push_back(Desc {
-                        msg: core.batch[k],
-                        arr,
-                        flow_id: core.b_flow[k],
-                        wclass: core.b_wclass[k],
-                        imiss: im,
-                        dmiss: dm,
-                    });
+                    core.held.push_back(d);
                 }
             }
         }
@@ -1406,8 +1384,8 @@ impl SmpSim {
             // The descriptor bytes were already written (and charged)
             // during the producing batch; the stall was pure waiting.
             // analyze::allow(charge-coverage, reason = "descriptor slot bytes were charged via SharedL2 write during the producing batch; releasing a held descriptor is pure waiting, no new data movement")
-            // analyze::allow(alloc-path, reason = "ring storage is preallocated at construction; push writes in place")
-            let ok = cons.inbox.push(t_flush, &d.msg, d.arr, d.flow_id, d.wclass, d.imiss, d.dmiss);
+            // analyze::allow(alloc-path, reason = "ring storage is reserved at construction; push never grows it")
+            let ok = cons.inbox.push(t_flush, d);
             debug_assert!(ok, "free space was checked above");
             self.handoff_msgs += 1;
             moved += 1;
@@ -1492,7 +1470,7 @@ mod tests {
     use super::*;
     use crate::steer::tag_flows;
     use ldlp::BatchPolicy;
-    use simnet::traffic::{ConstantSource, TrafficSource};
+    use simnet::traffic::{ConstantSource, PoissonSource, TrafficSource};
 
     fn arrivals(rate_hz: f64, duration_s: f64, flows: u32, seed: u64) -> Vec<FlowArrival> {
         let raw = ConstantSource::new(1.0 / rate_hz, 552).take_until(duration_s);
@@ -1522,6 +1500,47 @@ mod tests {
         // One core: no cross-core transfers, ever.
         assert_eq!(out.coherence.transfers, 0);
         assert_eq!(out.coherence.invalidations, 0);
+    }
+
+    /// A one-core fabric moves no line between cores, yet it is not
+    /// free: every reassembly- and call-table RMW pays the L2 lookup
+    /// plus a write hit per line. The stall is exactly those charges,
+    /// replayed here line by line, in arrival order, on a bare cache of
+    /// the L2's geometry: 129 760 cycles for these 743 messages.
+    #[test]
+    fn a_one_core_server_still_pays_l2_for_its_tables() {
+        let raw = PoissonSource::new(4_000.0, 552, 7).take_until(0.2);
+        let arr = tag_flows(&raw, 64, 7);
+        let reass = (REASS_TABLE_BASE, netstack::ipfrag::REASSEMBLY_SLOT_BYTES);
+        let call = (CALL_TABLE_BASE, signaling::call::CALL_SLOT_BYTES);
+        for discipline in [
+            Discipline::Conventional,
+            Discipline::Ldlp(BatchPolicy::DCacheFit),
+        ] {
+            let c = cfg(1, DispatchPolicy::FlowHash, discipline);
+            let out = run_smp(&c, &arr);
+            let (msgs, coh) = (out.report.completed, out.coherence);
+            assert_eq!(msgs, arr.len() as u64, "light load: nothing dropped");
+            assert_eq!((coh.transfers, coh.invalidations), (0, 0));
+            assert_eq!((coh.reads, coh.writes), (2 * msgs, 2 * msgs));
+            // Per line: the read's lookup (hit or fill), then the
+            // write, which finds the line just read and hits.
+            let (sh, mut l2, mut expect) = (c.shared, cachesim::Cache::new(c.shared.l2), 0);
+            for a in &arr {
+                for ((base, bytes), slots) in
+                    [(reass, c.reass_table_slots), (call, c.call_table_slots)]
+                {
+                    let slot = SmpSim::table_slot(base, slots, bytes, a.flow_id);
+                    for addr in slot.line_addrs(sh.l2.line_size) {
+                        let hit = l2.access(addr, cachesim::AccessKind::Read);
+                        let lookup = if hit { sh.hit_cycles } else { sh.miss_cycles };
+                        expect += lookup + sh.hit_cycles;
+                    }
+                }
+            }
+            assert!(expect > 0, "the L2 charges are never zero");
+            assert_eq!(coh.stall_cycles, expect, "{discipline:?}");
+        }
     }
 
     /// Table sizing: defaults reproduce the stock constants (so every
