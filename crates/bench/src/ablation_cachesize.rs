@@ -19,7 +19,7 @@ use simnet::{run_sim, SimConfig};
 fn machine(cache_kb: u64) -> MachineConfig {
     MachineConfig {
         icache: CacheConfig::direct_mapped(cache_kb * 1024, 32),
-        dcache: Some(CacheConfig::direct_mapped(cache_kb * 1024, 32)),
+        dcache: CacheConfig::direct_mapped(cache_kb * 1024, 32),
         // Rosenblum: bigger caches come with deeper miss penalties.
         read_miss_penalty: if cache_kb >= 32 { 30 } else { 20 },
         ..MachineConfig::synthetic_benchmark()

@@ -43,7 +43,6 @@ pub fn run_cell(
         pool_bufs: 32,
         pool_buf_bytes: 17 * 1024,
         pool_seed: seed,
-        ..SimConfig::default()
     };
     (run_sim(&mut engine, &arrivals, &cfg), engine)
 }

@@ -44,7 +44,7 @@ fn elaborate_active(n: u64) -> u64 {
 fn machine() -> Machine {
     Machine::new(MachineConfig {
         icache: CacheConfig::direct_mapped(8 * 1024, 32),
-        dcache: Some(CacheConfig::direct_mapped(8 * 1024, 32)),
+        dcache: CacheConfig::direct_mapped(8 * 1024, 32),
         read_miss_penalty: FILL_PENALTY,
         ..MachineConfig::dec3000_400()
     })

@@ -267,11 +267,10 @@ pub fn run(opts: &RunOpts) -> Output {
     let mut trace = Vec::new();
     if opts.trace {
         let rate = rates(opts.smoke)[rates(opts.smoke).len() - 1];
-        let machine = SmpConfig::new(4, DispatchPolicy::FlowHash, Discipline::Conventional).machine;
         for v in variants() {
             for (core, rec) in run_cell(rate, 4, &v, 1, opts.duration_s, Some(true)).2 {
                 let name = format!("{}-{}/{}", v.discipline_label, v.dispatch_label, core);
-                trace.push((name, rec, machine.clock_mhz)); // timestamps are CPU cycles
+                trace.push((name, rec, smp::CORE_MACHINE.clock_mhz)); // timestamps are CPU cycles
             }
         }
     }

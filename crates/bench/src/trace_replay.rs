@@ -31,7 +31,7 @@ pub fn run(_: &RunOpts) -> Output {
     for cache_kb in [8u64, 16, 32, 64] {
         let cfg = MachineConfig {
             icache: CacheConfig::direct_mapped(cache_kb * 1024, 32),
-            dcache: Some(CacheConfig::direct_mapped(cache_kb * 1024, 32)),
+            dcache: CacheConfig::direct_mapped(cache_kb * 1024, 32),
             ..MachineConfig::dec3000_400()
         };
         let (cold, steady) = replay_steady(&trace, cfg, 5);

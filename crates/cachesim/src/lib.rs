@@ -1,16 +1,17 @@
 //! # cachesim — machine and primary-cache model
 //!
 //! A small, deterministic, cycle-level model of the memory hierarchy the
-//! paper's experiments depend on: split (or unified) direct-mapped or
-//! set-associative primary caches, a fixed per-miss stall penalty, and a
-//! configurable CPU clock.
+//! paper's experiments depend on: split direct-mapped or set-associative
+//! primary caches, a fixed per-miss stall penalty, and a configurable CPU
+//! clock.
 //!
 //! The model is deliberately simple — it is the model of the paper
 //! (Blackwell, SIGCOMM '96, Section 4): every read miss stalls the processor
-//! for a fixed number of cycles; writes are modelled through the same cache
-//! (write-allocate) but can be configured not to stall. There is no
-//! secondary-cache model because the paper folds the whole miss path into a
-//! single penalty.
+//! for a fixed number of cycles; writes go through the same cache
+//! (write-allocate) and never stall. A [`Machine`] has no secondary cache
+//! because the paper folds the whole miss path into a single penalty; the
+//! multi-core extension models its shared L2 outside the cores, as the
+//! composable [`SharedL2`].
 //!
 //! Two presets mirror the paper's machines:
 //! * [`MachineConfig::dec3000_400`] — the DEC 3000/400 used for the TCP

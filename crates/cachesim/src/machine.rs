@@ -1,4 +1,4 @@
-//! The machine model: split or unified primary caches plus cycle accounting.
+//! The machine model: split primary caches plus cycle accounting.
 
 use crate::addr::Region;
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
@@ -26,16 +26,14 @@ pub fn round_to_cycles(x: f64) -> CycleCount {
 /// Machine parameters: cache geometry, miss penalties and clock rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
-    /// Instruction-cache geometry (also the unified cache when
-    /// `dcache` is `None`).
+    /// Instruction-cache geometry.
     pub icache: CacheConfig,
-    /// Data-cache geometry; `None` selects a unified cache.
-    pub dcache: Option<CacheConfig>,
-    /// Stall cycles charged per read or instruction-fetch miss.
+    /// Data-cache geometry.
+    pub dcache: CacheConfig,
+    /// Stall cycles charged per read or instruction-fetch miss. Write
+    /// misses never stall: the write buffer never fills, the paper's
+    /// implicit assumption.
     pub read_miss_penalty: CycleCount,
-    /// Stall cycles charged per write miss (0 models a write buffer that
-    /// never fills, the paper's implicit assumption).
-    pub write_miss_penalty: CycleCount,
     /// CPU clock in MHz, used to convert cycles to wall time.
     pub clock_mhz: f64,
     /// Multiplier applied to code footprints to model instruction-set code
@@ -47,14 +45,6 @@ pub struct MachineConfig {
     pub itlb: Option<TlbConfig>,
     /// Optional data TLB.
     pub dtlb: Option<TlbConfig>,
-    /// Optional unified second-level cache. When present,
-    /// `read_miss_penalty` is the L1-miss-hits-L2 cost and `l2_miss_penalty`
-    /// is charged on top for references that miss L2 too (the DEC 3000/400
-    /// carries a 512 KB board cache; the paper's "10 cycles" is the
-    /// L1-to-L2 fill).
-    pub l2: Option<CacheConfig>,
-    /// Extra stall cycles per L2 miss (memory fill).
-    pub l2_miss_penalty: CycleCount,
     /// Next-line instruction prefetch: on an I-fetch miss, the following
     /// line is filled in the background at no stall cost (Section 4 notes
     /// "some processors can prefetch instructions from the second level
@@ -68,33 +58,27 @@ impl MachineConfig {
     pub fn dec3000_400() -> Self {
         MachineConfig {
             icache: CacheConfig::direct_mapped(8 * 1024, 32),
-            dcache: Some(CacheConfig::direct_mapped(8 * 1024, 32)),
+            dcache: CacheConfig::direct_mapped(8 * 1024, 32),
             read_miss_penalty: 10,
-            write_miss_penalty: 0,
             clock_mhz: 133.0,
             code_density: 1.0,
             itlb: None,
             dtlb: None,
-            l2: None,
-            l2_miss_penalty: 0,
             next_line_prefetch: false,
         }
     }
 
     /// The synthetic benchmark machine of Section 4: 8 KB direct-mapped
     /// split I/D caches, 32-byte lines, 20-cycle read-miss stall, 100 MHz.
-    pub fn synthetic_benchmark() -> Self {
+    pub const fn synthetic_benchmark() -> Self {
         MachineConfig {
             icache: CacheConfig::direct_mapped(8 * 1024, 32),
-            dcache: Some(CacheConfig::direct_mapped(8 * 1024, 32)),
+            dcache: CacheConfig::direct_mapped(8 * 1024, 32),
             read_miss_penalty: 20,
-            write_miss_penalty: 0,
             clock_mhz: 100.0,
             code_density: 1.0,
             itlb: None,
             dtlb: None,
-            l2: None,
-            l2_miss_penalty: 0,
             next_line_prefetch: false,
         }
     }
@@ -114,15 +98,12 @@ impl MachineConfig {
     pub fn rosenblum_1998() -> Self {
         MachineConfig {
             icache: CacheConfig::direct_mapped(64 * 1024, 32),
-            dcache: Some(CacheConfig::direct_mapped(64 * 1024, 32)),
+            dcache: CacheConfig::direct_mapped(64 * 1024, 32),
             read_miss_penalty: 30,
-            write_miss_penalty: 0,
             clock_mhz: 500.0,
             code_density: 1.0,
             itlb: None,
             dtlb: None,
-            l2: None,
-            l2_miss_penalty: 0,
             next_line_prefetch: false,
         }
     }
@@ -130,15 +111,6 @@ impl MachineConfig {
     /// Returns a copy with next-line instruction prefetch enabled.
     pub fn with_prefetch(mut self) -> Self {
         self.next_line_prefetch = true;
-        self
-    }
-
-    /// Returns a copy with the DEC 3000/400's 512 KB direct-mapped board
-    /// cache enabled: L1 misses that hit it cost `read_miss_penalty`;
-    /// misses all the way to memory add 30 more cycles.
-    pub fn with_board_cache(mut self) -> Self {
-        self.l2 = Some(CacheConfig::direct_mapped(512 * 1024, 32));
-        self.l2_miss_penalty = 30;
         self
     }
 
@@ -161,9 +133,9 @@ impl MachineConfig {
 /// Aggregated statistics for a [`Machine`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachineStats {
-    /// I-cache (or unified cache) counters.
+    /// I-cache counters.
     pub icache: CacheStats,
-    /// D-cache counters (zero for unified configurations).
+    /// D-cache counters.
     pub dcache: CacheStats,
     /// Cycles spent executing instructions.
     pub instr_cycles: CycleCount,
@@ -173,8 +145,6 @@ pub struct MachineStats {
     pub itlb: TlbStats,
     /// Data-TLB counters (zero when no DTB is configured).
     pub dtlb: TlbStats,
-    /// Second-level cache counters (zero when no L2 is configured).
-    pub l2: CacheStats,
 }
 
 impl MachineStats {
@@ -192,21 +162,17 @@ impl MachineStats {
 ///
 /// Recurring code-footprint sweeps are answered by a replay memoizer
 /// (see [`crate::replay`]): an exact-replay table over interned (I-cache
-/// tags ++ ITLB entries) states. Machines with a built-in L2 or a
-/// unified cache bypass it and simulate normally (a code sweep then
-/// touches state the data stream shares, so per-sweep transitions would
-/// not compose). Data sweeps are always walked: their (D-state × region)
-/// graph does not close on any shipped workload, so there is nothing to
-/// replay (DESIGN.md §5.6).
+/// tags ++ ITLB entries) states; the split caches keep the data stream
+/// out of that state, so per-sweep transitions compose. Data sweeps are
+/// always walked: their (D-state × region) graph does not close on any
+/// shipped workload, so there is nothing to replay (DESIGN.md §5.6).
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
     icache: Cache,
-    /// `None` for unified configurations: data accesses then go to `icache`.
-    dcache: Option<Cache>,
+    dcache: Cache,
     itlb: Option<Tlb>,
     dtlb: Option<Tlb>,
-    l2: Option<Cache>,
     instr_cycles: CycleCount,
     stall_cycles: CycleCount,
     /// Code-footprint replay memo (I-cache ++ ITLB states), created
@@ -225,10 +191,9 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Self {
         Machine {
             icache: Cache::new(cfg.icache),
-            dcache: cfg.dcache.map(Cache::new),
+            dcache: Cache::new(cfg.dcache),
             itlb: cfg.itlb.map(Tlb::new),
             dtlb: cfg.dtlb.map(Tlb::new),
-            l2: cfg.l2.map(Cache::new),
             instr_cycles: 0,
             stall_cycles: 0,
             replay: None,
@@ -238,19 +203,12 @@ impl Machine {
         }
     }
 
-    /// Why this configuration can never use the replay memoizer, or
-    /// `None` when it is eligible. Sweeps on eligible machines can still
-    /// bypass individually (footprint-id collision, state-table cap).
+    /// Why this machine can never use the replay memoizer, or `None`
+    /// when it is eligible. The one cause is a switched-off memoizer;
+    /// sweeps on eligible machines can still bypass individually
+    /// (footprint-id collision, state-table cap).
     pub fn replay_ineligibility(&self) -> Option<&'static str> {
-        if !self.replay_enabled {
-            Some("memoizer-disabled")
-        } else if self.dcache.is_none() {
-            Some("unified-cache")
-        } else if self.l2.is_some() {
-            Some("l2-configured")
-        } else {
-            None
-        }
+        (!self.replay_enabled).then_some("memoizer-disabled")
     }
 
     /// Enables or disables the replay memoizer. Disabling materializes
@@ -419,12 +377,11 @@ impl Machine {
 
     /// Code fetch of `lines` through the full (non-memoized) path.
     /// Callers must have materialized any live memo state first. With no
-    /// ITLB, no built-in L2 and no next-line prefetch a miss does nothing
-    /// but stall, so the list is one [`Cache::access_lines`] and one
-    /// stall charge; otherwise each line refills, fills or prefetches
-    /// on its own.
+    /// ITLB and no next-line prefetch a miss does nothing but stall, so
+    /// the list is one [`Cache::access_lines`] and one stall charge;
+    /// otherwise each line refills or prefetches on its own.
     fn fetch_lines_walk(&mut self, lines: &[u64]) -> u64 {
-        if self.itlb.is_none() && self.l2.is_none() && !self.cfg.next_line_prefetch {
+        if self.itlb.is_none() && !self.cfg.next_line_prefetch {
             let misses = self.icache.access_lines(lines, AccessKind::InstrFetch);
             self.stall_cycles += misses * self.cfg.read_miss_penalty;
             return misses;
@@ -459,9 +416,9 @@ impl Machine {
     /// second-level cache or coherence fabric (see [`crate::coherence`])
     /// simulates its own hits, misses, and invalidations and bills the
     /// stall time to the core that waited, without this machine needing
-    /// to own (or even know about) the outer level. Keeping the outer
-    /// level out of `MachineConfig::l2` also keeps the core replay-
-    /// eligible, so the footprint memoizer stays effective per core.
+    /// to own (or even know about) the outer level. The outer level's
+    /// state never enters this machine's replay key, so the footprint
+    /// memoizer stays effective per core.
     pub fn stall(&mut self, n: CycleCount) {
         self.stall_cycles += n;
     }
@@ -475,19 +432,15 @@ impl Machine {
             let refills = tlb.access_range(region.base, region.len);
             self.stall_cycles += refills * tlb.config().refill_penalty;
         }
-        if self.l2.is_some() || self.cfg.next_line_prefetch {
-            // Per-line so L1 misses can fill through the L2 and trigger
-            // next-line prefetches.
+        if self.cfg.next_line_prefetch {
+            // Per-line so each miss can trigger its next-line prefetch.
             let mut misses = 0;
             for line_addr in region.line_addrs(self.cfg.icache.line_size) {
                 let line = line_addr / self.cfg.icache.line_size;
                 if !self.icache.access_line(line, AccessKind::InstrFetch) {
                     misses += 1;
                     self.stall_cycles += self.cfg.read_miss_penalty;
-                    self.l2_fill(line, AccessKind::InstrFetch);
-                    if self.cfg.next_line_prefetch {
-                        self.prefetch_line(line + 1);
-                    }
+                    self.prefetch_line(line + 1);
                 }
             }
             return misses;
@@ -499,20 +452,10 @@ impl Machine {
         misses
     }
 
-    /// Fills an L1 miss through the L2, charging the memory penalty when
-    /// the L2 misses too.
-    fn l2_fill(&mut self, line: u64, kind: AccessKind) {
-        if let Some(l2) = &mut self.l2 {
-            if !l2.access_line(line, kind) {
-                self.stall_cycles += self.cfg.l2_miss_penalty;
-            }
-        }
-    }
-
     /// Fetches a single I-cache line by line number: the walk body of
     /// every footprint sweep the memo does not answer. `#[inline]`
     /// because [`Machine::fetch_lines_walk`]'s per-line loop is the whole
-    /// cost of a memo miss on machines with an ITLB, an L2 or prefetch:
+    /// cost of a memo miss on machines with an ITLB or prefetch:
     /// left to the inliner the body stayed a call per line and the walk
     /// measured 3.8 → 5.3 ns/line.
     #[inline]
@@ -526,7 +469,6 @@ impl Machine {
         let hit = self.icache.access_line(line, AccessKind::InstrFetch);
         if !hit {
             self.stall_cycles += self.cfg.read_miss_penalty;
-            self.l2_fill(line, AccessKind::InstrFetch);
             if self.cfg.next_line_prefetch {
                 self.prefetch_line(line + 1);
             }
@@ -546,15 +488,17 @@ impl Machine {
         }
     }
 
-    /// Loads every line of `region` through the D-cache (or unified cache),
-    /// charging the read-miss penalty per miss. Returns the misses.
+    /// Loads every line of `region` through the D-cache, charging the
+    /// read-miss penalty per miss. Returns the misses.
     #[inline]
     pub fn read_data(&mut self, region: Region) -> u64 {
-        self.data_sweep(region, AccessKind::Read)
+        let misses = self.data_sweep(region, AccessKind::Read);
+        self.stall_cycles += misses * self.cfg.read_miss_penalty;
+        misses
     }
 
-    /// Stores to every line of `region` (write-allocate), charging the
-    /// write-miss penalty per miss. Returns the misses.
+    /// Stores to every line of `region` (write-allocate). Write misses do
+    /// not stall. Returns the misses.
     #[inline]
     pub fn write_data(&mut self, region: Region) -> u64 {
         self.data_sweep(region, AccessKind::Write)
@@ -588,10 +532,9 @@ impl Machine {
         })
     }
 
-    /// One data sweep over `region`. The DTLB, the miss penalty for
-    /// `kind` and the target cache are each resolved once, up front;
-    /// configurations with a built-in L2 then walk per line, everything
-    /// else is one bulk [`Cache::access_range`].
+    /// One data sweep over `region`: the DTLB's refills, when one is
+    /// configured, then one bulk [`Cache::access_range`] over the D-cache.
+    /// Returns the D-cache misses; the caller charges their stall.
     #[inline]
     fn data_sweep(&mut self, region: Region, kind: AccessKind) -> u64 {
         if region.len == 0 {
@@ -601,77 +544,27 @@ impl Machine {
             let refills = tlb.access_range(region.base, region.len);
             self.stall_cycles += refills * tlb.config().refill_penalty;
         }
-        let penalty = match kind {
-            AccessKind::Write => self.cfg.write_miss_penalty,
-            _ => self.cfg.read_miss_penalty,
-        };
-        if self.l2.is_some() {
-            return self.data_sweep_through_l2(region, kind, penalty);
-        }
-        let cache = match &mut self.dcache {
-            Some(d) => d,
-            None => {
-                // Unified cache: data accesses touch the code memo's cache.
-                self.sync_replay();
-                &mut self.icache
-            }
-        };
-        let misses = cache.access_range(region.base, region.len, kind);
-        self.stall_cycles += misses * penalty;
-        misses
-    }
-
-    /// [`Machine::data_sweep`] on a machine with a built-in L2: per
-    /// line, so every L1 miss can fill through the L2.
-    fn data_sweep_through_l2(
-        &mut self,
-        region: Region,
-        kind: AccessKind,
-        penalty: CycleCount,
-    ) -> u64 {
-        if self.dcache.is_none() {
-            self.sync_replay();
-        }
-        let line_size = self.cfg.icache.line_size;
-        let mut misses = 0;
-        for line_addr in region.line_addrs(line_size) {
-            let line = line_addr / line_size.max(1);
-            let cache = self.dcache.as_mut().unwrap_or(&mut self.icache);
-            if !cache.access_line(line, kind) {
-                misses += 1;
-                self.stall_cycles += penalty;
-                self.l2_fill(line, kind);
-            }
-        }
-        misses
+        self.dcache.access_range(region.base, region.len, kind)
     }
 
     /// Invalidates both primary caches (cold start) without resetting
-    /// counters; the L2 (when configured) keeps its contents, as a warm
-    /// board cache would across a context switch. TLB contents survive,
-    /// so any live memo state is materialized first.
+    /// counters. TLB contents survive, so any live memo state is
+    /// materialized first.
     pub fn flush_caches(&mut self) {
         self.sync_replay();
         self.icache.flush();
-        if let Some(d) = &mut self.dcache {
-            d.flush();
-        }
+        self.dcache.flush();
     }
 
     /// Zeroes all counters without touching cache contents.
     pub fn reset_stats(&mut self) {
         self.icache.reset_stats();
-        if let Some(d) = &mut self.dcache {
-            d.reset_stats();
-        }
+        self.dcache.reset_stats();
         if let Some(t) = &mut self.itlb {
             t.reset_stats();
         }
         if let Some(t) = &mut self.dtlb {
             t.reset_stats();
-        }
-        if let Some(l2) = &mut self.l2 {
-            l2.reset_stats();
         }
         self.instr_cycles = 0;
         self.stall_cycles = 0;
@@ -681,28 +574,22 @@ impl Machine {
     pub fn stats(&self) -> MachineStats {
         MachineStats {
             icache: *self.icache.stats(),
-            dcache: self
-                .dcache
-                .as_ref()
-                .map(|d| *d.stats())
-                .unwrap_or_default(),
+            dcache: *self.dcache.stats(),
             itlb: self.itlb.as_ref().map(|t| *t.stats()).unwrap_or_default(),
             dtlb: self.dtlb.as_ref().map(|t| *t.stats()).unwrap_or_default(),
-            l2: self.l2.as_ref().map(|c| *c.stats()).unwrap_or_default(),
             instr_cycles: self.instr_cycles,
             stall_cycles: self.stall_cycles,
         }
     }
 
     /// The two miss counters the run loops difference around every
-    /// (layer, message) application — `(I-cache misses, D-cache misses)`,
-    /// the latter zero on unified configurations — without assembling a
-    /// whole [`MachineStats`].
+    /// (layer, message) application — `(I-cache misses, D-cache misses)` —
+    /// without assembling a whole [`MachineStats`].
     #[inline]
     pub fn miss_counts(&self) -> (u64, u64) {
         (
             self.icache.stats().misses,
-            self.dcache.as_ref().map_or(0, |d| d.stats().misses),
+            self.dcache.stats().misses,
         )
     }
 
@@ -718,9 +605,9 @@ impl Machine {
         &mut self.icache
     }
 
-    /// Direct access to the D-cache; `None` on unified configurations.
-    pub fn dcache(&mut self) -> Option<&mut Cache> {
-        self.dcache.as_mut()
+    /// Direct access to the D-cache.
+    pub fn dcache(&mut self) -> &mut Cache {
+        &mut self.dcache
     }
 }
 
@@ -760,18 +647,6 @@ mod tests {
         assert_eq!(misses, 256);
         // And code is still warm.
         assert_eq!(m.fetch_code(Region::new(0, 8192)), 0);
-    }
-
-    #[test]
-    fn unified_cache_shares_lines() {
-        let cfg = MachineConfig {
-            dcache: None,
-            ..MachineConfig::synthetic_benchmark()
-        };
-        let mut m = Machine::new(cfg);
-        m.fetch_code(Region::new(0, 32));
-        assert_eq!(m.read_data(Region::new(0, 32)), 0, "unified: code fetch warmed the line");
-        assert_eq!(m.replay_ineligibility(), Some("unified-cache"));
     }
 
     #[test]
@@ -912,29 +787,6 @@ mod tests {
         b.fetch_code(Region::new(0, 4096));
         assert_eq!(a.stats().stall_cycles, 0);
         assert_eq!(b.stats().stall_cycles, 0);
-    }
-
-    #[test]
-    fn board_cache_absorbs_repeat_misses() {
-        let cfg = MachineConfig::dec3000_400().with_board_cache();
-        let mut m = Machine::new(cfg);
-        // Cold: 30 KB misses L1 and L2 — both penalties.
-        let lines = 30 * 1024 / 32;
-        m.fetch_code(Region::new(0, 30 * 1024));
-        assert_eq!(m.stats().l2.misses, lines);
-        assert_eq!(m.stats().stall_cycles, lines * (10 + 30));
-        // Evict L1 (working set > 8 KB L1, fits 512 KB L2): second pass
-        // misses L1 but hits L2 — only the 10-cycle fill.
-        let before = m.stats().stall_cycles;
-        m.fetch_code(Region::new(0, 30 * 1024));
-        let added = m.stats().stall_cycles - before;
-        assert!(added < lines * 30, "L2 should absorb most fills: {added}");
-        assert!(m.stats().l2.hits > 0);
-        // flush_caches keeps the L2 warm.
-        m.flush_caches();
-        let before = m.stats().l2.misses;
-        m.fetch_code(Region::new(0, 1024));
-        assert_eq!(m.stats().l2.misses, before, "board cache still warm");
     }
 
     #[test]
@@ -1115,16 +967,17 @@ mod tests {
 
     #[test]
     fn footprint_replay_bypasses_ineligible_configs() {
-        // A built-in L2 makes sweeps touch state shared between the code
-        // and data streams: the memo must stand aside, and say why.
-        let mut m = Machine::new(MachineConfig::dec3000_400().with_board_cache());
+        // A switched-off memoizer stands aside for every sweep, and
+        // says why.
+        let mut m = Machine::new(MachineConfig::dec3000_400());
+        m.set_replay_enabled(false);
         let fp: Vec<u64> = (0..64).collect();
         m.fetch_code_footprint(0, &fp);
         m.fetch_code_footprint(0, &fp);
         m.read_data(Region::new(0x9000, 256));
         assert_eq!(m.replay_stats().hits, 0);
         assert_eq!(m.replay_stats().bypasses, 2, "every footprint sweep counted");
-        assert_eq!(m.replay_ineligibility(), Some("l2-configured"));
+        assert_eq!(m.replay_ineligibility(), Some("memoizer-disabled"));
         // And the fetches still happened.
         assert!(m.stats().icache.fetch_misses > 0);
 

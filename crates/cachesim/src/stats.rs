@@ -15,8 +15,7 @@ pub struct ReplayStats {
     pub misses: u64,
     /// Footprint fetches that bypassed the memo and were walked without
     /// being recorded: the memoizer was switched off
-    /// (`memoizer-disabled`), the machine configuration is not eligible
-    /// (`unified-cache`, `l2-configured`), the footprint id collided
+    /// (`memoizer-disabled`), the footprint id collided
     /// (`footprint-collision`), or the live state was new and the state
     /// table was full (`state-table-full`). See
     /// [`crate::Machine::replay_ineligibility`].

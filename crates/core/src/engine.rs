@@ -288,12 +288,7 @@ impl StackEngine {
         match self.discipline {
             Discipline::Conventional | Discipline::Ilp => usize::MAX,
             Discipline::Ldlp(policy) => {
-                let dcache = self
-                    .machine
-                    .config()
-                    .dcache
-                    .unwrap_or(self.machine.config().icache)
-                    .size_bytes;
+                let dcache = self.machine.config().dcache.size_bytes;
                 policy.limit(dcache, self.max_layer_data, msg_bytes)
             }
         }

@@ -71,7 +71,6 @@ fn counters(s: MachineStats) -> impl PartialEq + std::fmt::Debug {
         s.dcache,
         s.itlb,
         s.dtlb,
-        s.l2,
         s.instr_cycles,
         s.stall_cycles,
     )

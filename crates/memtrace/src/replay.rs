@@ -148,7 +148,7 @@ mod tests {
         t.record(8192, 6144, RefKind::Code, 0, f2);
         let big = MachineConfig {
             icache: cachesim::CacheConfig::direct_mapped(32 * 1024, 32),
-            dcache: Some(cachesim::CacheConfig::direct_mapped(32 * 1024, 32)),
+            dcache: cachesim::CacheConfig::direct_mapped(32 * 1024, 32),
             ..MachineConfig::synthetic_benchmark()
         };
         let (_, steady) = replay_steady(&t, big, 3);

@@ -10,9 +10,9 @@
 //!   standing in for the Bellcore Ethernet traces (Figure 7; Leland et
 //!   al.'s traces are not redistributable, and Willinger et al. showed
 //!   this construction converges to the same self-similar process), and
-//!   trace files.
-//! * [`sim`] — the event loop: a bounded NIC buffer (500 packets in the
-//!   paper), batch admission per the engine's discipline ("process
+//!   a two-state Markov-modulated Poisson process.
+//! * [`sim`] — the event loop: a bounded tail-drop NIC buffer (500
+//!   packets in the paper), batch admission per the engine's discipline ("process
 //!   batches consisting of all available messages"), and per-message
 //!   latency accounting.
 //! * [`stats`] — report aggregation, percentiles, and a Hurst-parameter
@@ -63,7 +63,4 @@ pub use sim::{
     SimConfig,
 };
 pub use stats::{MissTotals, RunTally, SimReport};
-pub use traffic::{
-    Arrival, MmppSource, PoissonSource, SelfSimilarSource, TraceSource, TrafficSource,
-    TrainSource,
-};
+pub use traffic::{Arrival, MmppSource, PoissonSource, SelfSimilarSource, TrafficSource};

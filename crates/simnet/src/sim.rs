@@ -7,30 +7,28 @@
 //! finished, it again looks for new messages." Under light load batches
 //! are singletons; under heavy load they grow to the engine's batch cap.
 //! Messages arriving while a batch is in flight wait in the adaptor
-//! buffer, which holds at most `buffer_cap` packets (500 in the paper);
-//! beyond that, the configured [`AdmissionPolicy`] decides which packet
-//! loses — the arriving one (tail-drop, the paper's behaviour) or queued
-//! ones (head-drop / shed-oldest).
+//! buffer, which holds at most [`NIC_BUFFER_PKTS`] packets, the paper's
+//! 500; an arrival that finds it full is dropped (tail-drop, the paper's
+//! behaviour). The other admission policies live in the multi-core
+//! simulator (`smp`), whose runs vary them.
 //!
 //! Accounting obeys a conservation law checked at the end of every run:
 //! every offered arrival is completed, rejected at checksum verification,
-//! refused admission, shed from the queue, or still in flight. Nothing
-//! vanishes.
+//! refused admission, or still in flight. Nothing vanishes.
 
 use crate::impair::ImpairCounters;
 use crate::stats::{MissTotals, RunTally, SimReport};
 use crate::traffic::Arrival;
 use cachesim::round_to_cycles;
 use ldlp::synth::MessagePool;
-use ldlp::{AdmissionPolicy, SimMessage, StackEngine};
+use ldlp::{SimMessage, StackEngine};
+
+/// NIC buffer capacity in packets: the paper's 500.
+const NIC_BUFFER_PKTS: usize = 500;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// NIC buffer capacity in packets (paper: 500), at least 1.
-    pub buffer_cap: usize,
-    /// What to do with an arrival when the buffer is full.
-    pub admission: AdmissionPolicy,
     /// How long the arrival stream runs, in seconds.
     pub duration_s: f64,
     /// Message-buffer pool entries (ring size), at least 1. Must exceed
@@ -45,8 +43,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            buffer_cap: 500,
-            admission: AdmissionPolicy::TailDrop,
             duration_s: 1.0,
             pool_bufs: 64,
             pool_buf_bytes: 1536,
@@ -118,8 +114,8 @@ pub fn run_sim_impaired(
 
 /// [`run_sim`] with a per-message flow lookup in the loop: `flow_ids`
 /// parallels `arrivals` (index-matched), and `lookup` is charged once
-/// per message as its batch starts processing. Arrivals dropped or shed
-/// at the NIC never reach the stack and are not charged.
+/// per message as its batch starts processing. Arrivals dropped at the
+/// NIC never reach the stack and are not charged.
 ///
 /// # Panics
 ///
@@ -161,10 +157,6 @@ fn run_core(
     flow_ids: &[u32],
     mut lookup: Option<&mut dyn LookupCharge>,
 ) -> SimReport {
-    assert!(
-        cfg.buffer_cap >= 1,
-        "SimConfig::buffer_cap must be at least 1: head-drop would evict from an empty buffer"
-    );
     let clock_mhz = engine.machine().config().clock_mhz;
     let cycles_per_s = clock_mhz * 1e6;
     let mut pool = MessagePool::new(cfg.pool_bufs, cfg.pool_buf_bytes, cfg.pool_seed);
@@ -186,12 +178,11 @@ fn run_core(
     // NIC buffer: (arrival_cycle, bytes, corrupted, flow) in arrival
     // order. Flow is 0 for runs without a lookup model.
     let mut nic: std::collections::VecDeque<(u64, u32, bool, u32)> =
-        std::collections::VecDeque::with_capacity(cfg.buffer_cap);
+        std::collections::VecDeque::with_capacity(NIC_BUFFER_PKTS);
 
     let mut latencies_us: Vec<f64> = Vec::with_capacity(arrivals.len());
     let mut misses = MissTotals::default();
     let mut drops = 0u64;
-    let mut shed = 0u64;
     let mut rejected = 0u64;
     let mut batches = 0u64;
     let mut last_finish: u64 = 0;
@@ -215,12 +206,7 @@ fn run_core(
         // Admit everything that has arrived by `now`.
         while next_arrival < arrivals.len() && arrival_cycle(&arrivals[next_arrival]) <= now {
             let a = &arrivals[next_arrival];
-            let (evict, admit) = cfg.admission.admit(nic.len(), cfg.buffer_cap);
-            for _ in 0..evict {
-                nic.pop_front();
-                shed += 1;
-            }
-            if admit {
+            if nic.len() < NIC_BUFFER_PKTS {
                 let flow = flow_ids.get(next_arrival).copied().unwrap_or(0);
                 nic.push_back((arrival_cycle(a), a.bytes, a.corrupted, flow));
             } else {
@@ -332,9 +318,9 @@ fn run_core(
     let completed = latencies_us.len() as u64;
     assert_eq!(
         offered,
-        completed + rejected + drops + shed + in_flight,
+        completed + rejected + drops + in_flight,
         "conservation violated: offered {offered} != completed {completed} \
-         + rejected {rejected} + drops {drops} + shed {shed} + in-flight {in_flight}"
+         + rejected {rejected} + drops {drops} + in-flight {in_flight}"
     );
 
     SimReport::from_totals(
@@ -344,7 +330,7 @@ fn run_core(
             offered,
             rejected,
             drops,
-            shed,
+            shed: 0,
             in_flight,
             // Open-loop sources have no client to stop waiting; the
             // stale-completion bucket belongs to `smp::run_closed`.
@@ -562,54 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn head_drop_bounds_the_latency_of_survivors() {
-        // Same overload, two policies. Tail-drop keeps the oldest
-        // packets (deep queueing for everything that completes);
-        // head-drop keeps the freshest, so survivors wait less.
-        let arrivals = PoissonSource::new(9000.0, 552, 7).take_until(0.4);
-        let base = SimConfig {
-            duration_s: 0.4,
-            ..SimConfig::default()
-        };
-        let mut e1 = engine(Discipline::Conventional, 1);
-        let tail = run_sim(&mut e1, &arrivals, &base);
-        let cfg = SimConfig {
-            admission: AdmissionPolicy::HeadDrop,
-            ..base
-        };
-        let mut e2 = engine(Discipline::Conventional, 1);
-        let head = run_sim(&mut e2, &arrivals, &cfg);
-        assert!(tail.conservation_holds());
-        assert!(head.conservation_holds());
-        assert!(tail.drops > 0 && head.shed > 0, "both policies lose packets");
-        assert_eq!(head.drops, 0, "head-drop always admits the arrival");
-        assert!(
-            head.mean_latency_us < tail.mean_latency_us,
-            "head-drop survivors {} us should wait less than tail-drop {} us",
-            head.mean_latency_us,
-            tail.mean_latency_us
-        );
-    }
-
-    #[test]
-    fn shed_oldest_purges_in_sweeps_and_conserves() {
-        let arrivals = PoissonSource::new(9000.0, 552, 7).take_until(0.3);
-        let cfg = SimConfig {
-            admission: AdmissionPolicy::ShedOldest { down_to: 100 },
-            duration_s: 0.3,
-            ..SimConfig::default()
-        };
-        let mut e = engine(Discipline::Conventional, 1);
-        let r = run_sim(&mut e, &arrivals, &cfg);
-        assert!(r.conservation_holds());
-        assert_eq!(r.drops, 0);
-        assert!(r.shed > 0, "overload must trigger shedding");
-        // Shedding happens 400-at-a-time, so the shed count is a
-        // multiple of the purge size.
-        assert_eq!(r.shed % 400, 0, "shed {} in sweeps of 400", r.shed);
-    }
-
-    #[test]
     fn lookup_charges_land_in_dmisses_and_latency() {
         let arrivals = ConstantSource::new(0.001, 552).take_until(0.2);
         let flow_ids: Vec<u32> = (0..arrivals.len() as u32).collect();
@@ -653,20 +591,6 @@ mod tests {
     fn a_zero_buffer_pool_is_refused() {
         let arrivals = ConstantSource::new(0.001, 552).take_until(0.009);
         let cfg = SimConfig { pool_bufs: 0, ..SimConfig::default() };
-        run_sim(&mut engine(Discipline::Conventional, 1), &arrivals, &cfg);
-    }
-
-    /// Head-drop into a zero-packet buffer would shed a phantom packet
-    /// per arrival and break conservation: refused up front.
-    #[test]
-    #[should_panic(expected = "SimConfig::buffer_cap must be at least 1")]
-    fn a_zero_packet_buffer_is_refused() {
-        let arrivals = ConstantSource::new(0.001, 552).take_until(0.009);
-        let cfg = SimConfig {
-            buffer_cap: 0,
-            admission: AdmissionPolicy::HeadDrop,
-            ..SimConfig::default()
-        };
         run_sim(&mut engine(Discipline::Conventional, 1), &arrivals, &cfg);
     }
 

@@ -109,70 +109,6 @@ impl TrafficSource for ConstantSource {
     }
 }
 
-/// Replays an explicit arrival list (e.g. a parsed trace file).
-#[derive(Debug)]
-pub struct TraceSource {
-    arrivals: Vec<Arrival>,
-    next: usize,
-}
-
-impl TraceSource {
-    /// Wraps a pre-built arrival list (must be time-sorted).
-    pub fn new(arrivals: Vec<Arrival>) -> Self {
-        debug_assert!(arrivals.is_sorted_by(|a, b| a.time_s <= b.time_s));
-        TraceSource { arrivals, next: 0 }
-    }
-
-    /// Parses a whitespace-separated `time_seconds size_bytes` text trace
-    /// (the format of the published Bellcore traces). Lines starting with
-    /// `#` are skipped.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut arrivals = Vec::new();
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let time: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing time", ln + 1))?
-                .parse()
-                .map_err(|e| format!("line {}: bad time: {e}", ln + 1))?;
-            let bytes: u32 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing size", ln + 1))?
-                .parse()
-                .map_err(|e| format!("line {}: bad size: {e}", ln + 1))?;
-            arrivals.push(Arrival {
-                time_s: time,
-                bytes,
-                corrupted: false,
-            });
-        }
-        arrivals.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
-        Ok(TraceSource::new(arrivals))
-    }
-
-    /// Number of arrivals in the trace.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-}
-
-impl TrafficSource for TraceSource {
-    fn next_arrival(&mut self) -> Option<Arrival> {
-        let a = self.arrivals.get(self.next).copied();
-        self.next += 1;
-        a
-    }
-}
-
 /// Self-similar traffic: a superposition of Pareto ON/OFF sources.
 ///
 /// Each of `n_sources` alternates between ON periods (emitting packets at
@@ -359,17 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_parse_round_trip() {
-        let text = "# time size\n0.001 64\n0.002 1518\n\n0.0015 552\n";
-        let mut t = TraceSource::parse(text).unwrap();
-        assert_eq!(t.len(), 3);
-        let a = t.take_until(1.0);
-        // Sorted by time despite out-of-order input.
-        assert_eq!(a[1].bytes, 552);
-        assert!(TraceSource::parse("bogus line").is_err());
-    }
-
-    #[test]
     fn self_similar_rate_calibration() {
         let mut s = SelfSimilarSource::bellcore_like(3);
         let arrivals = s.take_until(30.0);
@@ -544,58 +469,6 @@ impl TrafficSource for MmppSource {
     }
 }
 
-/// Back-to-back packet trains: bursts of `train_len` packets at
-/// line rate (negligible intra-train gaps), trains arriving Poisson.
-/// Jain & Routhier's classic observation about LAN traffic, and the
-/// most LDLP-friendly arrival pattern possible: whole batches arrive
-/// together.
-#[derive(Debug)]
-pub struct TrainSource {
-    trains: PoissonSource,
-    train_len: u32,
-    intra_gap_s: f64,
-    pending: VecDeque<Arrival>,
-}
-
-use std::collections::VecDeque;
-
-impl TrainSource {
-    /// `trains_per_s` trains of `train_len` packets of `bytes` each,
-    /// `intra_gap_s` apart within the train.
-    pub fn new(
-        trains_per_s: f64,
-        train_len: u32,
-        intra_gap_s: f64,
-        bytes: u32,
-        seed: u64,
-    ) -> Self {
-        assert!(train_len >= 1);
-        TrainSource {
-            trains: PoissonSource::new(trains_per_s, bytes, seed),
-            train_len,
-            intra_gap_s,
-            pending: VecDeque::new(),
-        }
-    }
-}
-
-impl TrafficSource for TrainSource {
-    fn next_arrival(&mut self) -> Option<Arrival> {
-        if let Some(a) = self.pending.pop_front() {
-            return Some(a);
-        }
-        let head = self.trains.next_arrival()?;
-        for i in 1..self.train_len {
-            self.pending.push_back(Arrival {
-                time_s: head.time_s + i as f64 * self.intra_gap_s,
-                bytes: head.bytes,
-                corrupted: false,
-            });
-        }
-        Some(head)
-    }
-}
-
 #[cfg(test)]
 mod extra_tests {
     use super::*;
@@ -627,20 +500,5 @@ mod extra_tests {
         let mean = counts.iter().sum::<f64>() / bins as f64;
         let var = counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / bins as f64;
         assert!(var / mean > 3.0, "dispersion {} should be super-Poisson", var / mean);
-    }
-
-    #[test]
-    fn trains_arrive_back_to_back() {
-        let mut s = TrainSource::new(100.0, 5, 1e-5, 64, 3);
-        let arrivals = s.take_until(1.0);
-        assert!(arrivals.len() >= 400, "got {}", arrivals.len());
-        // Within a train, gaps are tiny; between trains, Poisson-sized.
-        let mut tiny = 0;
-        for w in arrivals.windows(2) {
-            if (w[1].time_s - w[0].time_s - 1e-5).abs() < 1e-12 {
-                tiny += 1;
-            }
-        }
-        assert!(tiny as f64 > arrivals.len() as f64 * 0.7, "{tiny} intra-train gaps");
     }
 }

@@ -32,6 +32,6 @@ pub mod steer;
 
 pub use sim::{
     run_smp, run_smp_impaired, CoreReport, HandoffFlowControl, SmpConfig, SmpOutcome, SmpSim,
-    WClassProfile, MAX_WCLASS,
+    WClassProfile, CORE_MACHINE, MAX_WCLASS,
 };
 pub use steer::{tag_flows, DispatchPolicy, FlowArrival, FlowKey, Steerer};

@@ -86,12 +86,19 @@ const CALL_TABLE_BASE: u64 = 0x3100_0000;
 const DESC_WINDOW_BASE: u64 = 0x3200_0000;
 /// One hand-off descriptor: a cache line's worth of message metadata.
 const DESC_BYTES: u64 = 64;
-/// The stock shared-table geometry of [`SmpConfig::new`].
-const STOCK_CALL_SLOTS: NonZeroU64 = NonZeroU64::new(signaling::call::CALL_TABLE_SLOTS).unwrap();
-const STOCK_REASS_SLOTS: NonZeroU64 = NonZeroU64::new(
+/// The shared call table's slots: the modest switch port of
+/// `signaling::call::CALL_TABLE_SLOTS`.
+const CALL_TABLE_SLOTS: NonZeroU64 = NonZeroU64::new(signaling::call::CALL_TABLE_SLOTS).unwrap();
+/// The shared reassembly table's slots: `netstack::ipfrag`'s table.
+const REASS_TABLE_SLOTS: NonZeroU64 = NonZeroU64::new(
     netstack::ipfrag::REASSEMBLY_TABLE_BYTES / netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
 )
 .unwrap();
+/// Message-buffer pool entries per entry core; more than the largest
+/// batch any discipline forms.
+const POOL_BUFS: usize = 64;
+/// Message-buffer size in bytes: an Ethernet frame.
+const POOL_BUF_BYTES: u64 = 1536;
 /// Per-workload-class windows: each class's shared service table and
 /// handler code image live in their own stride of these two regions,
 /// disjoint from everything above and from the stack's code/data/mbuf
@@ -134,6 +141,12 @@ pub struct WClassProfile {
     pub slo_us: f64,
 }
 
+/// The machine every core is: the paper's synthetic-benchmark machine
+/// (Section 4), private split L1s under the [`SharedL2`] fabric.
+pub const CORE_MACHINE: MachineConfig = MachineConfig::synthetic_benchmark();
+/// The one global clock, in cycles per simulated second.
+const CYCLES_PER_S: f64 = CORE_MACHINE.clock_mhz * 1e6;
+
 /// Layers in the paper stack driven by this simulation.
 const STACK_LAYERS: usize = 5;
 
@@ -166,11 +179,6 @@ pub struct SmpConfig {
     pub dispatch: DispatchPolicy,
     /// Per-core processing discipline (Conventional / LDLP / ILP).
     pub discipline: Discipline,
-    /// Per-core machine (private split L1s; leave `l2` unset so the
-    /// footprint-replay memoizer stays eligible).
-    pub machine: MachineConfig,
-    /// Shared L2 + coherence fabric costs.
-    pub shared: SharedL2Config,
     /// What to do with an arrival when its entry queue is full.
     pub admission: AdmissionPolicy,
     /// Total NIC buffering in packets, split evenly across entry queues
@@ -184,20 +192,9 @@ pub struct SmpConfig {
     pub flow_control: HandoffFlowControl,
     /// Arrival-window length in seconds (for rate accounting).
     pub duration_s: f64,
-    /// Message-buffer pool entries per entry core, at least 1.
-    pub pool_bufs: usize,
-    /// Message-buffer size in bytes.
-    pub pool_buf_bytes: u64,
     /// Seed for code/data/buffer placement. All cores share one layout:
     /// one kernel image, mapped on every core.
     pub placement_seed: u64,
-    /// Simulated shared call-table capacity in slots. The default is the
-    /// modest switch port of `signaling::call::CALL_TABLE_SLOTS`; a
-    /// population-sized table spreads per-message slot RMWs over a
-    /// realistic footprint instead of ping-ponging 64 entries.
-    pub call_table_slots: NonZeroU64,
-    /// Simulated shared reassembly-table capacity in slots.
-    pub reass_table_slots: NonZeroU64,
     /// Per-workload-class processing profiles, indexed by the
     /// [`FlowArrival::wclass`] tag. All-default profiles (the stock
     /// configuration) keep the simulator entirely class-blind.
@@ -205,65 +202,37 @@ pub struct SmpConfig {
 }
 
 impl SmpConfig {
-    /// The defaults every figure-9 cell starts from: the paper's
-    /// synthetic-benchmark machine per core, the paper's buffer budget,
-    /// and the stock SMP fabric.
+    /// The defaults every figure-9 cell starts from: the paper's buffer
+    /// budget, tail-drop, and 64-descriptor rings. Every core is a
+    /// [`CORE_MACHINE`] over the [`SharedL2Config::smp_default`] fabric.
     pub fn new(cores: usize, dispatch: DispatchPolicy, discipline: Discipline) -> Self {
         SmpConfig {
             cores,
             dispatch,
             discipline,
-            machine: MachineConfig::synthetic_benchmark(),
-            shared: SharedL2Config::smp_default(),
             admission: AdmissionPolicy::TailDrop,
             buffer_cap: 500,
             handoff_cap: 64,
             flow_control: HandoffFlowControl::SizeToFree,
             duration_s: 1.0,
-            pool_bufs: 64,
-            pool_buf_bytes: 1536,
             placement_seed: 1,
-            call_table_slots: STOCK_CALL_SLOTS,
-            reass_table_slots: STOCK_REASS_SLOTS,
             wclass: [WClassProfile::default(); MAX_WCLASS],
         }
     }
 
-    /// Checks the simulated address windows this lays out — each shared
-    /// table's slots, each stage's descriptor ring — and that a ring
-    /// holds at least one descriptor.
+    /// Checks that a descriptor ring holds at least one descriptor and
+    /// that the rings' window fits the simulated address space.
     fn check_geometry(&self) {
         let ring = self.handoff_cap as u64;
-        let windows = [
-            (
-                "call_table_slots",
-                CALL_TABLE_BASE,
-                self.call_table_slots.get(),
-                signaling::call::CALL_SLOT_BYTES,
-            ),
-            (
-                "reass_table_slots",
-                REASS_TABLE_BASE,
-                self.reass_table_slots.get(),
-                netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
-            ),
-            (
-                "handoff_cap",
-                DESC_WINDOW_BASE,
-                ring.saturating_mul(self.cores as u64),
-                DESC_BYTES,
-            ),
-        ];
-        for (field, base, slots, slot_bytes) in windows {
-            let end = slots
-                .checked_mul(slot_bytes)
-                .and_then(|b| base.checked_add(b));
-            assert!(
-                end.is_some(),
-                "SmpConfig::{field} = {slots} overflows the simulated address space"
-            );
-        }
         assert!(ring > 0, "SmpConfig::handoff_cap must be at least 1");
+        let end = ring
+            .checked_mul(self.cores as u64)
+            .and_then(|slots| slots.checked_mul(DESC_BYTES))
+            .and_then(|bytes| DESC_WINDOW_BASE.checked_add(bytes));
+        assert!(
+            end.is_some(),
+            "SmpConfig::handoff_cap = {ring} overflows the simulated address space"
+        );
     }
 }
 
@@ -370,7 +339,7 @@ struct CoreState {
     inbox: DescRing,
     /// Descriptors the downstream ring refused at batch end
     /// ([`HandoffFlowControl::StallProducer`]); the producer is stalled
-    /// until this drains. Bounded by one batch (≤ `pool_bufs`).
+    /// until this drains. Bounded by one batch (≤ `POOL_BUFS`).
     held: VecDeque<Desc>,
     /// Global cycle the current stall episode began (batch end).
     held_since: u64,
@@ -429,7 +398,6 @@ struct ClosedSource<'a> {
     pending: VecDeque<ClientSend>,
     /// `poll_sends` scratch, empty between calls.
     sends: Vec<ClientSend>,
-    cycles_per_s: f64,
     /// `pop`'s next event and `pending`'s front in cycles (`u64::MAX` =
     /// none). `pop` and `pending` change only through the methods
     /// below, each of which converts the head it moved — once per
@@ -439,13 +407,12 @@ struct ClosedSource<'a> {
 }
 
 impl<'a> ClosedSource<'a> {
-    fn new(pop: &'a mut ClosedPopulation, weights: [u32; Class::COUNT], cycles_per_s: f64) -> Self {
+    fn new(pop: &'a mut ClosedPopulation, weights: [u32; Class::COUNT]) -> Self {
         let mut cs = ClosedSource {
             pop,
             weights,
             pending: VecDeque::new(),
             sends: Vec::new(),
-            cycles_per_s,
             ev: u64::MAX,
             send: u64::MAX,
         };
@@ -455,12 +422,12 @@ impl<'a> ClosedSource<'a> {
 
     fn refresh_ev(&mut self) {
         let next = self.pop.next_event_time();
-        self.ev = next.map_or(u64::MAX, |t| to_cycles(t, self.cycles_per_s));
+        self.ev = next.map_or(u64::MAX, to_cycles);
     }
 
     fn refresh_send(&mut self) {
         let front = self.pending.front();
-        self.send = front.map_or(u64::MAX, |s| to_cycles(s.time_s, self.cycles_per_s));
+        self.send = front.map_or(u64::MAX, |s| to_cycles(s.time_s));
     }
 
     /// Fires every client event up to `t_s` and queues the
@@ -500,8 +467,6 @@ pub struct SmpSim {
     shared: SharedL2,
     steer: Steerer,
     entry_cap: usize,
-    clock_mhz: f64,
-    cycles_per_s: f64,
     latencies_us: Vec<f64>,
     misses: MissTotals,
     offered: u64,
@@ -550,7 +515,7 @@ impl SmpSim {
         for s in 0..stages {
             // Every core maps the same kernel image: one placement seed
             // for all, so layer code/data addresses agree across cores.
-            let (machine, layers) = paper_stack(cfg.machine, cfg.placement_seed);
+            let (machine, layers) = paper_stack(CORE_MACHINE, cfg.placement_seed);
             let layers = if pipeline {
                 let take = sizes.get(s).copied().unwrap_or(0);
                 let chunk: Vec<_> = layers.into_iter().skip(offset).take(take).collect();
@@ -562,10 +527,10 @@ impl SmpSim {
             let engine = StackEngine::new(machine, layers, cfg.discipline);
             cores.push(CoreState {
                 engine,
-                pool: MessagePool::new(cfg.pool_bufs, cfg.pool_buf_bytes, cfg.placement_seed),
+                pool: MessagePool::new(POOL_BUFS, POOL_BUF_BYTES, cfg.placement_seed),
                 entry: VecDeque::with_capacity(entry_cap),
                 inbox: DescRing::new(cfg.handoff_cap),
-                held: VecDeque::with_capacity(cfg.pool_bufs),
+                held: VecDeque::with_capacity(POOL_BUFS),
                 held_since: 0,
                 class_counts: [0; Class::COUNT],
                 busy_until: 0,
@@ -575,14 +540,14 @@ impl SmpSim {
                 replay0: ReplayStats::default(),
                 obs: None,
                 rep: CoreReport::default(),
-                batch: Vec::with_capacity(cfg.pool_bufs),
-                staged: Vec::with_capacity(cfg.pool_bufs),
-                completions: Vec::with_capacity(cfg.pool_bufs),
+                batch: Vec::with_capacity(POOL_BUFS),
+                staged: Vec::with_capacity(POOL_BUFS),
+                completions: Vec::with_capacity(POOL_BUFS),
             });
         }
 
         let wtrack = cfg.wclass.iter().any(|p| *p != WClassProfile::default());
-        let line = cfg.machine.icache.line_size.max(1);
+        let line = CORE_MACHINE.icache.line_size;
         let wlines: Vec<Vec<u64>> = if wtrack {
             cfg.wclass
                 .iter()
@@ -591,7 +556,7 @@ impl SmpSim {
                     // Handler images honour the machine's code density,
                     // like the layer code placed by `ldlp::synth`.
                     let bytes =
-                        (f64::from(p.handler_code_bytes) * cfg.machine.code_density).ceil() as u64;
+                        (f64::from(p.handler_code_bytes) * CORE_MACHINE.code_density).ceil() as u64;
                     let base = (WCLASS_CODE_BASE + w as u64 * WCLASS_STRIDE) / line;
                     (0..bytes.div_ceil(line)).map(|i| base + i).collect()
                 })
@@ -605,16 +570,13 @@ impl SmpSim {
             Vec::new()
         };
 
-        let clock_mhz = cfg.machine.clock_mhz;
         SmpSim {
             pipeline,
             stages,
             cores,
-            shared: SharedL2::new(cfg.shared),
+            shared: SharedL2::new(SharedL2Config::smp_default()),
             steer: Steerer::new(cfg.dispatch, if pipeline { 1 } else { cfg.cores }),
             entry_cap,
-            clock_mhz,
-            cycles_per_s: clock_mhz * 1e6,
             latencies_us: Vec::new(),
             misses: MissTotals::default(),
             offered: 0,
@@ -713,7 +675,7 @@ impl SmpSim {
     /// before an acknowledgement's finish time fire before the
     /// acknowledgement lands.
     pub fn run_closed(&mut self, pop: &mut ClosedPopulation, weights: [u32; Class::COUNT]) {
-        self.drive(Source::Closed(ClosedSource::new(pop, weights, self.cycles_per_s)));
+        self.drive(Source::Closed(ClosedSource::new(pop, weights)));
     }
 
     /// The scheduler: deliver everything the source has due at or
@@ -755,7 +717,7 @@ impl SmpSim {
         match src {
             Source::Open(arrivals, next) => {
                 let a = arrivals.get(*next)?;
-                let t = to_cycles(a.time_s, self.cycles_per_s);
+                let t = to_cycles(a.time_s);
                 if t > frontier {
                     return None;
                 }
@@ -799,7 +761,7 @@ impl SmpSim {
                     return Some(self.admit(&key, pkt, Some(&cs.weights), best));
                 } else {
                     let Reverse((finish, id, c)) = self.ready_acks.pop()?;
-                    let finish_s = finish as f64 / self.cycles_per_s;
+                    let finish_s = finish as f64 / CYCLES_PER_S;
                     // Boundary stragglers (cycle rounding) fire before
                     // the acknowledgement lands.
                     cs.fire(finish_s);
@@ -896,7 +858,7 @@ impl SmpSim {
                 in_flight: 0,
                 abandoned: self.abandoned,
                 duration_s: self.cfg.duration_s,
-                span_s: self.last_finish as f64 / self.cycles_per_s,
+                span_s: self.last_finish as f64 / CYCLES_PER_S,
                 batches: self.batches,
                 net,
             },
@@ -1124,7 +1086,7 @@ impl SmpSim {
             .engine
             .batch_limit(max_bytes.max(1))
             .min(avail)
-            .min(self.cfg.pool_bufs)
+            .min(POOL_BUFS)
             .min(downstream_free);
 
         let m_before_abs = core.engine.machine().cycles();
@@ -1184,7 +1146,7 @@ impl SmpSim {
             if owns_bottom {
                 let slot = Self::table_slot(
                     REASS_TABLE_BASE,
-                    self.cfg.reass_table_slots,
+                    REASS_TABLE_SLOTS,
                     netstack::ipfrag::REASSEMBLY_SLOT_BYTES,
                     flow,
                 );
@@ -1193,7 +1155,7 @@ impl SmpSim {
             if owns_top {
                 let slot = Self::table_slot(
                     CALL_TABLE_BASE,
-                    self.cfg.call_table_slots,
+                    CALL_TABLE_SLOTS,
                     signaling::call::CALL_SLOT_BYTES,
                     flow,
                 );
@@ -1324,7 +1286,7 @@ impl SmpSim {
                     self.ready_acks.push(Reverse((finish, d.msg.id, c)));
                 } else {
                     let lat_us =
-                        finish.saturating_sub(d.msg.arrival_cycles) as f64 / self.clock_mhz;
+                        finish.saturating_sub(d.msg.arrival_cycles) as f64 / CORE_MACHINE.clock_mhz;
                     Self::complete(core, &mut self.latencies_us, &mut self.wsamples, wi, lat_us);
                 }
             } else if let Some(down) = down.as_deref_mut() {
@@ -1342,7 +1304,7 @@ impl SmpSim {
                     // bounded held buffer — never lost — and the core
                     // stalls until the consumer pops.
                     debug_assert!(stall_mode, "batch was sized by downstream free space");
-                    // analyze::allow(alloc-path, reason = "held buffer is bounded by one batch (pool_bufs); capacity is reserved at construction")
+                    // analyze::allow(alloc-path, reason = "held buffer is bounded by one batch (POOL_BUFS); capacity is reserved at construction")
                     core.held.push_back(d);
                 }
             }
@@ -1443,9 +1405,9 @@ impl SmpSim {
 
 }
 
-/// Simulated seconds to machine cycles at `cycles_per_s`.
-fn to_cycles(t_s: f64, cycles_per_s: f64) -> u64 {
-    round_to_cycles(t_s * cycles_per_s)
+/// Simulated seconds to machine cycles.
+fn to_cycles(t_s: f64) -> u64 {
+    round_to_cycles(t_s * CYCLES_PER_S)
 }
 
 /// One-shot convenience: build, run, report.
@@ -1525,11 +1487,10 @@ mod tests {
             assert_eq!((coh.reads, coh.writes), (2 * msgs, 2 * msgs));
             // Per line: the read's lookup (hit or fill), then the
             // write, which finds the line just read and hits.
-            let (sh, mut l2, mut expect) = (c.shared, cachesim::Cache::new(c.shared.l2), 0);
+            let sh = SharedL2Config::smp_default();
+            let (mut l2, mut expect) = (cachesim::Cache::new(sh.l2), 0);
             for a in &arr {
-                for ((base, bytes), slots) in
-                    [(reass, c.reass_table_slots), (call, c.call_table_slots)]
-                {
+                for ((base, bytes), slots) in [(reass, REASS_TABLE_SLOTS), (call, CALL_TABLE_SLOTS)] {
                     let slot = SmpSim::table_slot(base, slots, bytes, a.flow_id);
                     for addr in slot.line_addrs(sh.l2.line_size) {
                         let hit = l2.access(addr, cachesim::AccessKind::Read);
@@ -1541,40 +1502,6 @@ mod tests {
             assert!(expect > 0, "the L2 charges are never zero");
             assert_eq!(coh.stall_cycles, expect, "{discipline:?}");
         }
-    }
-
-    /// Table sizing: defaults reproduce the stock constants (so every
-    /// pre-existing figure-9 cell is bit-identical), and tables sized
-    /// for the flow population spread per-message RMWs over a larger
-    /// footprint, cutting slot ping-pong.
-    #[test]
-    fn shared_tables_size_with_the_flow_population() {
-        let stock = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
-        assert_eq!(
-            stock.call_table_slots.get(),
-            signaling::call::CALL_TABLE_SLOTS
-        );
-        assert_eq!(
-            stock.reass_table_slots.get(),
-            netstack::ipfrag::REASSEMBLY_TABLE_BYTES / netstack::ipfrag::REASSEMBLY_SLOT_BYTES
-        );
-        // 4096 flows hammering 64 slots ping-pong constantly; the same
-        // flows over a 4096-slot table mostly own distinct lines.
-        let arr = arrivals(2000.0, 0.2, 4096, 4);
-        let out_small = run_smp(&stock, &arr);
-        let slots = NonZeroU64::new(4096).unwrap();
-        let big = SmpConfig { call_table_slots: slots, reass_table_slots: slots, ..stock };
-        let out_big = run_smp(&big, &arr);
-        assert!(out_small.report.conservation_holds());
-        assert!(out_big.report.conservation_holds());
-        assert_eq!(out_small.report.completed, out_big.report.completed);
-        assert!(
-            out_big.coherence.transfers + out_big.coherence.invalidations
-                < out_small.coherence.transfers + out_small.coherence.invalidations,
-            "population-sized tables must reduce slot ping-pong: {} vs {}",
-            out_big.coherence.transfers + out_big.coherence.invalidations,
-            out_small.coherence.transfers + out_small.coherence.invalidations
-        );
     }
 
     #[test]
@@ -1626,8 +1553,8 @@ mod tests {
         assert!(out.per_core[5..].iter().all(|r| r.msgs == 0));
     }
 
-    /// A zero table is unrepresentable; the rest of the geometry is
-    /// refused once, at construction, rather than deep in a batch.
+    /// The descriptor-ring geometry is refused once, at construction,
+    /// rather than deep in a batch.
     #[test]
     #[should_panic(expected = "SmpConfig::handoff_cap must be at least 1")]
     fn a_zero_descriptor_ring_is_refused_at_construction() {
@@ -1636,20 +1563,11 @@ mod tests {
         SmpSim::new(&c);
     }
 
-    /// A zero-buffer pool would spin the event loop on empty batches.
     #[test]
-    #[should_panic(expected = "pool_bufs must be at least 1")]
-    fn a_zero_buffer_pool_is_refused() {
-        let mut c = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
-        c.pool_bufs = 0;
-        SmpSim::new(&c).run(&arrivals(1000.0, 0.009, 4, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "SmpConfig::call_table_slots = 18446744073709551615 overflows")]
-    fn a_table_past_the_address_space_is_refused_at_construction() {
-        let mut c = cfg(2, DispatchPolicy::FlowHash, Discipline::Conventional);
-        c.call_table_slots = NonZeroU64::MAX;
+    #[should_panic(expected = "SmpConfig::handoff_cap = 18446744073709551615 overflows")]
+    fn a_ring_past_the_address_space_is_refused_at_construction() {
+        let mut c = cfg(2, DispatchPolicy::LayerAffinity, Discipline::Conventional);
+        c.handoff_cap = usize::MAX;
         SmpSim::new(&c);
     }
 
@@ -1754,6 +1672,48 @@ mod tests {
         assert_eq!(a.report, b.report);
         assert_eq!(a.per_core, b.per_core);
         assert_eq!(a.coherence, b.coherence);
+    }
+
+    /// One overloaded core (FlowHash, Poisson 9 000 msg/s) under
+    /// `admission`: it owns the whole 500-packet buffer.
+    fn overloaded_core(admission: AdmissionPolicy, duration_s: f64) -> SimReport {
+        let raw = PoissonSource::new(9_000.0, 552, 7).take_until(duration_s);
+        let c = SmpConfig {
+            admission,
+            duration_s,
+            ..SmpConfig::new(1, DispatchPolicy::FlowHash, Discipline::Conventional)
+        };
+        run_smp(&c, &tag_flows(&raw, 64, 7)).report
+    }
+
+    #[test]
+    fn head_drop_bounds_the_latency_of_survivors() {
+        // Same overload, two policies. Tail-drop keeps the oldest
+        // packets (deep queueing for everything that completes);
+        // head-drop keeps the freshest, so survivors wait less.
+        let tail = overloaded_core(AdmissionPolicy::TailDrop, 0.4);
+        let head = overloaded_core(AdmissionPolicy::HeadDrop, 0.4);
+        assert!(tail.conservation_holds());
+        assert!(head.conservation_holds());
+        assert!(tail.drops > 0 && head.shed > 0, "both policies lose packets");
+        assert_eq!(head.drops, 0, "head-drop always admits the arrival");
+        assert!(
+            head.mean_latency_us < tail.mean_latency_us,
+            "head-drop survivors {} us should wait less than tail-drop {} us",
+            head.mean_latency_us,
+            tail.mean_latency_us
+        );
+    }
+
+    #[test]
+    fn shed_oldest_purges_in_sweeps_and_conserves() {
+        let r = overloaded_core(AdmissionPolicy::ShedOldest { down_to: 100 }, 0.3);
+        assert!(r.conservation_holds());
+        assert_eq!(r.drops, 0);
+        assert!(r.shed > 0, "overload must trigger shedding");
+        // A full 500-packet queue is purged down to 100, 400 at a time,
+        // so the shed count is a multiple of the purge size.
+        assert_eq!(r.shed % 400, 0, "shed {} in sweeps of 400", r.shed);
     }
 
     fn closed_pop(clients: u32, think_s: f64, duration_s: f64, seed: u64) -> ClosedPopulation {

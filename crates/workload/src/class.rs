@@ -127,7 +127,7 @@ impl WireClass {
     /// for the class's message sizes. Everything stays small-message
     /// (the paper's regime) but heavy-tailed within its band; the
     /// ceiling is one MTU-sized datagram, which also keeps every
-    /// message inside `SmpConfig::pool_buf_bytes` (1536) ring buffers.
+    /// message inside `smp`'s 1536-byte message buffers.
     pub fn size_params(self) -> (u32, u32, f64) {
         match self {
             WireClass::ClientSignal => (64, 512, 1.3),

@@ -1,7 +1,7 @@
 //! Touring the measurement apparatus: build the receive-and-acknowledge
 //! reference trace, print its Figure-1 map and Table-1 working set,
-//! replay it through machines of different generations (DEC 3000/400
-//! with and without its board cache), save it to disk in the text trace
+//! replay it through machines of two generations (the DEC 3000/400 and
+//! Rosenblum's 1998 prediction), save it to disk in the text trace
 //! format, and reload it.
 //!
 //! Run with: `cargo run --release --example trace_explorer`
@@ -48,18 +48,11 @@ fn main() {
     // Replay through two machine generations.
     println!("\nreplay, 5 packets back to back:");
     for (name, cfg) in [
-        ("DEC 3000/400 (L1 only)", MachineConfig::dec3000_400()),
-        (
-            "DEC 3000/400 + 512KB board cache",
-            MachineConfig::dec3000_400().with_board_cache(),
-        ),
+        ("DEC 3000/400 (8KB L1)", MachineConfig::dec3000_400()),
         ("Rosenblum 1998 (64KB L1)", MachineConfig::rosenblum_1998()),
     ] {
-        // Stall cycles separate the board cache's effect: the L1 miss
-        // *count* is geometry-bound, but the first packet's misses go to
-        // memory (10 + 30 cycles) while later packets' L1 misses hit the
-        // warm L2 (10 cycles). The L1-only preset implicitly assumes an
-        // always-warm L2 — the paper's configuration.
+        // Stall cycles of the first (cold) and fifth (warm) packet; every
+        // miss costs the one primary-miss penalty.
         let mut machine = cachesim::Machine::new(cfg);
         let mut cold_stalls = 0;
         let mut steady_stalls = 0;
