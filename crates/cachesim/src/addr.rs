@@ -5,6 +5,14 @@
 //! [`Region`]s by an allocator (sequential or randomly placed — see
 //! [`crate::placement`]), and cache behaviour follows purely from the
 //! addresses.
+//!
+//! A cache sees a region as the line numbers (`addr >> log2(line size)`)
+//! it touches. [`Region::line_numbers`] is the one place that enumerates
+//! them: every line size in the simulators is a power of two
+//! ([`crate::CacheConfig`] validates it), so the range is two shifts
+//! rather than a division per line.
+
+use std::ops::Range;
 
 /// A byte address in the simulated flat address space.
 pub type Addr = u64;
@@ -53,20 +61,22 @@ impl Region {
         last - first + 1
     }
 
-    /// Iterates over the line-aligned addresses of every cache line the
-    /// region touches.
-    pub fn line_addrs(&self, line_size: u64) -> impl Iterator<Item = Addr> + '_ {
-        let first = if self.len == 0 {
-            1
-        } else {
-            self.base / line_size.max(1)
-        };
-        let last = if self.len == 0 {
-            0
-        } else {
-            (self.end() - 1) / line_size.max(1)
-        };
-        (first..=last).map(move |l| l * line_size)
+    /// The line numbers (`addr >> log2(line_size)`) of every cache line
+    /// of `line_size` bytes the region touches, in address order; empty
+    /// for an empty region. Two shifts, not a division per line.
+    ///
+    /// # Panics
+    ///
+    /// If `line_size` is not a power of two: such a line has no shift,
+    /// and rounding it to one would silently place lines elsewhere.
+    #[inline]
+    pub fn line_numbers(&self, line_size: u64) -> Range<u64> {
+        assert!(line_size.is_power_of_two(), "line size {line_size} is not a power of two");
+        if self.len == 0 {
+            return 0..0;
+        }
+        let shift = line_size.trailing_zeros();
+        (self.base >> shift)..((self.end() - 1) >> shift) + 1
     }
 }
 
@@ -94,7 +104,7 @@ mod tests {
         let r = Region::new(64, 0);
         assert!(!r.contains(64));
         assert_eq!(r.lines(32), 0);
-        assert_eq!(r.line_addrs(32).count(), 0);
+        assert!(r.line_numbers(32).is_empty());
     }
 
     #[test]
@@ -112,13 +122,40 @@ mod tests {
 
     #[test]
     fn line_addrs_match_lines() {
+        // Bytes 10..110 touch lines 0..=3, at addresses 0, 32, 64, 96.
         let r = Region::new(10, 100);
-        let addrs: Vec<Addr> = r.line_addrs(32).collect();
-        assert_eq!(addrs.len() as u64, r.lines(32));
-        assert_eq!(addrs[0], 0);
-        assert_eq!(*addrs.last().unwrap(), 96);
-        for w in addrs.windows(2) {
-            assert_eq!(w[1] - w[0], 32);
+        let lines = r.line_numbers(32);
+        assert_eq!(lines.end - lines.start, r.lines(32));
+        let addrs: Vec<Addr> = lines.map(|l| l << 5).collect();
+        assert_eq!(addrs, [0, 32, 64, 96]);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size 48 is not a power of two")]
+    fn line_numbers_refuse_a_line_size_with_no_shift() {
+        let _ = Region::new(0, 100).line_numbers(48);
+    }
+
+    proptest::proptest! {
+        /// The shifted range is the per-line division it replaced:
+        /// `base / line ..= (end - 1) / line`, empty for an empty region,
+        /// at every power-of-two line size from 1 to 256.
+        #[test]
+        fn line_numbers_equal_the_division_formula(
+            base in 0u64..(1 << 48),
+            len in proptest::prop_oneof![0u64..1, 0u64..(1 << 12)],
+            log2 in 0u32..9,
+        ) {
+            let line = 1u64 << log2;
+            let r = Region::new(base, len);
+            let divided: Vec<u64> = if len == 0 {
+                Vec::new()
+            } else {
+                (base / line..=(base + len - 1) / line).collect()
+            };
+            let lines = r.line_numbers(line);
+            proptest::prop_assert_eq!(lines.end - lines.start, r.lines(line));
+            proptest::prop_assert_eq!(lines.collect::<Vec<_>>(), divided);
         }
     }
 

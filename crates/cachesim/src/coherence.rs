@@ -166,18 +166,15 @@ pub struct SharedL2 {
     /// Last core to write each line; absent means never written (or
     /// only read so far).
     owners: OwnerDir,
-    line_shift: u32,
     stats: CoherenceStats,
 }
 
 impl SharedL2 {
     /// Builds an empty shared level.
     pub fn new(cfg: SharedL2Config) -> Self {
-        assert!(cfg.l2.line_size.is_power_of_two());
         SharedL2 {
             l2: Cache::new(cfg.l2),
             owners: OwnerDir::default(),
-            line_shift: cfg.l2.line_size.trailing_zeros(),
             stats: CoherenceStats::default(),
             cfg,
         }
@@ -204,8 +201,7 @@ impl SharedL2 {
     pub fn read(&mut self, core: u8, region: Region, machine: &mut Machine) -> CycleCount {
         self.stats.reads += 1;
         let mut stall = 0;
-        for addr in region.line_addrs(self.cfg.l2.line_size) {
-            let line = addr >> self.line_shift;
+        for line in region.line_numbers(self.cfg.l2.line_size) {
             stall += self.lookup(line, AccessKind::Read);
             if let Some(owner) = self.owners.get(line) {
                 if owner != core {
@@ -225,8 +221,7 @@ impl SharedL2 {
     pub fn write(&mut self, core: u8, region: Region, machine: &mut Machine) -> CycleCount {
         self.stats.writes += 1;
         let mut stall = 0;
-        for addr in region.line_addrs(self.cfg.l2.line_size) {
-            let line = addr >> self.line_shift;
+        for line in region.line_numbers(self.cfg.l2.line_size) {
             stall += self.lookup(line, AccessKind::Write);
             match self.owners.swap(line, core) {
                 Some(prev) if prev != core => {
@@ -263,8 +258,7 @@ impl SharedL2 {
         self.stats.writes += 1;
         let mut read_stall = 0;
         let mut write_stall = 0;
-        for addr in region.line_addrs(l2.line_size) {
-            let line = addr >> self.line_shift;
+        for line in region.line_numbers(l2.line_size) {
             read_stall += self.lookup(line, AccessKind::Read);
             self.l2.record_bulk(1, 0, AccessKind::Write);
             self.stats.l2_hits += 1;

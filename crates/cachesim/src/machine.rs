@@ -435,8 +435,7 @@ impl Machine {
         if self.cfg.next_line_prefetch {
             // Per-line so each miss can trigger its next-line prefetch.
             let mut misses = 0;
-            for line_addr in region.line_addrs(self.cfg.icache.line_size) {
-                let line = line_addr / self.cfg.icache.line_size;
+            for line in region.line_numbers(self.cfg.icache.line_size) {
                 if !self.icache.access_line(line, AccessKind::InstrFetch) {
                     misses += 1;
                     self.stall_cycles += self.cfg.read_miss_penalty;

@@ -17,6 +17,8 @@ use crate::layer::{paper, SimLayer, SimMessage};
 use crate::policy::BatchPolicy;
 use cachesim::{round_to_cycles, CycleCount, Machine, Region};
 use obs::{NameId, Sink, SpanEvent};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// The scheduling discipline (Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,21 +51,30 @@ pub struct Completion {
 
 /// A layer as installed in an engine: the `dyn SimLayer` plus everything
 /// about it that is constant across applications, read through the trait
-/// object once here instead of once per (layer, message).
+/// object once here instead of once per (layer, message). Cloning shares
+/// the layer and its code-line list: the replicas of one engine
+/// ([`StackEngine::replica`]) run one installed image.
+#[derive(Clone)]
 struct InstalledLayer {
-    layer: Box<dyn SimLayer>,
+    layer: Arc<dyn SimLayer>,
     /// The engine's own copy of [`SimLayer::code_lines`]: one slice, at
-    /// one address, for the machine's footprint-identity check.
-    code_lines: Box<[u64]>,
+    /// one address, for the machine's footprint-identity check. Every
+    /// replica shares it.
+    code_lines: Arc<[u64]>,
     data: Region,
     touches_message: bool,
     base_cycles: u64,
     loop_cycles_per_byte: f64,
-    /// Instruction cycles at the last message length seen. A run sweeps
-    /// messages of one length (or a short ladder of them), so this is a
-    /// compare where there was a float multiply and a rounding.
-    at: CyclesAt,
+    /// Instruction cycles at up to four recent message lengths, each in
+    /// the slot [`CyclesAt::slot`] picks. A run sweeps messages of one
+    /// length, of three (figure13's classes) or of a short ladder
+    /// (figure14), so this is a compare where there was a float multiply
+    /// and a rounding.
+    at: [CyclesAt; CYCLES_AT_SLOTS],
 }
+
+/// Slots of [`InstalledLayer`]'s per-length memo (a power of two).
+const CYCLES_AT_SLOTS: usize = 4;
 
 /// [`SimLayer::instr_cycles`] and the data-loop share of it at one length.
 #[derive(Clone, Copy)]
@@ -84,6 +95,14 @@ impl CyclesAt {
             data_loop,
         }
     }
+
+    /// The memo slot of `len`: its bits 4–5 xor bits 7–8, which put
+    /// figure13's three request sizes (80, 120 and 552 bytes) in three
+    /// slots and figure14's twelve ladder rungs at most four to a slot.
+    #[inline]
+    fn slot(len: u64) -> usize {
+        ((len >> 4) ^ (len >> 7)) as usize & (CYCLES_AT_SLOTS - 1)
+    }
 }
 
 impl InstalledLayer {
@@ -96,18 +115,21 @@ impl InstalledLayer {
             touches_message: layer.touches_message(),
             base_cycles,
             loop_cycles_per_byte,
-            at: CyclesAt::of(base_cycles, loop_cycles_per_byte, 0),
-            layer,
+            // Every slot starts out holding length 0, which is exact
+            // wherever a lookup lands.
+            at: [CyclesAt::of(base_cycles, loop_cycles_per_byte, 0); CYCLES_AT_SLOTS],
+            layer: layer.into(),
         }
     }
 
     #[inline]
     fn cycles_at(&mut self, len: u64) -> CyclesAt {
-        if self.at.len != len {
-            self.at = CyclesAt::of(self.base_cycles, self.loop_cycles_per_byte, len);
-            debug_assert_eq!(self.at.total, self.layer.instr_cycles(len));
+        let at = &mut self.at[CyclesAt::slot(len)];
+        if at.len != len {
+            *at = CyclesAt::of(self.base_cycles, self.loop_cycles_per_byte, len);
+            debug_assert_eq!(at.total, self.layer.instr_cycles(len));
         }
-        self.at
+        *at
     }
 }
 
@@ -159,8 +181,13 @@ impl StackEngine {
         layers: Vec<Box<dyn SimLayer>>,
         discipline: Discipline,
     ) -> Self {
+        Self::installed(machine, install(layers), discipline)
+    }
+
+    /// An engine over layers already installed, with verification at
+    /// its first layer, no transmit side and no sink.
+    fn installed(machine: Machine, layers: Vec<InstalledLayer>, discipline: Discipline) -> Self {
         assert!(!layers.is_empty(), "a stack needs at least one layer");
-        let layers = install(layers);
         let max_layer_data = layers.iter().map(|l| l.data.len).max().unwrap_or(0);
         StackEngine {
             machine,
@@ -178,6 +205,42 @@ impl StackEngine {
             obs_rx: Vec::new(),
             obs_tx: Vec::new(),
         }
+    }
+
+    /// Another core's engine over `layers` of this one's receive stack:
+    /// all of them for a full-stack core, a contiguous slice for a
+    /// pipeline stage. The installed layers are shared, not placed and
+    /// installed again; the machine is a fresh one of the same
+    /// configuration (cold caches, zeroed counters). The rest is what
+    /// [`StackEngine::new`] builds from those layers alone: this
+    /// discipline, verification at the first layer, no transmit side,
+    /// no sink. One kernel image, mapped on every core. Panics if
+    /// `layers` is empty or out of range.
+    ///
+    /// ```
+    /// use cachesim::MachineConfig;
+    /// use ldlp::engine::{Discipline, StackEngine};
+    /// use ldlp::synth::paper_stack;
+    ///
+    /// let (machine, layers) = paper_stack(MachineConfig::synthetic_benchmark(), 1);
+    /// let image = StackEngine::new(machine, layers, Discipline::Conventional);
+    /// let core = image.replica(0..image.num_layers());
+    /// let stage = image.replica(2..4);
+    /// // Both fetch the image's own code-line lists.
+    /// let lines = |e: &StackEngine, li| e.layer_footprint(li).unwrap().0.clone();
+    /// assert!(std::sync::Arc::ptr_eq(&lines(&core, 0), &lines(&image, 0)));
+    /// assert!(std::sync::Arc::ptr_eq(&lines(&stage, 0), &lines(&image, 2)));
+    /// assert_eq!(stage.num_layers(), 2);
+    /// ```
+    pub fn replica(&self, layers: Range<usize>) -> StackEngine {
+        let chunk = self.layers.get(layers).unwrap_or_default().to_vec();
+        Self::installed(Machine::new(*self.machine.config()), chunk, self.discipline)
+    }
+
+    /// Layer `li`'s installed code-line list and data region: what every
+    /// application of it fetches and reads. `None` past the last layer.
+    pub fn layer_footprint(&self, li: usize) -> Option<(&Arc<[u64]>, Region)> {
+        self.layers.get(li).map(|l| (&l.code_lines, l.data))
     }
 
     /// Attaches an observability sink. Layer span names are interned up

@@ -108,7 +108,7 @@ impl SyntheticLayer {
     pub fn new(name: &str, code: Region, data: Region, line_size: u64) -> Self {
         SyntheticLayer {
             name: name.to_string(),
-            code_lines: code.line_addrs(line_size).map(|a| a / line_size).collect(),
+            code_lines: code.line_numbers(line_size).collect(),
             code,
             data,
             base_cycles: paper::BASE_CYCLES,

@@ -75,7 +75,7 @@ pub fn stack_sequential(
 
 /// A pool of message buffers at fixed addresses, reused round-robin the
 /// way a driver's receive ring reuses mbuf clusters.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessagePool {
     bufs: Vec<Region>,
     next: usize,

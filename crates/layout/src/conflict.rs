@@ -28,8 +28,7 @@ pub fn set_occupancy(regions: &[Region], cfg: &CacheConfig) -> Vec<u32> {
     let sets = cfg.num_sets();
     let mut occupancy = vec![0u32; sets as usize];
     for r in regions {
-        for line_addr in r.line_addrs(cfg.line_size) {
-            let line = line_addr / cfg.line_size;
+        for line in r.line_numbers(cfg.line_size) {
             occupancy[(line % sets) as usize] += 1;
         }
     }

@@ -200,28 +200,34 @@ fn run_core(
     let mut lookup_dm: Vec<u64> = Vec::with_capacity(cfg.pool_bufs);
     let mut completions: Vec<ldlp::Completion> = Vec::with_capacity(cfg.pool_bufs);
 
-    let arrival_cycle = |a: &Arrival| -> u64 { round_to_cycles(a.time_s * cycles_per_s) };
+    // The next arrival's time in cycles (`None` once all have arrived),
+    // converted once per arrival, not once per pass that finds it not
+    // yet due.
+    let arrival_cycle =
+        |i: usize| arrivals.get(i).map(|a| round_to_cycles(a.time_s * cycles_per_s));
+    let mut next_cycle = arrival_cycle(0);
 
     loop {
         // Admit everything that has arrived by `now`.
-        while next_arrival < arrivals.len() && arrival_cycle(&arrivals[next_arrival]) <= now {
+        while let Some(t) = next_cycle.filter(|&t| t <= now) {
             let a = &arrivals[next_arrival];
             if nic.len() < NIC_BUFFER_PKTS {
                 let flow = flow_ids.get(next_arrival).copied().unwrap_or(0);
-                nic.push_back((arrival_cycle(a), a.bytes, a.corrupted, flow));
+                nic.push_back((t, a.bytes, a.corrupted, flow));
             } else {
                 drops += 1;
             }
             next_arrival += 1;
+            next_cycle = arrival_cycle(next_arrival);
         }
 
         // Form a batch: up to the engine's cap, sized by the *largest*
         // message in the candidate set (conservative for mixed sizes).
         let Some(max_bytes) = nic.iter().map(|&(_, b, _, _)| b as u64).max() else {
-            match arrivals.get(next_arrival) {
+            match next_cycle {
                 // Idle: jump to the next arrival.
-                Some(a) => {
-                    now = now.max(arrival_cycle(a));
+                Some(t) => {
+                    now = now.max(t);
                     continue;
                 }
                 // Drained everything: done.

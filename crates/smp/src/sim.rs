@@ -13,6 +13,15 @@
 //! replay memoizer — the multi-core model loses none of the single-core
 //! simulation speed.
 //!
+//! A server has one kernel image. [`SmpSim::new`] places and installs
+//! the paper stack once (`ldlp::synth::paper_stack` at
+//! [`SmpConfig::placement_seed`]) and builds one message pool; each
+//! core runs a [`StackEngine::replica`] of that engine (the whole
+//! stack, or under LayerAffinity its stage's layers) on a fresh machine
+//! of its own, so every core fetches the same installed code-line lists
+//! and reads the same data regions. Set-up therefore costs one
+//! placement per server, not one per core.
+//!
 //! Dispatch modes (see [`crate::steer`]):
 //! * **FlowHash** / **RoundRobin** — every core runs the full stack on
 //!   the flows steered to it; the NIC buffer is split evenly across the
@@ -146,9 +155,6 @@ pub struct WClassProfile {
 pub const CORE_MACHINE: MachineConfig = MachineConfig::synthetic_benchmark();
 /// The one global clock, in cycles per simulated second.
 const CYCLES_PER_S: f64 = CORE_MACHINE.clock_mhz * 1e6;
-
-/// Layers in the paper stack driven by this simulation.
-const STACK_LAYERS: usize = 5;
 
 /// How a pipeline stage behaves when its downstream hand-off ring has
 /// less free space than the batch it could otherwise run.
@@ -382,8 +388,15 @@ impl CoreState {
 /// knows a source only through `SmpSim::step`: "deliver your next event
 /// if it is due by the frontier".
 enum Source<'a> {
-    /// Open loop: a precomputed arrival schedule and a cursor into it.
-    Open(&'a [FlowArrival], usize),
+    /// Open loop: a precomputed arrival schedule, a cursor into it, and
+    /// the cursor's arrival time in cycles, converted once per arrival
+    /// rather than on every [`SmpSim::step`] that finds it not yet due
+    /// (meaningless once the cursor is past the end).
+    Open {
+        arrivals: &'a [FlowArrival],
+        next: usize,
+        at: u64,
+    },
     Closed(ClosedSource<'a>),
 }
 
@@ -500,12 +513,25 @@ pub struct SmpSim {
 }
 
 impl SmpSim {
-    /// Builds the engines, queues, and fabric for `cfg`.
+    /// Builds the engines, queues, and fabric for `cfg`. The stack is
+    /// placed and installed once, as one kernel image
+    /// ([`SmpConfig::placement_seed`]), and every core maps it.
     pub fn new(cfg: &SmpConfig) -> SmpSim {
+        let (machine, layers) = paper_stack(CORE_MACHINE, cfg.placement_seed);
+        let image = StackEngine::new(machine, layers, cfg.discipline);
+        let pool = MessagePool::new(POOL_BUFS, POOL_BUF_BYTES, cfg.placement_seed);
+        Self::from_image(cfg, &image, &pool)
+    }
+
+    /// [`SmpSim::new`] over a built kernel image: each core runs a
+    /// [`StackEngine::replica`] of `image` (the whole stack, or under
+    /// LayerAffinity its stage's layers), and each draws message
+    /// buffers from its own copy of `pool`.
+    fn from_image(cfg: &SmpConfig, image: &StackEngine, pool: &MessagePool) -> SmpSim {
         assert!(cfg.cores > 0, "need at least one core");
         cfg.check_geometry();
         let pipeline = cfg.dispatch == DispatchPolicy::LayerAffinity;
-        let sizes = stage_partition(STACK_LAYERS, cfg.cores);
+        let sizes = stage_partition(image.num_layers(), cfg.cores);
         let stages = if pipeline { sizes.len() } else { cfg.cores };
         let entry_cores = if pipeline { 1 } else { cfg.cores };
         let entry_cap = (cfg.buffer_cap / entry_cores).max(1);
@@ -513,21 +539,16 @@ impl SmpSim {
         let mut cores = Vec::with_capacity(stages);
         let mut offset = 0usize;
         for s in 0..stages {
-            // Every core maps the same kernel image: one placement seed
-            // for all, so layer code/data addresses agree across cores.
-            let (machine, layers) = paper_stack(CORE_MACHINE, cfg.placement_seed);
             let layers = if pipeline {
                 let take = sizes.get(s).copied().unwrap_or(0);
-                let chunk: Vec<_> = layers.into_iter().skip(offset).take(take).collect();
                 offset += take;
-                chunk
+                offset - take..offset
             } else {
-                layers
+                0..image.num_layers()
             };
-            let engine = StackEngine::new(machine, layers, cfg.discipline);
             cores.push(CoreState {
-                engine,
-                pool: MessagePool::new(POOL_BUFS, POOL_BUF_BYTES, cfg.placement_seed),
+                engine: image.replica(layers),
+                pool: pool.clone(),
                 entry: VecDeque::with_capacity(entry_cap),
                 inbox: DescRing::new(cfg.handoff_cap),
                 held: VecDeque::with_capacity(POOL_BUFS),
@@ -557,8 +578,8 @@ impl SmpSim {
                     // like the layer code placed by `ldlp::synth`.
                     let bytes =
                         (f64::from(p.handler_code_bytes) * CORE_MACHINE.code_density).ceil() as u64;
-                    let base = (WCLASS_CODE_BASE + w as u64 * WCLASS_STRIDE) / line;
-                    (0..bytes.div_ceil(line)).map(|i| base + i).collect()
+                    let base = WCLASS_CODE_BASE + w as u64 * WCLASS_STRIDE;
+                    Region::new(base, bytes).line_numbers(line).collect()
                 })
                 .collect()
         } else {
@@ -656,7 +677,11 @@ impl SmpSim {
     /// real silicon across seconds). Asserts the multi-core
     /// conservation law before returning.
     pub fn run(&mut self, arrivals: &[FlowArrival]) {
-        self.drive(Source::Open(arrivals, 0));
+        self.drive(Source::Open {
+            arrivals,
+            next: 0,
+            at: arrival_cycle(arrivals, 0),
+        });
     }
 
     /// Runs a closed-loop client population to drain: transmissions are
@@ -715,13 +740,14 @@ impl SmpSim {
     fn step(&mut self, src: &mut Source<'_>, best: &mut Option<(u64, usize)>) -> Option<bool> {
         let frontier = best.map_or(u64::MAX, |(s, _)| s);
         match src {
-            Source::Open(arrivals, next) => {
+            Source::Open { arrivals, next, at } => {
                 let a = arrivals.get(*next)?;
-                let t = to_cycles(a.time_s);
+                let t = *at;
                 if t > frontier {
                     return None;
                 }
                 *next += 1;
+                *at = arrival_cycle(arrivals, *next);
                 // Open-loop arrivals are class-blind: they ride as
                 // `Class::Rpc` and carry no weights.
                 let pkt = EntryPkt {
@@ -1410,6 +1436,11 @@ fn to_cycles(t_s: f64) -> u64 {
     round_to_cycles(t_s * CYCLES_PER_S)
 }
 
+/// The arrival time of `arrivals[i]` in cycles; 0 past the end.
+fn arrival_cycle(arrivals: &[FlowArrival], i: usize) -> u64 {
+    arrivals.get(i).map_or(0, |a| to_cycles(a.time_s))
+}
+
 /// One-shot convenience: build, run, report.
 pub fn run_smp(cfg: &SmpConfig, arrivals: &[FlowArrival]) -> SmpOutcome {
     run_smp_impaired(cfg, arrivals, ImpairCounters::default())
@@ -1492,8 +1523,8 @@ mod tests {
             for a in &arr {
                 for ((base, bytes), slots) in [(reass, REASS_TABLE_SLOTS), (call, CALL_TABLE_SLOTS)] {
                     let slot = SmpSim::table_slot(base, slots, bytes, a.flow_id);
-                    for addr in slot.line_addrs(sh.l2.line_size) {
-                        let hit = l2.access(addr, cachesim::AccessKind::Read);
+                    for line in slot.line_numbers(sh.l2.line_size) {
+                        let hit = l2.access_line(line, cachesim::AccessKind::Read);
                         let lookup = if hit { sh.hit_cycles } else { sh.miss_cycles };
                         expect += lookup + sh.hit_cycles;
                     }
@@ -1501,6 +1532,67 @@ mod tests {
             }
             assert!(expect > 0, "the L2 charges are never zero");
             assert_eq!(coh.stall_cycles, expect, "{discipline:?}");
+        }
+    }
+
+    /// One kernel image per server, under every dispatch policy and
+    /// core count: each core runs the image's own installed layers (a
+    /// layer's code-line list is one allocation, whichever cores fetch
+    /// it), and the code lines, data regions and message pools are
+    /// exactly what `placement_seed` places on its own.
+    #[test]
+    fn every_core_maps_the_one_kernel_image() {
+        let seed = 5;
+        let (_, placed) = paper_stack(CORE_MACHINE, seed);
+        let pool = MessagePool::new(POOL_BUFS, POOL_BUF_BYTES, seed);
+        for dispatch in [
+            DispatchPolicy::FlowHash,
+            DispatchPolicy::RoundRobin,
+            DispatchPolicy::LayerAffinity,
+        ] {
+            for cores in [1, 2, 4, 8] {
+                let c = SmpConfig {
+                    placement_seed: seed,
+                    ..cfg(cores, dispatch, Discipline::Ldlp(BatchPolicy::DCacheFit))
+                };
+                let (machine, layers) = paper_stack(CORE_MACHINE, seed);
+                let image = StackEngine::new(machine, layers, c.discipline);
+                let given = SmpSim::from_image(&c, &image, &pool);
+                let built = SmpSim::new(&c);
+                for sim in [&given, &built] {
+                    // Layer `global` of the image runs as layer `li` of
+                    // core `k`: on exactly one stage under LayerAffinity,
+                    // on every core otherwise.
+                    let mut global = 0;
+                    for (k, core) in sim.cores.iter().enumerate() {
+                        let case = format!("{dispatch:?} x {cores}, core {k}");
+                        assert_eq!(core.pool, pool, "{case}: pool buffers");
+                        if dispatch != DispatchPolicy::LayerAffinity {
+                            global = 0;
+                        }
+                        for li in 0..core.engine.num_layers() {
+                            let (lines, data) = core.engine.layer_footprint(li).unwrap();
+                            assert_eq!(&lines[..], placed[global].code_lines(), "{case}: layer {li}");
+                            assert_eq!(data, placed[global].data_region(), "{case}: layer {li}");
+                            // One allocation per layer: the given image's,
+                            // or else the one core 0 fetches too.
+                            let owner = if std::ptr::eq(sim, &given) {
+                                image.layer_footprint(global)
+                            } else if dispatch == DispatchPolicy::LayerAffinity {
+                                Some((lines, data))
+                            } else {
+                                sim.cores[0].engine.layer_footprint(li)
+                            };
+                            assert!(
+                                owner.is_some_and(|(o, _)| std::sync::Arc::ptr_eq(lines, o)),
+                                "{case}: layer {li} was placed and installed again"
+                            );
+                            global += 1;
+                        }
+                    }
+                    assert_eq!(global, placed.len(), "{dispatch:?} x {cores}: every layer runs");
+                }
+            }
         }
     }
 
