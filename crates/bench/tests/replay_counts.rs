@@ -145,6 +145,7 @@ fn figure14_cell() {
     sim.run(&arrivals);
     let out = sim.outcome(ImpairCounters::default());
     assert_eq!(out.replay, stats(3309, 177, 0));
+    assert_eq!(out.cycles_refills, 210);
 }
 
 #[test]

@@ -4,6 +4,9 @@
 //! * [`simnet::stats::percentile`] must be monotone in `q`, bounded by
 //!   the sample extremes, and agree with an independently-written
 //!   reference implementation on every input.
+//! * [`ClassSamples::report`], which selects its percentiles, must
+//!   report bit for bit what sorting the samples and reading them with
+//!   `percentile` reports, ties and empty runs included.
 //! * `offered == completed + rejected + drops + shed + in_flight` must
 //!   hold under arbitrary duplication and corruption impairments (the
 //!   accounting seam where double-counting bugs would hide).
@@ -12,8 +15,9 @@
 //!   never existed — retires each request once and keeps its books.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use simnet::impair::{impair_arrivals, ImpairConfig};
-use simnet::stats::percentile;
+use simnet::stats::{percentile, ClassReport, ClassSamples};
 use simnet::traffic::{PoissonSource, TrafficSource};
 use simnet::{run_sim_impaired, AckKind, ClosedConfig, ClosedPopulation, SimConfig};
 use std::collections::BTreeSet;
@@ -35,6 +39,39 @@ fn percentile_reference(sorted: &[f64], q: f64) -> f64 {
     let below = sorted[pos.floor() as usize];
     let above = sorted[(pos.floor() as usize + 1).min(n - 1)];
     below + (above - below) * pos.fract()
+}
+
+/// Checks `ClassSamples::report` on `latencies_us` against the sort it
+/// replaced: sort, read p50 and p99 with `percentile`, count the
+/// samples within the objective. The samples come back reordered,
+/// never changed.
+fn check_class_report(latencies_us: Vec<f64>, slo_us: f64) -> Result<(), TestCaseError> {
+    let mut sorted = latencies_us.clone();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let completed = latencies_us.len() as u64;
+    let mut s = ClassSamples {
+        offered: completed + 1,
+        completed,
+        drops: 1,
+        imiss_sum: 3 * completed,
+        latencies_us,
+        ..ClassSamples::default()
+    };
+    let got = s.report(slo_us);
+    let within = sorted.iter().filter(|&&l| l <= slo_us).count() as u64;
+    let want = ClassReport {
+        p50_latency_us: percentile(&sorted, 0.50),
+        p99_latency_us: percentile(&sorted, 0.99),
+        slo_attainment: if slo_us > 0.0 { within } else { completed } as f64
+            / completed.max(1) as f64,
+        ..got
+    };
+    // `{:?}` prints floats exactly and tells -0.0 from 0.0.
+    prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    s.latencies_us.sort_unstable_by(f64::total_cmp);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&s.latencies_us), bits(&sorted), "samples kept");
+    Ok(())
 }
 
 fn sorted_samples() -> impl Strategy<Value = Vec<f64>> {
@@ -85,6 +122,28 @@ proptest! {
         // `v*(1-frac) + v*frac` can land one ulp away from `v`.
         let p = percentile(&samples, q);
         prop_assert!((p - v).abs() <= f64::EPSILON * v.abs(), "percentile({q}) = {p}, want {v}");
+    }
+
+    #[test]
+    fn class_report_selects_what_the_sort_read(
+        ranks in proptest::collection::vec(0u32..12, 0..80),
+        scale in 0.5f64..500.0,
+        slo_rank in 0u32..14,
+    ) {
+        // Twelve distinct values: most runs tie, some are empty or one
+        // sample long.
+        let latencies_us = ranks.iter().map(|&r| f64::from(r) * scale).collect();
+        check_class_report(latencies_us, f64::from(slo_rank) * scale)?;
+    }
+
+    #[test]
+    fn class_report_of_distinct_samples(samples in proptest::collection::vec(0.0f64..1e6, 0..300), slo_us in 0.0f64..1e6) {
+        check_class_report(samples, slo_us)?;
+    }
+
+    #[test]
+    fn class_report_of_equal_samples(v in 0.0f64..1e6, n in 0usize..30, at_slo in any::<bool>()) {
+        check_class_report(vec![v; n], if at_slo { v } else { v / 2.0 })?;
     }
 
     /// Conservation under duplication + corruption: every duplicated

@@ -289,6 +289,9 @@ pub struct SmpOutcome {
     /// Footprint-replay memoizer counters for the run, summed across
     /// cores.
     pub replay: ReplayStats,
+    /// Per-length instruction-cycles memo refills for the run, summed
+    /// across cores ([`StackEngine::cycles_refills`]).
+    pub cycles_refills: u64,
     /// Queued packets shed by the admission policy, by traffic class
     /// (closed-loop runs; open-loop runs are class-blind and account
     /// everything to [`Class::Rpc`]).
@@ -359,6 +362,7 @@ struct CoreState {
     icache0: u64,
     dcache0: u64,
     replay0: ReplayStats,
+    cycles_refills0: u64,
     obs: Option<ObsIds>,
     rep: CoreReport,
     // Reused per-batch scratch: the steady-state loop allocates
@@ -559,6 +563,7 @@ impl SmpSim {
                 icache0: 0,
                 dcache0: 0,
                 replay0: ReplayStats::default(),
+                cycles_refills0: 0,
                 obs: None,
                 rep: CoreReport::default(),
                 batch: Vec::with_capacity(POOL_BUFS),
@@ -892,6 +897,7 @@ impl SmpSim {
 
         let mut per_core = Vec::with_capacity(self.cfg.cores);
         let mut replay = ReplayStats::default();
+        let mut cycles_refills = 0;
         for core in &self.cores {
             let stats: MachineStats = core.engine.machine().stats();
             let mut rep = core.rep;
@@ -902,6 +908,7 @@ impl SmpSim {
             replay.hits += r.hits - core.replay0.hits;
             replay.misses += r.misses - core.replay0.misses;
             replay.bypasses += r.bypasses - core.replay0.bypasses;
+            cycles_refills += core.engine.cycles_refills() - core.cycles_refills0;
         }
         // Idle cores (LayerAffinity with more cores than layers).
         per_core.resize(self.cfg.cores, CoreReport::default());
@@ -919,6 +926,7 @@ impl SmpSim {
             coherence: self.shared.stats(),
             handoff_msgs: self.handoff_msgs,
             replay,
+            cycles_refills,
             shed_by_class: self.shed_by_class,
             drops_by_class: self.drops_by_class,
             classes,
@@ -952,6 +960,7 @@ impl SmpSim {
             core.icache0 = stats.icache.misses;
             core.dcache0 = stats.dcache.misses;
             core.replay0 = core.engine.machine().replay_stats();
+            core.cycles_refills0 = core.engine.cycles_refills();
             // analyze::allow(charge-coverage, reason = "head/tail occupancy reads model core-local ring registers; slot data movement is charged at push/pop via SharedL2 read/write")
             debug_assert!(core.entry.is_empty() && core.inbox.is_empty() && core.held.is_empty());
         }
