@@ -303,9 +303,8 @@ impl TableCharge {
     /// pairwise distinct.
     pub fn new(pop: u64, scheme: CacheScheme, cache_slots: usize, seed: u64) -> Self {
         let key_salt = mix64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ pop);
-        let keys = (0..pop as usize).map(|flow| mix64(key_salt ^ flow as u64));
         TableCharge {
-            layout: PlacementIndex::build(keys),
+            layout: PlacementIndex::build(pop as usize, |flow| mix64(key_salt ^ flow as u64)),
             cache: LookupCache::new(scheme, cache_slots, seed),
             key_salt,
             probes_total: 0,
@@ -740,6 +739,65 @@ mod tests {
         assert!(tc.charge(499, &mut machine) > 0);
         assert_eq!(tc.lookups, 4);
         assert!(tc.probes_total >= 1);
+    }
+
+    /// The layouts figure10's full grid charges, pinned bit for bit:
+    /// per (seed, population), an FNV-1a digest of the capacity and of
+    /// every flow's probe run, keys as [`TableCharge::new`] derives
+    /// them. The digests were recorded before `PlacementIndex::build`
+    /// hashed keys a block at a time, so every CPU tier it picks must
+    /// reproduce the scalar layouts at 10^6 flows.
+    #[test]
+    fn full_grid_layouts_match_the_pinned_digests() {
+        // (seed, digests for 10^2, 10^3, 10^4, 10^5, 10^6 flows)
+        const PINNED: [(u64, [u64; 5]); 2] = [
+            (
+                1,
+                [
+                    0x56b2_0f9f_9a3f_c5b8,
+                    0x20d1_a840_8527_71a5,
+                    0x2504_7300_87c7_ea85,
+                    0x83c3_74bd_3088_d652,
+                    0x8142_d342_a47c_028f,
+                ],
+            ),
+            (
+                2,
+                [
+                    0xf977_3d06_0ed3_6352,
+                    0x8134_feed_8b80_792b,
+                    0x6172_ae06_ef8c_391c,
+                    0x8911_170f_14a0_4356,
+                    0x8d52_b90a_af81_9a6b,
+                ],
+            ),
+        ];
+        let fnv = |h: u64, word: u64| {
+            word.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        for (seed, want) in PINNED {
+            let got: Vec<u64> = populations(false)
+                .iter()
+                .map(|&pop| {
+                    let tc = TableCharge::new(pop, CacheScheme::Lru, 1, seed);
+                    let mut h = fnv(0xcbf2_9ce4_8422_2325, tc.layout.capacity() as u64);
+                    for flow in 0..pop {
+                        let key = mix64(tc.key_salt ^ flow);
+                        let run = tc.layout.probes(flow as usize, &key).expect("live flow");
+                        let mut len = 0u64;
+                        for slot in run {
+                            h = fnv(h, u64::from(slot));
+                            len += 1;
+                        }
+                        h = fnv(h, len);
+                    }
+                    h
+                })
+                .collect();
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     /// The shared per-population CDF is invisible: repeat calls,

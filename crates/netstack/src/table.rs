@@ -52,30 +52,35 @@ pub fn mix64(mut x: u64) -> u64 {
 }
 
 impl StableHash for u64 {
+    #[inline]
     fn stable_hash(&self) -> u64 {
         mix64(*self)
     }
 }
 
 impl StableHash for u32 {
+    #[inline]
     fn stable_hash(&self) -> u64 {
         mix64(u64::from(*self))
     }
 }
 
 impl StableHash for u16 {
+    #[inline]
     fn stable_hash(&self) -> u64 {
         mix64(u64::from(*self))
     }
 }
 
 impl StableHash for usize {
+    #[inline]
     fn stable_hash(&self) -> u64 {
         mix64(*self as u64)
     }
 }
 
 impl StableHash for Ipv4Addr {
+    #[inline]
     fn stable_hash(&self) -> u64 {
         mix64(u64::from(u32::from_be_bytes(self.0)))
     }
@@ -510,11 +515,137 @@ fn claim_first_free(occupied: &mut [u64], home: usize) -> usize {
     home
 }
 
+/// Keys a [`PlacementIndex::build`] block hashes before claiming any.
+const BLOCK: usize = 64;
+
+/// An instantiation of [`block_homes`]: fills `homes[..len]` with the
+/// home slots of keys `first..first + len`.
+// SAFETY: a `#[target_feature]` function coerces only to an `unsafe`
+// pointer; calling one is sound on a CPU that has its tier's features,
+// which `Tier::runs_here` checks.
+type HomesKernel<F> = unsafe fn(&mut [usize; BLOCK], usize, usize, usize, &F);
+
+/// Fills `homes[..len]` with `key_of(first + j).stable_hash() & mask`.
+/// Pure integer arithmetic with no dependence between keys, so the
+/// compiler vectorises it wherever the target has the multiplies
+/// [`mix64`] needs; each [`Tier`] compiles this one source for its
+/// features, so every tier yields the same integers.
+#[inline(always)]
+fn block_homes<K: StableHash, F: Fn(usize) -> K>(
+    homes: &mut [usize; BLOCK],
+    first: usize,
+    len: usize,
+    mask: usize,
+    key_of: &F,
+) {
+    for (home, i) in homes.iter_mut().take(len).zip(first..) {
+        *home = (key_of(i).stable_hash() as usize) & mask;
+    }
+}
+
+/// [`block_homes`] where AVX-512 has `vpmullq`, a 64-bit vector multiply.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn block_homes_avx512<K: StableHash, F: Fn(usize) -> K>(
+    homes: &mut [usize; BLOCK],
+    first: usize,
+    len: usize,
+    mask: usize,
+    key_of: &F,
+) {
+    block_homes(homes, first, len, mask, key_of);
+}
+
+/// [`block_homes`] over AVX2's 256-bit lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_homes_avx2<K: StableHash, F: Fn(usize) -> K>(
+    homes: &mut [usize; BLOCK],
+    first: usize,
+    len: usize,
+    mask: usize,
+    key_of: &F,
+) {
+    block_homes(homes, first, len, mask, key_of);
+}
+
+/// A CPU feature level [`block_homes`] is compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// The build target's own features: every host runs it.
+    Baseline,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// Every tier this build has a kernel for, baseline first and widest
+    /// last.
+    const ALL: &[Tier] = &[
+        Tier::Baseline,
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512,
+    ];
+
+    /// True when this CPU has every feature this tier's kernel is
+    /// compiled with.
+    fn runs_here(self) -> bool {
+        match self {
+            Tier::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512dq")
+                    && is_x86_feature_detected!("avx512vl")
+            }
+        }
+    }
+
+    /// The tiers this CPU runs, baseline first and widest last.
+    fn supported() -> impl Iterator<Item = Tier> {
+        Self::ALL.iter().copied().filter(|t| t.runs_here())
+    }
+
+    /// This tier's instantiation of [`block_homes`]. Calling it is sound
+    /// only where [`Tier::runs_here`] holds.
+    fn kernel<K: StableHash, F: Fn(usize) -> K>(self) -> HomesKernel<F> {
+        match self {
+            Tier::Baseline => block_homes::<K, F>,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => block_homes_avx2::<K, F>,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => block_homes_avx512::<K, F>,
+        }
+    }
+}
+
 impl PlacementIndex {
-    /// Lays out `keys` (pairwise distinct) as `OaTable::with_capacity(keys.len())`
-    /// followed by `insert` of each in order would.
-    pub fn build<K: StableHash>(keys: impl ExactSizeIterator<Item = K>) -> Self {
-        let capacity = capacity_for(keys.len());
+    /// Lays out keys `key_of(0), …, key_of(n - 1)` (pairwise distinct)
+    /// as `OaTable::with_capacity(n)` followed by `insert` of each in
+    /// order would. Keys are hashed [`BLOCK`] at a time by the widest
+    /// [`Tier`] this CPU runs, then claimed in key order.
+    pub fn build<K: StableHash>(n: usize, key_of: impl Fn(usize) -> K) -> Self {
+        let tier = Tier::supported().last().unwrap_or(Tier::Baseline);
+        Self::build_on(tier, n, key_of)
+    }
+
+    /// [`Self::build`] with `tier`'s kernel.
+    ///
+    /// # Panics
+    ///
+    /// When this CPU cannot run `tier`.
+    fn build_on<K: StableHash, F: Fn(usize) -> K>(tier: Tier, n: usize, key_of: F) -> Self {
+        assert!(
+            tier.runs_here(),
+            "{tier:?} kernel on a CPU without its features"
+        );
+        let capacity = capacity_for(n);
         debug_assert!(capacity as u64 <= 1 << 32, "slot indices are u32");
         let mask = capacity.wrapping_sub(1);
         let mut occupied = vec![0u64; capacity.div_ceil(64)];
@@ -522,16 +653,24 @@ impl PlacementIndex {
             // A table smaller than a word: the bits past its end are walls.
             *only = !0 << capacity;
         }
-        let mut displacement = Vec::with_capacity(keys.len());
+        let fill = tier.kernel::<K, F>();
+        let mut homes = [0usize; BLOCK];
+        let mut displacement = Vec::with_capacity(n);
         let mut overflow = Vec::new();
-        for key in keys {
-            let home = (key.stable_hash() as usize) & mask;
-            let slot = claim_first_free(&mut occupied, home);
-            let d = slot.wrapping_sub(home) & mask;
-            if d >= usize::from(OVERFLOWED) {
-                overflow.push((displacement.len() as u32, d as u32));
+        for first in (0..n).step_by(BLOCK) {
+            let len = BLOCK.min(n - first);
+            // SAFETY: `fill` is `tier`'s kernel, and the assert above
+            // confirmed, by `is_x86_feature_detected!`, that this CPU has
+            // every feature it is compiled with.
+            unsafe { fill(&mut homes, first, len, mask, &key_of) };
+            for &home in homes.iter().take(len) {
+                let slot = claim_first_free(&mut occupied, home);
+                let d = slot.wrapping_sub(home) & mask;
+                if d >= usize::from(OVERFLOWED) {
+                    overflow.push((displacement.len() as u32, d as u32));
+                }
+                displacement.push(d.min(usize::from(OVERFLOWED)) as u8);
             }
-            displacement.push(d.min(usize::from(OVERFLOWED)) as u8);
         }
         PlacementIndex {
             capacity,
@@ -917,6 +1056,81 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         c.invalidate(&5);
         assert_eq!(c.get(&5), None);
+    }
+
+    /// A key whose hash the test picks.
+    struct Forced(u64);
+
+    impl StableHash for Forced {
+        fn stable_hash(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Holds every tier this CPU runs to the baseline instantiation over
+    /// keys `key_of(0..n)`: each block's homes, then the whole layout.
+    fn tiers_match_baseline<K: StableHash>(
+        tiers: &[Tier],
+        what: &str,
+        n: usize,
+        key_of: impl Fn(usize) -> K,
+    ) -> PlacementIndex {
+        let mask = capacity_for(n).wrapping_sub(1);
+        let want = PlacementIndex::build_on(Tier::Baseline, n, &key_of);
+        for &tier in tiers {
+            for first in (0..n).step_by(BLOCK) {
+                let len = BLOCK.min(n - first);
+                let (mut got, mut base) = ([0; BLOCK], [0; BLOCK]);
+                block_homes(&mut base, first, len, mask, &key_of);
+                // SAFETY: `tier` came from `Tier::supported`, which lists
+                // only tiers whose features this CPU has.
+                unsafe { tier.kernel::<K, _>()(&mut got, first, len, mask, &key_of) };
+                assert_eq!(
+                    got, base,
+                    "{what}, n {n}: {tier:?} homes of block at {first}"
+                );
+            }
+            let got = PlacementIndex::build_on(tier, n, &key_of);
+            assert_eq!(
+                (got.capacity, &got.displacement, &got.overflow),
+                (want.capacity, &want.displacement, &want.overflow),
+                "{what}, n {n}: {tier:?} layout"
+            );
+        }
+        want
+    }
+
+    /// The vector tiers are the baseline loop compiled with wider
+    /// features, so they must lay keys out exactly as it does: at block
+    /// edges and past them under the real hash, and under chosen hashes
+    /// that home 300 keys on one slot — the first, or one of the last so
+    /// the cluster wraps — pushing displacements past 255 into the
+    /// overflow list. Prints the tiers it ran, so a log shows whether the
+    /// wide kernels were exercised or only the baseline.
+    #[test]
+    fn every_supported_tier_lays_out_like_the_baseline() {
+        let tiers: Vec<Tier> = Tier::supported().collect();
+        println!("PlacementIndex tiers run: {tiers:?}");
+        for n in [0, 1, 63, 64, 65, 1000, (1 << 14) + 1] {
+            tiers_match_baseline(&tiers, "mix64 keys", n, |i| mix64(7 ^ i as u64));
+        }
+        let n = 300;
+        let mask = capacity_for(n) as u64 - 1;
+        for home in [0, mask - 2, mask] {
+            // High bits differ per key; the masked home does not.
+            let index = tiers_match_baseline(&tiers, "one home", n, |i| {
+                Forced((mix64(i as u64) & !mask) | home)
+            });
+            assert_eq!(
+                index.overflow.len(),
+                n - 255,
+                "home {home}: displacements past 255"
+            );
+            let last = index.probes(n - 1, &Forced(home)).map(|run| run.last());
+            let wraps = home + n as u64 - 1 > mask;
+            assert_eq!(last, Some(Some(((home + n as u64 - 1) & mask) as u32)));
+            assert_eq!(wraps, home != 0, "home {home}");
+        }
     }
 
     #[test]

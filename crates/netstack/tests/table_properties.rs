@@ -8,7 +8,7 @@
 //!   returns; the cache changes cost, never answers.
 //! * Probe-log sanity: every recorded probe sequence is non-empty and
 //!   the table's mean probe count stays at least one.
-//! * Computed layout: `PlacementIndex::build(keys)` names, for every
+//! * Computed layout: `PlacementIndex::build(n, key_of)` names, for every
 //!   key, exactly the probe run a lookup in the table loaded with those
 //!   keys logs — long clusters and wrap-around included.
 
@@ -168,7 +168,7 @@ impl StableHash for Forced {
 fn index_matches_table<K: StableHash + Eq + Clone>(
     keys: &[K],
 ) -> Result<PlacementIndex, TestCaseError> {
-    let index = PlacementIndex::build(keys.iter().cloned());
+    let index = PlacementIndex::build(keys.len(), |i| keys[i].clone());
     let mut table: OaTable<K, ()> = OaTable::with_capacity(keys.len());
     for key in keys {
         prop_assert!(table.insert(key.clone(), ()).is_none(), "keys are distinct");
